@@ -19,7 +19,7 @@ from .errors import InvalidInputError, UnsupportedVersionError
 
 SCHEMA_VERSION = 1
 DTYPE = "f64le"
-ROLES = ("trajectory", "loss_matrix", "distance_matrix", "dataset")
+ROLES = ("trajectory", "loss_matrix", "distance_matrix")
 SPLITS = ("train", "test", "probe")
 
 
@@ -167,13 +167,10 @@ class RunRecord:
     gen_gap: float
     e_alpha: float
     pmag: dict[str, float]
-    beta_hat: float | None = None
 
     def validate(self) -> None:
         if self.e_alpha < 0 or any(v < 0 for v in self.pmag.values()):
             raise InvalidInputError("complexity statistics must be nonnegative")
-        if self.beta_hat is not None and self.beta_hat < 0:
-            raise InvalidInputError("beta_hat must be nonnegative")
 
     def to_json(self) -> str:
         self.validate()
@@ -186,7 +183,6 @@ class RunRecord:
             "gen_gap": self.gen_gap,
             "e_alpha": self.e_alpha,
             "pmag": dict(sorted(self.pmag.items())),
-            "beta_hat": self.beta_hat,
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -202,7 +198,6 @@ class RunRecord:
             gen_gap=float(doc["gen_gap"]),
             e_alpha=float(doc["e_alpha"]),
             pmag={k: float(v) for k, v in doc["pmag"].items()},
-            beta_hat=None if doc.get("beta_hat") is None else float(doc["beta_hat"]),
         )
         record.validate()
         return record

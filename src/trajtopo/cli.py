@@ -18,14 +18,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, bounds, geometry, lifetime, magnitude, pipeline, stability, trainer
-from .artifacts import load_loss_matrix, save_loss_matrix, save_trajectory
+from .artifacts import (
+    RunRecord,
+    load_loss_matrix,
+    load_trajectory,
+    save_loss_matrix,
+    save_trajectory,
+)
 from .errors import InvalidInputError, NumericalFailureError, TrajtopoError
 from .geometry import load_distance_matrix, save_distance_matrix
 from .pipeline import ExperimentConfig, StabilitySettings
-from .rng import stream
 
 ENV_OUTPUT_ROOT = "TRAJTOPO_OUT"
 
@@ -122,25 +125,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_traj_gen(args: argparse.Namespace) -> int:
     out_dir = Path(_default_out(args.out))
     out_dir.mkdir(parents=True, exist_ok=True)
-    task, data, pool = trainer.make_task_and_data(
-        args.task, args.n, args.input_dim, args.seed,
-        class_sep=args.class_sep, noise=args.noise,
-    )
-    cfg = trainer.SGDConfig(
+    cfg = ExperimentConfig(
+        task=args.task,
+        input_dim=args.input_dim,
+        iterations=args.iterations,
+        warmup=args.warmup,
         radius=args.radius,
-        step=args.eta,
-        iterations=args.warmup + args.iterations,
-        seed=args.seed,
         step_rule=args.step_rule,
-        batch=args.batch,
+        class_sep=args.class_sep,
+        noise=args.noise,
     )
-    full = trainer.projected_sgd(task, data, cfg)
-    window = trainer.tail_window(full, args.iterations + 1)
-
-    m = min(args.n, 500)
-    train_idx = np.sort(stream(args.seed, "train-probe").choice(args.n, size=m, replace=False))
-    lm_train = trainer.loss_matrix(task, window, data.take(train_idx), "train")
-    lm_test = trainer.loss_matrix(task, window, pool.take(np.arange(m)), "test")
+    _, window, lm_train, lm_test = pipeline.train_cell(
+        cfg, args.n, args.eta, args.batch, args.seed
+    )
 
     save_trajectory(window, out_dir / "trajectory")
     save_loss_matrix(lm_train, out_dir / "losses_train")
@@ -154,7 +151,6 @@ def cmd_traj_gen(args: argparse.Namespace) -> int:
         "gen_gap": analysis.worst_case_gap(lm_train, lm_test),
         "e_alpha": None,
         "pmag": {},
-        "beta_hat": None,
     }
     (out_dir / "record_stub.json").write_text(json.dumps(stub, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"output_dir": str(out_dir), "gen_gap": stub["gen_gap"]}, sort_keys=True))
@@ -162,8 +158,6 @@ def cmd_traj_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_distmat(args: argparse.Namespace) -> int:
-    from .artifacts import load_trajectory
-
     traj = load_trajectory(args.trajectory)
     if args.subsample:
         traj = geometry.subsample_uniform(traj, args.subsample, args.seed)
@@ -177,11 +171,11 @@ def cmd_distmat(args: argparse.Namespace) -> int:
 
 def cmd_lifetime_sum(args: argparse.Namespace) -> int:
     dist = load_distance_matrix(args.distmat)
-    tree = lifetime.minimum_spanning_tree(dist)
     value = lifetime.alpha_weighted_lifetime_sum(dist, args.alpha)
+    # a spanning tree on m points has m - 1 edges
     print(
         json.dumps(
-            {"alpha": args.alpha, "e_alpha": value, "edges": tree.count},
+            {"alpha": args.alpha, "e_alpha": value, "edges": len(dist) - 1},
             sort_keys=True,
         )
     )
@@ -252,27 +246,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
-def _samples_from_summary(args: argparse.Namespace) -> list[float]:
-    doc = json.loads(Path(args.summary).read_text(encoding="utf-8"))
-    runs = doc.get("runs")
-    if not isinstance(runs, list):
-        raise InvalidInputError(f"{args.summary} is not a pipeline summary")
-    if args.n is not None:
-        runs = [r for r in runs if r["n"] == args.n]
-    if not runs:
-        raise InvalidInputError("no runs match the requested sample size")
-    if args.theorem == "ealpha":
-        return [float(r["e_alpha"]) for r in runs]
-    key = args.scale_key or pipeline.THEOREM_KEY
-    try:
-        return [float(r["pmag"][key]) for r in runs]
-    except KeyError as exc:
-        raise InvalidInputError(
-            f"summary runs lack magnitude values at scale {key!r}; "
-            "pass --scale-key with one of the recorded scales"
-        ) from exc
-
-
 def _load_samples(args: argparse.Namespace) -> list[float]:
     if args.samples:
         return _parse_floats(args.samples)
@@ -283,9 +256,7 @@ def _load_samples(args: argparse.Namespace) -> list[float]:
         if not isinstance(doc, list):
             raise InvalidInputError("samples file must hold a JSON list or {'samples': [...]}")
         return [float(v) for v in doc]
-    if args.summary:
-        return _samples_from_summary(args)
-    raise InvalidInputError("pass --samples, --samples-file, or --summary")
+    raise InvalidInputError("pass --samples or --samples-file")
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -312,36 +283,30 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .artifacts import RunRecord
-
     runs_dir = Path(args.runs_dir)
     record_paths = sorted(runs_dir.glob("cells/*/record.json"))
     if not record_paths:
         raise InvalidInputError(f"no run records under {runs_dir}")
     records = [RunRecord.from_json(p.read_text()) for p in record_paths]
     records.sort(key=lambda r: (r.n, r.eta, r.batch, r.seed))
+    summary_path = runs_dir / "report" / "summary.json"
+    if not summary_path.exists():
+        raise InvalidInputError(f"no {summary_path}; report needs a finished `trajtopo run`")
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    keys = ("task", "alpha", "pmag_scales", "stability", "bounds")
+    if not isinstance(summary, dict) or not all(k in summary for k in keys):
+        raise InvalidInputError(f"{summary_path} lacks one of {keys}; re-run `trajtopo run`")
+    cfg = ExperimentConfig(
+        task=summary["task"], alpha=summary["alpha"], pmag_scales=summary["pmag_scales"]
+    )
+    # older summaries also hold `analytic_beta` and `extras`, which reports no longer carry
+    dropped = ("analytic_beta", "extras")
+    stab_reports = [
+        stability.StabilityReport(**{k: v for k, v in doc.items() if k not in dropped})
+        for doc in summary["stability"]
+    ]
     out_dir = Path(args.out) if args.out else runs_dir / "report"
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    fixed_keys = sorted(k for r in records for k in r.pmag if k != pipeline.THEOREM_KEY)
-    kinds = [("e_alpha", None)]
-    if fixed_keys:
-        kinds.append(("pmag_fixed_scale", fixed_keys[0]))
-    if all(pipeline.THEOREM_KEY in r.pmag for r in records):
-        kinds.append(("pmag_theorem_scale", pipeline.THEOREM_KEY))
-    per_n = {}
-    for kind, key in kinds:
-        rep = analysis.grid_report(records, kind, scale_key=key)
-        (out_dir / f"grid_{kind}.csv").write_text(rep.to_csv())
-        per_n[kind] = {
-            str(n): {"tau": g.tau, "r": g.r, "slope": g.slope, "count": g.count}
-            for n, g in rep.per_n_stats.items()
-        }
-    summary = {
-        "runs": [json.loads(r.to_json()) for r in records],
-        "per_n_stats": per_n,
-    }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    pipeline._write_reports(cfg, out_dir, records, stab_reports, summary["bounds"])
     print(json.dumps({"out": str(out_dir), "runs": len(records)}, sort_keys=True))
     return 0
 
@@ -427,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-file", help="JSON file with complexity samples")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("report", help="grid report CSVs from stored run records")
+    p = sub.add_parser("report", help="rebuild every report file of a finished run")
     p.add_argument("runs_dir", help="pipeline output directory")
     p.add_argument("--out", help="report directory (default: RUNS_DIR/report)")
     p.set_defaults(func=cmd_report)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bounds, geometry, lifetime, magnitude, stability, trainer
-from .artifacts import RunRecord, load_trajectory, save_trajectory
+from .artifacts import LossMatrix, RunRecord, Trajectory, load_trajectory, save_trajectory
 from .errors import InvalidInputError, NumericalFailureError
 from .rng import stream
 
@@ -177,7 +177,15 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
         raise NumericalFailureError(f"cell {cid}: {exc}") from exc
 
 
-def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) -> CellResult:
+def train_cell(
+    cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int
+) -> tuple[trainer.SyntheticTask, Trajectory, LossMatrix, LossMatrix]:
+    """Train one grid cell and probe its tail window.
+
+    Returns the task, the window of the last `cfg.iterations + 1` iterates,
+    and its loss matrices on up to 500 training samples and as many
+    held-out samples.
+    """
     task, data, pool = trainer.make_task_and_data(
         cfg.task, n, cfg.input_dim, seed,
         class_sep=cfg.class_sep, noise=cfg.noise, hidden=cfg.hidden,
@@ -197,6 +205,11 @@ def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) ->
     train_idx = np.sort(stream(seed, "train-probe").choice(n, size=m, replace=False))
     lm_train = trainer.loss_matrix(task, window, data.take(train_idx), "train")
     lm_test = trainer.loss_matrix(task, window, pool.take(np.arange(m)), "test")
+    return task, window, lm_train, lm_test
+
+
+def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) -> CellResult:
+    task, window, lm_train, lm_test = train_cell(cfg, n, eta, batch, seed)
     gap = analysis.worst_case_gap(lm_train, lm_test)
 
     sub = geometry.subsample_uniform(window, cfg.subsample, seed)
@@ -218,7 +231,6 @@ def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) ->
         gen_gap=gap,
         e_alpha=e_alpha,
         pmag=pmag,
-        beta_hat=None,
     )
     cell_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory(sub, cell_dir / "trajectory")
@@ -362,12 +374,14 @@ def _bounds_stage(
 
 def _write_reports(
     cfg: ExperimentConfig,
-    out_dir: Path,
+    report_dir: Path,
     records: list[RunRecord],
     stab_reports: list[stability.StabilityReport],
     bound_rows: list[dict],
 ) -> None:
-    report_dir = out_dir / "report"
+    """Write the grid CSVs, `stability.csv` and `summary.json`. Only
+    `task`, `alpha` and `pmag_scales` of the config are read; the first
+    configured scale is the fixed scale."""
     report_dir.mkdir(parents=True, exist_ok=True)
 
     kinds = [("e_alpha", None), ("pmag_fixed_scale", scale_key(cfg.pmag_scales[0]))]
@@ -451,7 +465,7 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | None = None) -> Pipeli
 
     stab_reports = _stability_stage(cfg, log) if cfg.stability is not None else []
     bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports) if stab_reports else []
-    _write_reports(cfg, out_dir, records, stab_reports, bound_rows)
+    _write_reports(cfg, out_dir / "report", records, stab_reports, bound_rows)
 
     return PipelineResult(
         records=records,

@@ -11,9 +11,10 @@ smooth Lipschitz losses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .artifacts import LossMatrix
 from .errors import InvalidInputError
@@ -32,9 +33,6 @@ INIT_MODES = ("random_init", "locally_converged")
 EVAL_SPLITS = ("train", "validation")
 DIRECTIONS = ("directed", "symmetrized")
 
-# row-block size keeping the (block, T', M) work tensor around 10^7 entries
-_BLOCK_TARGET = 10_000_000
-
 
 def default_injection_count(n: int) -> int:
     """50 replacements, scaled down proportionally for n below 100."""
@@ -44,14 +42,8 @@ def default_injection_count(n: int) -> int:
 
 
 def _directed_estimate(a: np.ndarray, b: np.ndarray) -> float:
-    rows = max(1, _BLOCK_TARGET // max(1, b.size))
-    worst = 0.0
-    for start in range(0, a.shape[0], rows):
-        block = a[start : start + rows]
-        # (block, T', M) -> worst sample, then best match, then worst iterate
-        diff = np.abs(block[:, None, :] - b[None, :, :]).max(axis=2)
-        worst = max(worst, float(diff.min(axis=1).max()))
-    return worst
+    # worst sample (Chebyshev distance), then best match, then worst iterate
+    return float(cdist(a, b, "chebyshev").min(axis=1).max())
 
 
 def estimate_stability(
@@ -155,8 +147,6 @@ class StabilityReport:
     direction: str
     eval_split: str
     init_mode: str
-    analytic_beta: float | None = None
-    extras: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
         doc = {
@@ -170,8 +160,6 @@ class StabilityReport:
             "raw_deviations": self.raw_deviations,
             "mean": self.mean,
             "stderr": self.stderr,
-            "analytic_beta": self.analytic_beta,
-            "extras": dict(sorted(self.extras.items())),
         }
         return json.dumps(doc, indent=2) + "\n"
 

@@ -192,7 +192,6 @@ class SGDConfig:
     seed: int
     step_rule: str = "constant"
     batch: int = 1
-    eval_every: int = 1
     w0: np.ndarray | None = None
     stream_tag: str = "sgd"
 
@@ -207,8 +206,6 @@ class SGDConfig:
             raise InvalidInputError("iteration count must be nonnegative")
         if self.batch < 1:
             raise InvalidInputError("batch size must be >= 1")
-        if self.eval_every != 1:
-            raise InvalidInputError("losses are logged every iteration; eval_every must be 1")
 
 
 def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:

@@ -87,3 +87,21 @@ def brute_rademacher(losses: np.ndarray) -> float:
         )
         total += best / n
     return total / 2**n
+
+
+def blocked_max_min_estimate(
+    a: np.ndarray, b: np.ndarray, block_target: int = 10_000_000
+) -> float:
+    """Directed max-min loss deviation by explicit broadcasting.
+
+    Rows of `a` are taken in blocks sized to keep the (block, T'b, M)
+    difference tensor near `block_target` entries; each block reduces to
+    the worst sample, then the best match in `b`, then the worst iterate.
+    """
+    rows = max(1, block_target // max(1, b.size))
+    worst = 0.0
+    for start in range(0, a.shape[0], rows):
+        block = a[start : start + rows]
+        diff = np.abs(block[:, None, :] - b[None, :, :]).max(axis=2)
+        worst = max(worst, float(diff.min(axis=1).max()))
+    return worst

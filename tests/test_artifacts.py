@@ -48,7 +48,7 @@ class TestWriteRead:
         for trial in range(10):
             rows, cols = rng.integers(1, 20, size=2)
             matrix = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 8)
-            write_artifact(manifest_for(matrix, role="dataset"), matrix, tmp_path / f"m{trial}")
+            write_artifact(manifest_for(matrix, role="loss_matrix"), matrix, tmp_path / f"m{trial}")
             _, back = read_artifact(tmp_path / f"m{trial}")
             assert back.tobytes() == matrix.tobytes()
 
@@ -113,7 +113,7 @@ class TestWriteRead:
 
     def test_nonpositive_shape_rejected(self):
         with pytest.raises(InvalidInputError, match="shape"):
-            ArtifactManifest(role="dataset", shape=(0, 3), metadata={}).validate()
+            ArtifactManifest(role="loss_matrix", shape=(0, 3), metadata={}).validate()
 
 
 class TestDomainTypes:
@@ -146,7 +146,7 @@ class TestDomainTypes:
     def test_run_record_roundtrip(self):
         record = RunRecord(
             run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.25,
-            e_alpha=1.5, pmag={"100.0": 7.0}, beta_hat=0.02,
+            e_alpha=1.5, pmag={"100.0": 7.0},
         )
         back = RunRecord.from_json(record.to_json())
         assert back == record
@@ -188,6 +188,6 @@ class TestHelpers:
 
     def test_role_checked_on_load(self, tmp_path):
         matrix = np.ones((1, 1))
-        write_artifact(manifest_for(matrix, role="dataset"), matrix, tmp_path / "d")
+        write_artifact(manifest_for(matrix, role="loss_matrix"), matrix, tmp_path / "d")
         with pytest.raises(InvalidInputError, match="role"):
             load_trajectory(tmp_path / "d")

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -167,6 +169,36 @@ class TestCli:
         assert rebuilt["runs"] == original["runs"]
         assert rebuilt["per_n_stats"]["e_alpha"] == original["per_n_stats"]["e_alpha"]
 
+    def test_report_rewrites_run_reports_byte_identical(self, tmp_path, capsys):
+        """`report` rebuilds every report file of a finished run, in place or
+        elsewhere, including stability, bounds and the first configured
+        fixed scale (20.0, which sorts after 100.0 as a string)."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "task": "quadratic", "input_dim": 3, "n_grid": [20, 40], "eta_grid": [0.05],
+            "seeds": [0, 1], "iterations": 40, "subsample": 30, "pmag_scales": [20.0, 100.0],
+            "stability": {"J": 4, "iterations": 30, "converge_iterations": 0, "seeds": [0, 1]},
+        }))
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", cfg_path, "--out", out) == 0
+        before = tree_digest(out, subdirs=("report",))
+        summary = json.loads((out / "report" / "summary.json").read_text())
+        assert summary["bounds"] and summary["stability"]
+        assert "report/grid_pmag_theorem_scale.csv" in before
+
+        assert self.run_cli("report", out) == 0
+        assert tree_digest(out, subdirs=("report",)) == before
+        # records and summaries that still carry the dropped `beta_hat`,
+        # `analytic_beta` and `extras` keys load and give the same reports
+        for path in out.glob("cells/*/record.json"):
+            path.write_text(json.dumps({**json.loads(path.read_text()), "beta_hat": None}))
+        for entry in summary["stability"]:
+            entry.update(analytic_beta=None, extras={})
+        (out / "report" / "summary.json").write_text(json.dumps(summary))
+        assert self.run_cli("report", out, "--out", tmp_path / "elsewhere") == 0
+        elsewhere = tree_digest(tmp_path, subdirs=("elsewhere",))
+        assert {k.replace("elsewhere/", "report/"): v for k, v in elsewhere.items()} == before
+
     def test_stage_chain_matches_pipeline(self, tmp_path, capsys):
         """traj-gen + distmat + lifetime-sum/pmag reproduce the pipeline's
         complexity values for the same settings."""
@@ -312,3 +344,46 @@ class TestCli:
         assert self.run_cli(
             "run", "--task", "quadratic", "--set", "momentum=0.9", "--out", tmp_path / "o",
         ) == 2
+
+
+def _records_without_summary(out: Path) -> None:
+    run_pipeline(small_config(n_grid=[15], seeds=[0], stability=None), output_dir=out)
+    (out / "report" / "summary.json").unlink()
+
+
+@pytest.mark.parametrize(
+    "argv, prepare, message",
+    [
+        (["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1"], None,
+         "pass --samples or --samples-file"),
+        (["report", "{out}"], None, "no run records"),
+        (["report", "{out}"], _records_without_summary, "summary.json"),
+    ],
+    ids=["bound-without-samples", "report-without-records", "report-without-summary"],
+)
+def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    if prepare is not None:
+        prepare(out)
+    capsys.readouterr()
+    assert main([a.format(out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_perfbench_span_targets_resolve():
+    """Every per-layer span of the benchmark tracer names a trajtopo
+    function, so moving code cannot silently turn layer time into
+    unattributed time."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.SPANS
+    for _, target, _ in layers.SPANS:
+        module_name, attr = target.split(":")
+        module = importlib.import_module(f"trajtopo.{module_name}")
+        assert callable(getattr(module, attr, None)), target

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import blocked_max_min_estimate
 from trajtopo.artifacts import LossMatrix
 from trajtopo.errors import InvalidInputError
 from trajtopo.stability import (
@@ -38,6 +39,23 @@ class TestEstimator:
         a = losses([[0.0], [1.0]])
         b = losses([[0.5], [0.9]])
         assert estimate_stability(a, b) == 0.5
+
+    @pytest.mark.parametrize("symmetrized", [False, True])
+    @pytest.mark.parametrize(
+        "rows_a, rows_b, cols",
+        [(7, 13, 5), (13, 7, 5), (1, 9, 4), (9, 1, 4), (1, 1, 3), (300, 200, 40)],
+    )
+    def test_matches_blocked_broadcast_oracle(self, rng, rows_a, rows_b, cols, symmetrized):
+        a = rng.exponential(size=(rows_a, cols)) * 10.0 ** rng.integers(-3, 3)
+        b = rng.exponential(size=(rows_b, cols)) * 10.0 ** rng.integers(-3, 3)
+        expected = blocked_max_min_estimate(a, b)
+        if symmetrized:
+            expected = max(expected, blocked_max_min_estimate(b, a))
+        assert estimate_stability(losses(a), losses(b), symmetrized=symmetrized) == expected
+        # small blocks exercise the oracle's multi-block path on the same inputs
+        assert blocked_max_min_estimate(a, b, block_target=cols * rows_b) == (
+            estimate_stability(losses(a), losses(b))
+        )
 
     def test_column_permutation_invariance(self, rng):
         a = np.abs(rng.standard_normal((5, 7)))

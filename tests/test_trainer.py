@@ -121,8 +121,6 @@ class TestProjectedSgd:
             SGDConfig(radius=1.0, step=-0.1, iterations=1, seed=0)
         with pytest.raises(InvalidInputError):
             SGDConfig(radius=1.0, step=0.1, iterations=1, seed=0, step_rule="cosine")
-        with pytest.raises(InvalidInputError):
-            SGDConfig(radius=1.0, step=0.1, iterations=1, seed=0, eval_every=2)
 
     def test_tail_window(self):
         task = make_task("quadratic", 1)
