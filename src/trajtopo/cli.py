@@ -228,6 +228,13 @@ def cmd_stability(args: argparse.Namespace) -> int:
         raise InvalidInputError("stability config needs 'n' (an integer or a list)")
     if isinstance(n_values, int):
         n_values = [n_values]
+    if not isinstance(n_values, list) or not n_values or not all(
+        isinstance(n, int) and not isinstance(n, bool) for n in n_values
+    ):
+        raise InvalidInputError(
+            "stability config 'n' must be an integer or a nonempty list of integers,"
+            f" got {n_values!r}"
+        )
     reports = []
     for n in n_values:
         j = doc.get("J")

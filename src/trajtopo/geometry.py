@@ -91,12 +91,13 @@ def deduplicate(dist: DistanceMatrix, eps: float) -> DistanceMatrix:
     if eps < 0:
         raise InvalidInputError(f"eps must be >= 0, got {eps}")
     m = len(dist)
+    # the m zero diagonal entries are the only ones <= eps when no pair is close
+    if np.count_nonzero(dist.values <= eps) == m:
+        return dist
     kept: list[int] = []
     for i in range(m):
         if not kept or (dist.values[i, kept] > eps).all():
             kept.append(i)
-    if len(kept) == m:
-        return dist
     idx = np.array(kept, dtype=np.int64)
     return DistanceMatrix(
         values=dist.values[np.ix_(idx, idx)],

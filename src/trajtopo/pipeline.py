@@ -62,7 +62,6 @@ class ExperimentConfig:
     step_rule: str = "constant"
     alpha: float = 1.0
     pmag_scales: list[float] = field(default_factory=lambda: [100.0])
-    solver: str = "conjugate_gradient"
     theorem_lambda: float = 1.0
     stability: StabilitySettings | None = None
     lipschitz: float | None = None
@@ -95,8 +94,6 @@ class ExperimentConfig:
         if not 0 <= self.alpha:
             raise InvalidInputError("alpha must be nonnegative")
         magnitude.ScaleGrid(tuple(sorted(set(self.pmag_scales))))
-        if self.solver not in magnitude.SOLVERS:
-            raise InvalidInputError(f"unknown solver {self.solver!r}")
         if self.theorem_lambda <= 0:
             raise InvalidInputError("theorem_lambda must be positive")
         if self.jobs < 1:
@@ -105,7 +102,7 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {
     "task", "input_dim", "n_grid", "eta_grid", "batch_grid", "seeds", "iterations",
-    "warmup", "subsample", "radius", "step_rule", "alpha", "pmag_scales", "solver",
+    "warmup", "subsample", "radius", "step_rule", "alpha", "pmag_scales",
     "theorem_lambda", "stability", "lipschitz", "loss_bound", "class_sep", "noise",
     "hidden", "output_dir", "jobs",
 }
@@ -217,7 +214,7 @@ def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) ->
     dist = geometry.deduplicate(dist, geometry.default_dedup_eps(dist))
     e_alpha = lifetime.alpha_weighted_lifetime_sum(dist, cfg.alpha)
     pmag = {
-        scale_key(s): magnitude.positive_magnitude(dist, s, solver=cfg.solver)
+        scale_key(s): magnitude.positive_magnitude(dist, s)
         for s in cfg.pmag_scales
     }
 
@@ -335,7 +332,7 @@ def _bounds_stage(
             traj = load_trajectory(out_dir / "cells" / r.run_id / "trajectory")
             dist = geometry.pairwise_distances(traj)
             dist = geometry.deduplicate(dist, geometry.default_dedup_eps(dist))
-            value = magnitude.positive_magnitude(dist, s_theorem, solver=cfg.solver)
+            value = magnitude.positive_magnitude(dist, s_theorem)
             pmag_samples.append(value)
             r.pmag[THEOREM_KEY] = value
             (out_dir / "cells" / r.run_id / "record.json").write_text(r.to_json())

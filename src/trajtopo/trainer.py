@@ -232,11 +232,13 @@ def projected_sgd(task: SyntheticTask, data: Dataset, cfg: SGDConfig) -> Traject
     else:
         w = sample_in_ball(stream(cfg.seed, cfg.stream_tag, "init"), task.param_dim, cfg.radius)
 
-    batch_rng = stream(cfg.seed, cfg.stream_tag, "batch")
+    # one draw of every batch gives the same indices as a draw per step
+    batches = stream(cfg.seed, cfg.stream_tag, "batch").integers(
+        0, data.n, size=(cfg.iterations, cfg.batch)
+    )
     points = np.empty((cfg.iterations + 1, task.param_dim))
     points[0] = w
-    for k in range(1, cfg.iterations + 1):
-        idx = batch_rng.integers(0, data.n, size=cfg.batch)
+    for k, idx in enumerate(batches, start=1):
         grad = task.mean_gradient(w, data.samples[idx])
         if not np.isfinite(grad).all():
             raise NumericalFailureError(f"non-finite gradient at iteration {k}")

@@ -105,3 +105,40 @@ def blocked_max_min_estimate(
         diff = np.abs(block[:, None, :] - b[None, :, :]).max(axis=2)
         worst = max(worst, float(diff.min(axis=1).max()))
     return worst
+
+
+def per_step_sgd(task, data, cfg) -> np.ndarray:
+    """Projected SGD iterates with one batch draw per step.
+
+    Same streams as `trainer.projected_sgd`, but each step asks the
+    (seed, stream_tag, "batch") generator for its own `cfg.batch` indices.
+    """
+    from trajtopo.rng import stream
+    from trajtopo.trainer import sample_in_ball
+
+    if cfg.w0 is not None:
+        w = np.asarray(cfg.w0, dtype=np.float64).copy()
+    else:
+        w = sample_in_ball(stream(cfg.seed, cfg.stream_tag, "init"), task.param_dim, cfg.radius)
+    batch_rng = stream(cfg.seed, cfg.stream_tag, "batch")
+    points = [w]
+    for k in range(1, cfg.iterations + 1):
+        idx = batch_rng.integers(0, data.n, size=cfg.batch)
+        grad = task.mean_gradient(w, data.samples[idx])
+        eta = cfg.step if cfg.step_rule == "constant" else cfg.step / k
+        w = w - eta * grad
+        norm = float(np.linalg.norm(w))
+        if norm > cfg.radius:
+            w *= cfg.radius / norm
+        points.append(w)
+    return np.array(points)
+
+
+def greedy_dedup_indices(values: np.ndarray, eps: float) -> list[int]:
+    """Indices kept by a scan that keeps a point only when every point
+    kept before it is more than eps away."""
+    kept: list[int] = []
+    for i in range(values.shape[0]):
+        if all(values[i, j] > eps for j in kept):
+            kept.append(i)
+    return kept

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import distances_of, make_trajectory
-from oracles import brute_distance_matrix
+from oracles import brute_distance_matrix, greedy_dedup_indices
 from trajtopo.errors import InvalidInputError
 from trajtopo.geometry import (
     DistanceMatrix,
@@ -112,6 +112,28 @@ class TestDeduplicate:
         out = deduplicate(dist, eps)
         np.testing.assert_array_equal(out.point_ids, [0, 2])
         assert (out.values[~np.eye(2, dtype=bool)] > eps).all()
+
+    @pytest.mark.parametrize(
+        "points, eps",
+        [
+            ([[0.0], [1.0], [3.0], [7.0]], 1e-12),
+            ([[0.0], [0.0], [1.0], [1.0], [0.0]], 1e-12),
+            ([[0.0], [0.6], [1.2], [5.0]], 1.0),
+            ([[0.0], [0.0], [2.0]], 0.0),
+            ([[0.0], [0.5], [2.0]], 0.0),
+            ([[4.0]], 1e-12),
+        ],
+        ids=["no-close-pair", "exact-duplicates", "eps-chain", "eps-zero-duplicate",
+             "eps-zero-distinct", "single-point"],
+    )
+    def test_matches_greedy_scan_oracle(self, points, eps):
+        dist = distances_of(points)
+        kept = greedy_dedup_indices(dist.values, eps)
+        out = deduplicate(dist, eps)
+        if len(kept) == len(dist):
+            assert out is dist
+        np.testing.assert_array_equal(out.point_ids, dist.point_ids[kept])
+        np.testing.assert_array_equal(out.values, dist.values[np.ix_(kept, kept)])
 
     def test_negative_eps_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -220,10 +220,15 @@ class TestCli:
         assert self.run_cli("lifetime-sum", stage / "dist", "--alpha", 1.0) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["e_alpha"] == record.e_alpha
+        assert self.run_cli("pmag", stage / "dist", "--scales", "100.0") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["100.0"]["pmag"] == record.pmag["100.0"]
+        # conjugate gradient stays selectable on the CLI as a cross-check
         assert self.run_cli("pmag", stage / "dist", "--scales", "100.0",
                             "--solver", "conjugate_gradient") == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["100.0"]["pmag"] == record.pmag["100.0"]
+        assert doc["100.0"]["iterations"] > 0
+        assert doc["100.0"]["pmag"] == pytest.approx(record.pmag["100.0"], rel=1e-8)
 
     def test_pmag_theorem_scale_flag(self, tmp_path, capsys):
         from conftest import distances_of
@@ -351,6 +356,16 @@ def _records_without_summary(out: Path) -> None:
     (out / "report" / "summary.json").unlink()
 
 
+def _stability_config(doc: dict):
+    def prepare(out: Path) -> None:
+        (out / "stab.json").write_text(json.dumps(doc))
+
+    return prepare
+
+
+_STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iterations": 5}
+
+
 @pytest.mark.parametrize(
     "argv, prepare, message",
     [
@@ -358,8 +373,21 @@ def _records_without_summary(out: Path) -> None:
          "pass --samples or --samples-file"),
         (["report", "{out}"], None, "no run records"),
         (["report", "{out}"], _records_without_summary, "summary.json"),
+        (["stability", "--config", "{out}/stab.json"], _stability_config({"n": "abc"}),
+         "'n' must be an integer or a nonempty list of integers"),
+        (["stability", "--config", "{out}/stab.json"],
+         _stability_config({"n": 2.5, **_STABILITY_REST}),
+         "'n' must be an integer or a nonempty list of integers"),
+        (["stability", "--config", "{out}/stab.json"],
+         _stability_config({"n": [None], **_STABILITY_REST}),
+         "'n' must be an integer or a nonempty list of integers"),
+        (["stability", "--config", "{out}/stab.json"],
+         _stability_config({"n": [], **_STABILITY_REST}),
+         "'n' must be an integer or a nonempty list of integers"),
     ],
-    ids=["bound-without-samples", "report-without-records", "report-without-summary"],
+    ids=["bound-without-samples", "report-without-records", "report-without-summary",
+         "stability-n-string", "stability-n-float", "stability-n-null-list",
+         "stability-n-empty-list"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"

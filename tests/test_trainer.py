@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import per_step_sgd
 from trajtopo.errors import InvalidInputError
 from trajtopo.trainer import (
     Dataset,
@@ -121,6 +122,34 @@ class TestProjectedSgd:
             SGDConfig(radius=1.0, step=-0.1, iterations=1, seed=0)
         with pytest.raises(InvalidInputError):
             SGDConfig(radius=1.0, step=0.1, iterations=1, seed=0, step_rule="cosine")
+
+    @pytest.mark.parametrize("rule", ["constant", "decaying"])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic_regression", "small_mlp"])
+    def test_batch_draws_match_per_step_draws(self, kind, rule):
+        """Drawing every batch up front gives the iterates of one draw per
+        step, for each batch size and for the run and stability streams."""
+        task, data, _ = make_task_and_data(kind, 30, 3, seed=4)
+        for batch in (1, 2, 3, 4, 7):
+            for tag in ("sgd", "window", "warmup"):
+                cfg = SGDConfig(radius=2.0, step=0.3, iterations=40, seed=4,
+                                step_rule=rule, batch=batch, stream_tag=tag)
+                traj = projected_sgd(task, data, cfg)
+                assert np.array_equal(traj.points, per_step_sgd(task, data, cfg))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_batch_draws_edge_cases(self, batch):
+        """No steps, a single training sample, and a given start point."""
+        task, data, _ = make_task_and_data("logistic_regression", 1, 3, seed=6)
+        _, wide, _ = make_task_and_data("logistic_regression", 12, 3, seed=6)
+        cases = [
+            (data, SGDConfig(radius=2.0, step=0.3, iterations=0, seed=6, batch=batch)),
+            (data, SGDConfig(radius=2.0, step=0.3, iterations=25, seed=6, batch=batch)),
+            (wide, SGDConfig(radius=2.0, step=0.3, iterations=25, seed=6, batch=batch,
+                             w0=np.array([0.5, -1.0, 0.25]))),
+        ]
+        for train, cfg in cases:
+            traj = projected_sgd(task, train, cfg)
+            assert np.array_equal(traj.points, per_step_sgd(task, train, cfg))
 
     def test_tail_window(self):
         task = make_task("quadratic", 1)
