@@ -19,6 +19,8 @@ from .errors import InvalidInputError, UndefinedStatisticError
 
 COMPLEXITY_KINDS = ("e_alpha", "pmag_fixed_scale", "pmag_theorem_scale")
 GRID_CSV_HEADER = "n,measure,tau,r,slope,count"
+# `RunRecord.pmag` key of the magnitude at the bound's theorem scale
+THEOREM_KEY = "theorem"
 
 
 def worst_case_gap(train_losses: LossMatrix, test_losses: LossMatrix) -> float:
@@ -130,12 +132,15 @@ class GridReport:
 def _complexity_value(record: RunRecord, kind: str, scale_key: str | None) -> float:
     if kind == "e_alpha":
         return record.e_alpha
-    key = scale_key if scale_key is not None else ("theorem" if kind.endswith("theorem_scale") else None)
+    key = scale_key
+    if key is None and kind == "pmag_theorem_scale":
+        key = THEOREM_KEY
     if key is None:
-        keys = [k for k in record.pmag if k != "theorem"]
+        # the fixed scale defaults to the smallest recorded one
+        keys = [k for k in record.pmag if k != THEOREM_KEY]
         if not keys:
             raise InvalidInputError(f"run {record.run_id} has no fixed-scale magnitude values")
-        key = sorted(keys)[0]
+        key = min(keys, key=float)
     try:
         return record.pmag[key]
     except KeyError as exc:

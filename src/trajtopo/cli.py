@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, bounds, geometry, lifetime, magnitude, pipeline, stability, trainer
@@ -26,9 +25,9 @@ from .artifacts import (
     save_loss_matrix,
     save_trajectory,
 )
-from .errors import InvalidInputError, NumericalFailureError, TrajtopoError
+from .errors import InvalidInputError, NumericalFailureError, TrajtopoError, fits, from_json_object
 from .geometry import load_distance_matrix, save_distance_matrix
-from .pipeline import ExperimentConfig, StabilitySettings
+from .pipeline import ExperimentConfig
 
 ENV_OUTPUT_ROOT = "TRAJTOPO_OUT"
 
@@ -42,24 +41,25 @@ def _default_out(explicit: str | None, configured: str | None = None) -> str:
     return out
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type = float) -> list:
     try:
-        return [float(p) for p in text.split(",") if p != ""]
+        return [kind(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
-        raise InvalidInputError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise InvalidInputError(f"expected comma-separated {kind.__name__}s, got {text!r}") from exc
 
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise InvalidInputError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _apply_set_overrides(cfg: ExperimentConfig, assignments: list[str]) -> ExperimentConfig:
-    """Apply --set key=JSON overrides; `stability.` prefixes reach the
+def _run_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge the config file, the dedicated flags and every --set key=JSON
+    into one config document, in that order, and build it with the one
+    typed check of `pipeline.config_from_dict`. `stability.KEY` reaches the
     stability section."""
-    for assignment in assignments:
+    doc = pipeline.read_json_object(args.config) if args.config else {}
+    lists = {"n_grid": int, "eta_grid": float, "seeds": int}
+    for key in ("task", "n_grid", "eta_grid", "seeds", "iterations", "jobs"):
+        value = getattr(args, key)
+        if value is not None:
+            doc[key] = _parse_list(value, lists[key]) if key in lists else value
+    for assignment in args.set or []:
         key, sep, raw = assignment.partition("=")
         if not sep:
             raise InvalidInputError(f"--set expects key=value, got {assignment!r}")
@@ -67,45 +67,19 @@ def _apply_set_overrides(cfg: ExperimentConfig, assignments: list[str]) -> Exper
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        if key == "stability":
-            if value is None:
-                cfg.stability = None
-            elif isinstance(value, dict):
-                try:
-                    cfg.stability = StabilitySettings(**value)
-                except TypeError as exc:
-                    raise InvalidInputError(f"bad stability section: {exc}") from exc
-            else:
-                raise InvalidInputError("stability override must be a JSON object or null")
-        elif key.startswith("stability."):
-            section = cfg.stability if cfg.stability is not None else StabilitySettings()
-            field_name = key.split(".", 1)[1]
-            if not hasattr(section, field_name):
-                raise InvalidInputError(f"unknown stability config key {field_name!r}")
-            cfg.stability = replace(section, **{field_name: value})
+        if key.startswith("stability."):
+            if doc.get("stability") is None:
+                doc["stability"] = {}
+            if not isinstance(doc["stability"], dict):
+                raise InvalidInputError("stability section must be a JSON object")
+            doc["stability"][key.split(".", 1)[1]] = value
         else:
-            if not hasattr(cfg, key):
-                raise InvalidInputError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+            doc[key] = value
+    return pipeline.config_from_dict(doc)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = pipeline.load_config(args.config) if args.config else ExperimentConfig()
-    if args.task:
-        cfg.task = args.task
-    if args.n_grid:
-        cfg.n_grid = _parse_ints(args.n_grid)
-    if args.eta_grid:
-        cfg.eta_grid = _parse_floats(args.eta_grid)
-    if args.seeds:
-        cfg.seeds = _parse_ints(args.seeds)
-    if args.iterations:
-        cfg.iterations = args.iterations
-    if args.jobs:
-        cfg.jobs = args.jobs
-    cfg = _apply_set_overrides(cfg, args.set or [])
+    cfg = _run_config(args)
     out = _default_out(args.out, cfg.output_dir)
     result = pipeline.run_pipeline(cfg, output_dir=out)
     print(
@@ -185,12 +159,12 @@ def cmd_lifetime_sum(args: argparse.Namespace) -> int:
 def cmd_pmag(args: argparse.Namespace) -> int:
     dist = load_distance_matrix(args.distmat)
     if args.theorem_scale:
-        parts = _parse_floats(args.theorem_scale)
+        parts = _parse_list(args.theorem_scale)
         if len(parts) != 4:
             raise InvalidInputError("--theorem-scale expects lambda,L,B,beta")
         scales = [magnitude.pmag_scale(*parts)]
     elif args.scales:
-        scales = _parse_floats(args.scales)
+        scales = _parse_list(args.scales)
     else:
         raise InvalidInputError("pass --scales or --theorem-scale")
     grid = magnitude.ScaleGrid(tuple(sorted(set(scales))))
@@ -220,31 +194,18 @@ def cmd_stability(args: argparse.Namespace) -> int:
         return 0
     if not args.config:
         raise InvalidInputError("pass --config or two loss-matrix artifacts")
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise InvalidInputError("stability config must be a JSON object")
-    n_values = doc.pop("n", None)
-    if n_values is None:
-        raise InvalidInputError("stability config needs 'n' (an integer or a list)")
-    if isinstance(n_values, int):
-        n_values = [n_values]
-    if not isinstance(n_values, list) or not n_values or not all(
-        isinstance(n, int) and not isinstance(n, bool) for n in n_values
-    ):
+    doc = pipeline.read_json_object(args.config, "stability config")
+    n = doc.pop("n", None)
+    n_values = n if isinstance(n, list) else [n]
+    if not n_values or not fits(n_values, list[int]):
         raise InvalidInputError(
-            "stability config 'n' must be an integer or a nonempty list of integers,"
-            f" got {n_values!r}"
+            f"stability config 'n' must be an integer or a nonempty list of integers, got {n!r}"
         )
-    reports = []
-    for n in n_values:
-        j = doc.get("J")
-        cfg_doc = dict(doc)
-        cfg_doc["J"] = j if j is not None else stability.default_injection_count(n)
-        try:
-            cfg = stability.StabilityConfig(n=n, **cfg_doc)
-        except TypeError as exc:
-            raise InvalidInputError(f"bad stability config: {exc}") from exc
-        reports.append(stability.run_stability_experiment(cfg))
+    configs = [
+        from_json_object(stability.StabilityConfig, {**doc, "n": n}, "stability config")
+        for n in n_values
+    ]
+    reports = [stability.run_stability_experiment(cfg) for cfg in configs]
     for report in reports:
         sys.stdout.write(report.to_json())
     if args.csv:
@@ -255,13 +216,13 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 def _load_samples(args: argparse.Namespace) -> list[float]:
     if args.samples:
-        return _parse_floats(args.samples)
+        return _parse_list(args.samples)
     if args.samples_file:
         doc = json.loads(Path(args.samples_file).read_text(encoding="utf-8"))
         if isinstance(doc, dict):
             doc = doc.get("samples")
-        if not isinstance(doc, list):
-            raise InvalidInputError("samples file must hold a JSON list or {'samples': [...]}")
+        if not fits(doc, list[float]):
+            raise InvalidInputError("samples file must be a list of numbers or {'samples': [...]}")
         return [float(v) for v in doc]
     raise InvalidInputError("pass --samples or --samples-file")
 
@@ -270,8 +231,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.beta is not None:
         beta = args.beta
     elif args.stability_report:
-        doc = json.loads(Path(args.stability_report).read_text(encoding="utf-8"))
-        beta = float(doc["mean"])
+        mean = pipeline.read_json_object(args.stability_report, "stability report").get("mean")
+        if not fits(mean, float):
+            raise InvalidInputError(f"stability report needs a number 'mean', got {mean!r}")
+        beta = float(mean)
     else:
         raise InvalidInputError("pass --beta or --stability-report")
     samples = _load_samples(args)
@@ -299,9 +262,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary_path = runs_dir / "report" / "summary.json"
     if not summary_path.exists():
         raise InvalidInputError(f"no {summary_path}; report needs a finished `trajtopo run`")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    summary = pipeline.read_json_object(summary_path, "summary")
     keys = ("task", "alpha", "pmag_scales", "stability", "bounds")
-    if not isinstance(summary, dict) or not all(k in summary for k in keys):
+    if not all(k in summary for k in keys):
         raise InvalidInputError(f"{summary_path} lacks one of {keys}; re-run `trajtopo run`")
     cfg = ExperimentConfig(
         task=summary["task"], alpha=summary["alpha"], pmag_scales=summary["pmag_scales"]
@@ -412,13 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except TrajtopoError as exc:
+    except (TrajtopoError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,14 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the typed check that
+turns a bad config value into an InvalidInputError.
 
 The CLI maps these onto exit codes: invalid input -> 2, numerical
 failure -> 3. Plain OSError is left alone for filesystem problems.
 """
+
+import dataclasses
+import numbers
+import types
+import typing
 
 
 class TrajtopoError(Exception):
@@ -23,3 +29,46 @@ class NumericalFailureError(TrajtopoError):
 
 class UndefinedStatisticError(TrajtopoError):
     """A statistic is undefined for the given data (e.g. zero variance)."""
+
+
+def fits(value, hint) -> bool:
+    """Whether a decoded JSON value fits the annotation `hint`, a class, a
+    union or `list[...]`. An integer also fits `float`, since configs say
+    `100` for `100.0`; a bool fits neither `int` nor `float`."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union or origin is types.UnionType:
+        return any(fits(value, h) for h in args)
+    if origin is list:
+        return isinstance(value, list) and all(fits(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
+
+
+def check_fields(obj, what: str) -> None:
+    """Raise InvalidInputError for the first field of dataclass `obj` whose
+    value does not fit its annotation."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not fits(value, hints[f.name]):
+            raise InvalidInputError(f"{what} {f.name!r} must be {f.type}, got {value!r}")
+
+
+def from_json_object(cls, doc, what: str):
+    """Build dataclass `cls` from a decoded JSON object whose keys are its
+    field names; unknown and missing keys raise InvalidInputError."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{what} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = set(doc) - {f.name for f in fields}
+    if unknown:
+        raise InvalidInputError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [
+        f.name for f in fields
+        if f.name not in doc
+        and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise InvalidInputError(f"{what} lacks {missing}")
+    return cls(**doc)

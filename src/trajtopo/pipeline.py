@@ -14,17 +14,17 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, bounds, geometry, lifetime, magnitude, stability, trainer
+from .analysis import THEOREM_KEY
 from .artifacts import LossMatrix, RunRecord, Trajectory, load_trajectory, save_trajectory
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, check_fields, from_json_object
 from .rng import stream
-
-THEOREM_KEY = "theorem"
 
 
 @dataclass
@@ -40,13 +40,16 @@ class StabilitySettings:
     converge_iterations: int = 400
     step: float | None = None
 
+    def __post_init__(self) -> None:
+        check_fields(self, "stability section")
+
 
 @dataclass
 class ExperimentConfig:
     """Declarative description of a full grid experiment.
 
     Every field can be set in a JSON config file under the same name and
-    overridden from the command line.
+    overridden from the command line; `validate` checks the result.
     """
 
     task: str = "quadratic"
@@ -73,15 +76,13 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        """Check every value, the stability section included, before any
+        cell trains."""
+        check_fields(self, "config")
         if self.task not in trainer.TASK_KINDS:
             raise InvalidInputError(f"unknown task {self.task!r}")
-        for name, grid in (
-            ("n_grid", self.n_grid),
-            ("eta_grid", self.eta_grid),
-            ("batch_grid", self.batch_grid),
-            ("seeds", self.seeds),
-        ):
-            if not grid:
+        for name in ("n_grid", "eta_grid", "batch_grid", "seeds"):
+            if not getattr(self, name):
                 raise InvalidInputError(f"{name} must be nonempty")
         if any(n < 1 for n in self.n_grid):
             raise InvalidInputError("sample sizes must be >= 1")
@@ -98,44 +99,51 @@ class ExperimentConfig:
             raise InvalidInputError("theorem_lambda must be positive")
         if self.jobs < 1:
             raise InvalidInputError("jobs must be >= 1")
+        self.stability_configs()
 
-
-_CONFIG_KEYS = {
-    "task", "input_dim", "n_grid", "eta_grid", "batch_grid", "seeds", "iterations",
-    "warmup", "subsample", "radius", "step_rule", "alpha", "pmag_scales",
-    "theorem_lambda", "stability", "lipschitz", "loss_bound", "class_sep", "noise",
-    "hidden", "output_dir", "jobs",
-}
+    def stability_configs(self) -> list[stability.StabilityConfig]:
+        """One stability experiment per sample size, none without a
+        stability section. Each section field sets the `StabilityConfig`
+        field of its name; J is clamped to n, and unset seeds and step
+        come from the grid."""
+        settings = self.stability
+        if settings is None:
+            return []
+        shared = {k: getattr(self, k)
+                  for k in ("task", "input_dim", "radius", "step_rule", "class_sep", "noise")}
+        shared |= vars(settings) | {
+            "seeds": settings.seeds if settings.seeds is not None else list(self.seeds),
+            "step": settings.step if settings.step is not None else float(self.eta_grid[0]),
+        }
+        configs = []
+        for n in sorted(set(self.n_grid)):
+            j = None if settings.J is None else min(settings.J, n)
+            configs.append(stability.StabilityConfig(**(shared | {"n": n, "J": j})))
+        return configs
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    doc = dict(doc)
-    stab = doc.pop("stability", None)
-    cfg = ExperimentConfig(**doc)
-    if stab is not None:
-        if not isinstance(stab, dict):
-            raise InvalidInputError("stability section must be an object")
-        cfg.stability = StabilitySettings(**stab)
+    """Build and validate a run config from a decoded JSON object."""
+    cfg = from_json_object(ExperimentConfig, doc, "config")
+    if cfg.stability is not None:
+        cfg.stability = from_json_object(StabilitySettings, cfg.stability, "stability section")
     cfg.validate()
     return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_json_object(path: str | Path, what: str = "config") -> dict:
+    """Read a JSON file that must hold one object."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"malformed config {path}: {exc}") from exc
-    except TypeError as exc:
-        raise InvalidInputError(f"bad config {path}: {exc}") from exc
+        raise InvalidInputError(f"malformed {what} {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InvalidInputError(f"config {path} must be a JSON object")
-    try:
-        return config_from_dict(doc)
-    except TypeError as exc:
-        raise InvalidInputError(f"bad config value in {path}: {exc}") from exc
+        raise InvalidInputError(f"{what} {path} must be a JSON object")
+    return doc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(read_json_object(path))
 
 
 def _slug(value: float) -> str:
@@ -248,8 +256,10 @@ def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) ->
     return CellResult(record=record, skipped=False)
 
 
-def _compute_cell_star(args) -> CellResult:
-    return compute_cell(*args)
+def _timed_cell(args) -> tuple[CellResult, float]:
+    started = time.perf_counter()
+    result = compute_cell(*args)
+    return result, round(time.perf_counter() - started, 3)
 
 
 @dataclass
@@ -267,31 +277,11 @@ def _load_constants(out_dir: Path, cid: str) -> dict:
 
 
 def _stability_stage(cfg: ExperimentConfig, log) -> list[stability.StabilityReport]:
-    settings = cfg.stability
     reports = []
-    for n in sorted(set(cfg.n_grid)):
-        j = settings.J if settings.J is not None else stability.default_injection_count(n)
-        j = min(j, n)
-        scfg = stability.StabilityConfig(
-            task=cfg.task,
-            n=n,
-            J=j,
-            seeds=settings.seeds if settings.seeds is not None else list(cfg.seeds),
-            input_dim=cfg.input_dim,
-            init_mode=settings.init_mode,
-            eval_split=settings.eval_split,
-            direction=settings.direction,
-            radius=cfg.radius,
-            step=settings.step if settings.step is not None else float(cfg.eta_grid[0]),
-            step_rule=cfg.step_rule,
-            iterations=settings.iterations,
-            converge_iterations=settings.converge_iterations,
-            class_sep=cfg.class_sep,
-            noise=cfg.noise,
-        )
+    for scfg in cfg.stability_configs():
         started = time.perf_counter()
         report = stability.run_stability_experiment(scfg)
-        log("stability", n=n, J=j, seconds=round(time.perf_counter() - started, 3))
+        log("stability", n=scfg.n, J=scfg.J, seconds=round(time.perf_counter() - started, 3))
         reports.append(report)
     return reports
 
@@ -440,27 +430,15 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | None = None) -> Pipeli
         for seed in cfg.seeds
     ]
     results: list[CellResult] = []
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for res in pool.map(_compute_cell_star, cells):
-                log("cell", id=res.record.run_id, skipped=res.skipped)
-                results.append(res)
-    else:
-        for args in cells:
-            started = time.perf_counter()
-            res = compute_cell(*args)
-            log(
-                "cell",
-                id=res.record.run_id,
-                skipped=res.skipped,
-                seconds=round(time.perf_counter() - started, 3),
-            )
+    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        for res, seconds in (map if pool is None else pool.map)(_timed_cell, cells):
+            log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)
             results.append(res)
 
     records = [r.record for r in results]
     records.sort(key=lambda r: (r.n, r.eta, r.batch, r.seed))
 
-    stab_reports = _stability_stage(cfg, log) if cfg.stability is not None else []
+    stab_reports = _stability_stage(cfg, log)
     bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports) if stab_reports else []
     _write_reports(cfg, out_dir / "report", records, stab_reports, bound_rows)
 

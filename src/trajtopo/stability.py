@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .artifacts import LossMatrix
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_fields
 from .rng import stream
 from .trainer import (
     Dataset,
@@ -95,12 +95,13 @@ def analytic_sgd_stability(
 
 @dataclass
 class StabilityConfig:
-    """One stability experiment: task, perturbation size, and SGD settings."""
+    """One stability experiment: task, perturbation size, and SGD settings.
+    An unset `J` becomes `default_injection_count(n)`."""
 
     task: str
     n: int
-    J: int
     seeds: list[int]
+    J: int | None = None
     input_dim: int = 8
     init_mode: str = "random_init"
     eval_split: str = "train"
@@ -114,6 +115,9 @@ class StabilityConfig:
     noise: float = 1.0
 
     def __post_init__(self) -> None:
+        check_fields(self, "stability config")
+        if self.J is None:
+            self.J = default_injection_count(self.n)
         if self.init_mode not in INIT_MODES:
             raise InvalidInputError(f"unknown init mode {self.init_mode!r}")
         if self.eval_split not in EVAL_SPLITS:
@@ -122,6 +126,8 @@ class StabilityConfig:
             raise InvalidInputError(f"unknown direction {self.direction!r}")
         if not self.seeds:
             raise InvalidInputError("need at least one seed")
+        if self.iterations < 0 or self.converge_iterations < 0:
+            raise InvalidInputError("stability iteration counts must be nonnegative")
         if self.J > self.n:
             raise InvalidInputError(f"replacement count {self.J} exceeds n = {self.n}")
 

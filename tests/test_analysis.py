@@ -189,6 +189,16 @@ class TestGridReport:
         np.testing.assert_allclose(fixed.slope, 20.0, rtol=1e-12)
         np.testing.assert_allclose(theorem.slope, 40.0, rtol=1e-12)
 
+    def test_fixed_scale_defaults_to_smallest_scale(self):
+        """Without a scale key the fixed scale is the numerically smallest
+        one: "20.0" although "100.0" sorts first as a string."""
+        runs = [
+            record(10, 0.1, 1.0, pmag={"100.0": 7.0, "20.0": 2.0, "theorem": 5.0}, seed=0),
+            record(10, 0.2, 1.0, pmag={"100.0": 7.5, "20.0": 4.0, "theorem": 9.0}, seed=1),
+        ]
+        fixed = grid_report(runs, "pmag_fixed_scale").per_n_stats[10]
+        np.testing.assert_allclose(fixed.slope, 20.0, rtol=1e-12)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             grid_report([record(10, 0.1, 1.0)], "persistence")

@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,10 @@ class TestPipeline:
         run_pipeline(small_config(jobs=1), output_dir=tmp_path / "serial")
         run_pipeline(small_config(jobs=2), output_dir=tmp_path / "parallel")
         assert tree_digest(tmp_path / "serial") == tree_digest(tmp_path / "parallel")
+        log = (tmp_path / "parallel" / "pipeline.log.jsonl").read_text().splitlines()
+        cells = [e for e in map(json.loads, log) if e["event"] == "cell"]
+        assert len(cells) == 4
+        assert all(e["seconds"] >= 0.0 for e in cells)
 
     def test_stability_and_bounds_sections(self, tmp_path):
         result = run_pipeline(small_config(), output_dir=tmp_path / "out")
@@ -356,9 +362,9 @@ def _records_without_summary(out: Path) -> None:
     (out / "report" / "summary.json").unlink()
 
 
-def _stability_config(doc: dict):
+def _json_file(name: str, doc):
     def prepare(out: Path) -> None:
-        (out / "stab.json").write_text(json.dumps(doc))
+        (out / name).write_text(json.dumps(doc))
 
     return prepare
 
@@ -373,21 +379,31 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "pass --samples or --samples-file"),
         (["report", "{out}"], None, "no run records"),
         (["report", "{out}"], _records_without_summary, "summary.json"),
-        (["stability", "--config", "{out}/stab.json"], _stability_config({"n": "abc"}),
+        (["stability", "--config", "{out}/stab.json"], _json_file("stab.json", {"n": "abc"}),
          "'n' must be an integer or a nonempty list of integers"),
         (["stability", "--config", "{out}/stab.json"],
-         _stability_config({"n": 2.5, **_STABILITY_REST}),
+         _json_file("stab.json", {"n": 2.5, **_STABILITY_REST}),
          "'n' must be an integer or a nonempty list of integers"),
         (["stability", "--config", "{out}/stab.json"],
-         _stability_config({"n": [None], **_STABILITY_REST}),
+         _json_file("stab.json", {"n": [None], **_STABILITY_REST}),
          "'n' must be an integer or a nonempty list of integers"),
         (["stability", "--config", "{out}/stab.json"],
-         _stability_config({"n": [], **_STABILITY_REST}),
+         _json_file("stab.json", {"n": [], **_STABILITY_REST}),
          "'n' must be an integer or a nonempty list of integers"),
+        (["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1",
+          "--samples-file", "{out}/samples.json"], _json_file("samples.json", ["a"]),
+         "samples file"),
+        (["bound", "--theorem", "pmag", "--stability-report", "{out}/report.json",
+          "--loss-bound", "1", "--samples", "1"], _json_file("report.json", {"n": 5}),
+         "'mean'"),
+        (["bound", "--theorem", "pmag", "--stability-report", "{out}/report.json",
+          "--loss-bound", "1", "--samples", "1"], _json_file("report.json", {"mean": "x"}),
+         "'mean'"),
     ],
     ids=["bound-without-samples", "report-without-records", "report-without-summary",
          "stability-n-string", "stability-n-float", "stability-n-null-list",
-         "stability-n-empty-list"],
+         "stability-n-empty-list", "bound-samples-not-numbers", "bound-report-without-mean",
+         "bound-report-mean-string"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -400,6 +416,81 @@ def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, messa
     assert len(err.splitlines()) == 1
     assert message in err
     assert "Traceback" not in err
+
+
+# One wrong-typed value per config field; a field added without an entry
+# here fails the misuse matrix below.
+_WRONG_TYPED = {
+    "task": 3, "input_dim": 2.5, "n_grid": "abc", "eta_grid": ["x"], "batch_grid": [1.5],
+    "seeds": [0.5], "iterations": "a", "warmup": True, "subsample": None, "radius": "big",
+    "step_rule": ["constant"], "alpha": None, "pmag_scales": 100.0, "theorem_lambda": "1",
+    "stability": [1], "lipschitz": "L", "loss_bound": [1.0], "class_sep": False, "noise": {},
+    "hidden": 8.0, "output_dir": 5, "jobs": "2",
+}
+_WRONG_TYPED_STABILITY = {
+    "J": "x", "seeds": 3, "init_mode": 1, "eval_split": None, "direction": True,
+    "iterations": "a", "converge_iterations": 1.5, "step": "fast",
+}
+# a grid that trains in well under a second, should a check ever let it through
+_TINY_RUN = {
+    "task": "quadratic", "input_dim": 2, "n_grid": [8], "eta_grid": [0.1], "seeds": [0],
+    "iterations": 5, "subsample": 5,
+    "stability": {"J": 2, "seeds": [0], "iterations": 5, "converge_iterations": 0},
+}
+_RUN = ["run", "--config", "{cfg}", "--out", "{out}"]
+
+
+def _misuse_cases():
+    for f in fields(ExperimentConfig):
+        value = _WRONG_TYPED[f.name]
+        yield pytest.param(_RUN, {**_TINY_RUN, f.name: value}, id=f"file-{f.name}")
+        yield pytest.param(_RUN + ["--set", f"{f.name}={json.dumps(value)}"], _TINY_RUN,
+                           id=f"set-{f.name}")
+    for f in fields(StabilitySettings):
+        value = _WRONG_TYPED_STABILITY[f.name]
+        section = {**_TINY_RUN["stability"], f.name: value}
+        yield pytest.param(_RUN, {**_TINY_RUN, "stability": section}, id=f"file-stability.{f.name}")
+        yield pytest.param(_RUN + ["--set", f"stability.{f.name}={json.dumps(value)}"], _TINY_RUN,
+                           id=f"set-stability.{f.name}")
+    yield pytest.param(_RUN, {**_TINY_RUN, "n_grid": [20.5]}, id="file-n_grid-float")
+    yield pytest.param(_RUN + ["--set", "validate=1"], _TINY_RUN, id="set-validate")
+    yield pytest.param(_RUN + ["--set", 'stability={"J":"x"}'], _TINY_RUN,
+                       id="set-stability-J-string")
+    yield pytest.param(_RUN + ["--set", "stability.iterations=-1"], _TINY_RUN,
+                       id="set-stability.iterations-negative")
+    yield pytest.param(_RUN + ["--jobs", "0"], _TINY_RUN, id="flag-jobs-0")
+    yield pytest.param(_RUN + ["--iterations", "0"], _TINY_RUN, id="flag-iterations-0")
+    stab = {"task": "quadratic", "n": 10, "seeds": [0], "iterations": 3}
+    yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "seeds": 3},
+                       id="stability-config-seeds-int")
+    yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "iterations": "a"},
+                       id="stability-config-iterations-string")
+
+
+@pytest.mark.parametrize("argv, doc", _misuse_cases())
+def test_config_misuse_exits_2_before_training(tmp_path, capsys, argv, doc):
+    """The config file, `run` flags, `--set` and `stability --config` share
+    one typed check: a bad value exits 2 with one line and trains nothing."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert main([a.replace("{cfg}", str(cfg)).replace("{out}", str(out)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (out / "cells").exists()
+
+
+def test_readme_config_table_matches_dataclasses():
+    """The README config table names exactly the config fields, and its
+    `stability` row exactly the stability-section fields."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    keys = {k for key_cell, _ in rows for k in re.findall(r"`(\w+)`", key_cell)}
+    assert keys == {f.name for f in fields(ExperimentConfig)}
+    (stability_row,) = [meaning for key_cell, meaning in rows if key_cell.strip() == "`stability`"]
+    assert set(re.findall(r"`(\w+)`", stability_row)) == {f.name for f in fields(StabilitySettings)}
 
 
 def test_perfbench_span_targets_resolve():

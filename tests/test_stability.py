@@ -200,6 +200,9 @@ class TestExperiment:
         assert default_injection_count(50) == 25
         assert default_injection_count(98) == 49
         assert default_injection_count(1) == 1
+        # a config without J gets the default for its n
+        assert StabilityConfig(task="quadratic", n=40, seeds=[0]).J == 20
+        assert StabilityConfig(task="quadratic", n=400, seeds=[0]).J == 50
 
     def test_csv_row_layout(self):
         cfg = StabilityConfig(
