@@ -109,7 +109,6 @@ class GridReport:
     """Per-sample-size statistics for one complexity kind, raw and log."""
 
     complexity_kind: str
-    rows: list[RunRecord]
     per_n_stats: dict[int, GroupStats] = field(default_factory=dict)
     per_n_stats_log: dict[int, GroupStats] = field(default_factory=dict)
 
@@ -175,7 +174,7 @@ def grid_report(
         raise InvalidInputError(f"unknown complexity kind {complexity_kind!r}")
     if not runs:
         raise InvalidInputError("need at least one run")
-    report = GridReport(complexity_kind=complexity_kind, rows=list(runs))
+    report = GridReport(complexity_kind=complexity_kind)
     by_n: dict[int, list[RunRecord]] = {}
     for record in runs:
         by_n.setdefault(record.n, []).append(record)

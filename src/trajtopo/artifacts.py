@@ -10,12 +10,12 @@ finite inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedVersionError
+from .errors import InvalidInputError, UnsupportedVersionError, check_fields, from_json_object
 
 SCHEMA_VERSION = 1
 DTYPE = "f64le"
@@ -168,37 +168,25 @@ class RunRecord:
     e_alpha: float
     pmag: dict[str, float]
 
+    def __post_init__(self) -> None:
+        check_fields(self, "run record")
+
     def validate(self) -> None:
         if self.e_alpha < 0 or any(v < 0 for v in self.pmag.values()):
             raise InvalidInputError("complexity statistics must be nonnegative")
 
     def to_json(self) -> str:
         self.validate()
-        doc = {
-            "run_id": self.run_id,
-            "n": self.n,
-            "eta": self.eta,
-            "batch": self.batch,
-            "seed": self.seed,
-            "gen_gap": self.gen_gap,
-            "e_alpha": self.e_alpha,
-            "pmag": dict(sorted(self.pmag.items())),
-        }
+        doc = asdict(self) | {"pmag": dict(sorted(self.pmag.items()))}
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
+    def from_json(cls, text: str, what: str = "run record") -> "RunRecord":
         doc = json.loads(text)
-        record = cls(
-            run_id=doc["run_id"],
-            n=int(doc["n"]),
-            eta=float(doc["eta"]),
-            batch=int(doc["batch"]),
-            seed=int(doc["seed"]),
-            gen_gap=float(doc["gen_gap"]),
-            e_alpha=float(doc["e_alpha"]),
-            pmag={k: float(v) for k, v in doc["pmag"].items()},
-        )
+        if isinstance(doc, dict):
+            # records written before `beta_hat` was dropped still load
+            doc.pop("beta_hat", None)
+        record = from_json_object(cls, doc, what)
         record.validate()
         return record
 

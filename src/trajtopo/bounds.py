@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import LossMatrix, Trajectory
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, check_fields
 from .rng import stream
 from .trainer import SyntheticTask
 
@@ -34,6 +34,7 @@ class ConstantsEstimate:
     probes: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, "constants")
         if self.lipschitz <= 0 or self.loss_bound <= 0:
             raise InvalidInputError("constants must be positive")
         if self.smoothness is not None and self.smoothness <= 0:
@@ -223,11 +224,11 @@ def estimate_constants(
     if lipschitz <= 0:
         # constant loss along a moving trajectory; keep the estimate usable
         lipschitz = np.finfo(np.float64).tiny
-    smoothness = task.grad_smoothness(None) if task.kind == "quadratic" else None
     return ConstantsEstimate(
         lipschitz=lipschitz,
         loss_bound=float(losses.values.max()),
-        smoothness=smoothness,
+        # the quadratic loss has gradient-Lipschitz constant 1
+        smoothness=1.0 if task.kind == "quadratic" else None,
         source="empirical",
         probes=int(usable.sum()) * losses.values.shape[1],
     )

@@ -96,32 +96,37 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# traj-gen flag -> config key; the four flags of the cell fill one-element grids
+_TRAJ_GEN_KEYS = {
+    "n": "n_grid", "eta": "eta_grid", "batch": "batch_grid", "seed": "seeds",
+    "task": "task", "iterations": "iterations", "warmup": "warmup", "input_dim": "input_dim",
+    "radius": "radius", "step_rule": "step_rule", "class_sep": "class_sep", "noise": "noise",
+}
+
+
 def cmd_traj_gen(args: argparse.Namespace) -> int:
+    """Train the one cell that the flags name; every unset flag takes the
+    run config's default."""
+    doc = {}
+    for flag, key in _TRAJ_GEN_KEYS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            doc[key] = value if flag == key else [value]
+    cfg = pipeline.config_from_dict(doc)
     out_dir = Path(_default_out(args.out))
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = ExperimentConfig(
-        task=args.task,
-        input_dim=args.input_dim,
-        iterations=args.iterations,
-        warmup=args.warmup,
-        radius=args.radius,
-        step_rule=args.step_rule,
-        class_sep=args.class_sep,
-        noise=args.noise,
-    )
-    _, window, lm_train, lm_test = pipeline.train_cell(
-        cfg, args.n, args.eta, args.batch, args.seed
-    )
+    n, eta, batch, seed = cfg.n_grid[0], cfg.eta_grid[0], cfg.batch_grid[0], cfg.seeds[0]
+    _, window, lm_train, lm_test = pipeline.train_cell(cfg, n, eta, batch, seed)
 
     save_trajectory(window, out_dir / "trajectory")
     save_loss_matrix(lm_train, out_dir / "losses_train")
     save_loss_matrix(lm_test, out_dir / "losses_test")
     stub = {
-        "run_id": pipeline.cell_id(args.task, args.n, args.eta, args.batch, args.seed),
-        "n": args.n,
-        "eta": args.eta,
-        "batch": args.batch,
-        "seed": args.seed,
+        "run_id": pipeline.cell_id(cfg.task, n, eta, batch, seed),
+        "n": n,
+        "eta": eta,
+        "batch": batch,
+        "seed": seed,
         "gen_gap": analysis.worst_case_gap(lm_train, lm_test),
         "e_alpha": None,
         "pmag": {},
@@ -257,7 +262,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     record_paths = sorted(runs_dir.glob("cells/*/record.json"))
     if not record_paths:
         raise InvalidInputError(f"no run records under {runs_dir}")
-    records = [RunRecord.from_json(p.read_text()) for p in record_paths]
+    records = [RunRecord.from_json(p.read_text(), f"run record {p}") for p in record_paths]
     records.sort(key=lambda r: (r.n, r.eta, r.batch, r.seed))
     summary_path = runs_dir / "report" / "summary.json"
     if not summary_path.exists():
@@ -266,13 +271,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     keys = ("task", "alpha", "pmag_scales", "stability", "bounds")
     if not all(k in summary for k in keys):
         raise InvalidInputError(f"{summary_path} lacks one of {keys}; re-run `trajtopo run`")
-    cfg = ExperimentConfig(
-        task=summary["task"], alpha=summary["alpha"], pmag_scales=summary["pmag_scales"]
-    )
+    if not fits(summary["stability"], list[dict]) or not fits(summary["bounds"], list[dict]):
+        raise InvalidInputError(f"{summary_path}: 'stability' and 'bounds' must list objects")
+    cfg = pipeline.config_from_dict({k: summary[k] for k in ("task", "alpha", "pmag_scales")})
     # older summaries also hold `analytic_beta` and `extras`, which reports no longer carry
     dropped = ("analytic_beta", "extras")
     stab_reports = [
-        stability.StabilityReport(**{k: v for k, v in doc.items() if k not in dropped})
+        from_json_object(
+            stability.StabilityReport,
+            {k: v for k, v in doc.items() if k not in dropped},
+            f"stability report in {summary_path}",
+        )
         for doc in summary["stability"]
     ]
     out_dir = Path(args.out) if args.out else runs_dir / "report"
@@ -281,8 +290,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected argument as an InvalidInputError, so it exits 2
+    with one line like every other input error."""
+
+    def error(self, message: str):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trajtopo",
         description="Topological complexity and stability analysis of optimizer trajectories",
     )
@@ -306,18 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("traj-gen", help="train one run and emit its artifacts")
-    p.add_argument("--task", default="quadratic", choices=trainer.TASK_KINDS)
+    p.add_argument("--task", choices=trainer.TASK_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--input-dim", type=int, default=16)
-    p.add_argument("--radius", type=float, default=10.0)
-    p.add_argument("--step-rule", default="constant", choices=["constant", "decaying"])
-    p.add_argument("--class-sep", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=1.0)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--warmup", type=int)
+    p.add_argument("--input-dim", type=int)
+    p.add_argument("--radius", type=float)
+    p.add_argument("--step-rule", choices=["constant", "decaying"])
+    p.add_argument("--class-sep", type=float)
+    p.add_argument("--noise", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_traj_gen)
 
@@ -371,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

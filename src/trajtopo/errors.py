@@ -33,13 +33,18 @@ class UndefinedStatisticError(TrajtopoError):
 
 def fits(value, hint) -> bool:
     """Whether a decoded JSON value fits the annotation `hint`, a class, a
-    union or `list[...]`. An integer also fits `float`, since configs say
-    `100` for `100.0`; a bool fits neither `int` nor `float`."""
+    union, `list[...]` or `dict[..., ...]`. An integer also fits `float`,
+    since configs say `100` for `100.0`; a bool fits neither `int` nor
+    `float`."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union or origin is types.UnionType:
         return any(fits(value, h) for h in args)
     if origin is list:
         return isinstance(value, list) and all(fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            fits(k, args[0]) and fits(v, args[1]) for k, v in value.items()
+        )
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))

@@ -36,50 +36,32 @@ class EdgeList:
 def minimum_spanning_tree(dist: DistanceMatrix) -> EdgeList:
     """Dense Prim scan, O(m^2) time and O(m) extra space.
 
-    Equal-length candidates are resolved toward the lexicographically
-    smallest normalized (i, j) pair, so the returned edge list is a
-    deterministic function of the input.
+    Among equally close candidates the lowest-index vertex joins first,
+    and each vertex keeps the first tree vertex that reached its distance,
+    so the returned edge list is a deterministic function of the input.
+    Every minimum spanning tree has the same multiset of edge lengths.
     """
     d = dist.values
     m = d.shape[0]
-    if m == 1:
-        return EdgeList([])
-
     in_tree = np.zeros(m, dtype=bool)
     in_tree[0] = True
+    # distance from each outside vertex to the tree; +inf once inside
     best = d[0].copy()
-    parent = np.zeros(m, dtype=np.int64)
     best[0] = np.inf
+    parent = np.zeros(m, dtype=np.int64)
 
-    idx = np.arange(m)
     edges: list[tuple[int, int, float]] = []
     for _ in range(m - 1):
-        masked = np.where(in_tree, np.inf, best)
-        w = float(masked.min())
-        candidates = np.flatnonzero(masked == w)
-        # break ties toward the smallest normalized (i, j) pair
-        lo = np.minimum(parent[candidates], candidates)
-        hi = np.maximum(parent[candidates], candidates)
-        order = np.lexsort((hi, lo))
-        v = int(candidates[order[0]])
-
-        a, b = int(parent[v]), v
-        edges.append((min(a, b), max(a, b), float(d[a, b])))
+        v = int(np.argmin(best))
+        a = int(parent[v])
+        edges.append((min(a, v), max(a, v), float(d[a, v])))
         in_tree[v] = True
         best[v] = np.inf
 
         dv = d[v]
-        out = ~in_tree
-        closer = out & (dv < best)
+        closer = ~in_tree & (dv < best)
         best[closer] = dv[closer]
         parent[closer] = v
-        tied = out & (dv == best) & ~closer
-        if tied.any():
-            t = idx[tied]
-            new_lo, new_hi = np.minimum(v, t), np.maximum(v, t)
-            old_lo, old_hi = np.minimum(parent[t], t), np.maximum(parent[t], t)
-            swap = (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
-            parent[t[swap]] = v
 
     edges.sort(key=lambda e: (e[0], e[1]))
     return EdgeList(edges)

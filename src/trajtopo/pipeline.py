@@ -15,7 +15,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +86,8 @@ class ExperimentConfig:
                 raise InvalidInputError(f"{name} must be nonempty")
         if any(n < 1 for n in self.n_grid):
             raise InvalidInputError("sample sizes must be >= 1")
+        if self.input_dim < 1 or self.hidden < 1:
+            raise InvalidInputError("input_dim and hidden must be >= 1")
         if self.iterations < 1 or self.warmup < 0:
             raise InvalidInputError("iteration counts out of range")
         if self.step_rule not in ("constant", "decaying"):
@@ -175,7 +177,8 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     cell_dir = Path(out_dir) / "cells" / cid
     record_path = cell_dir / "record.json"
     if record_path.exists():
-        return CellResult(record=RunRecord.from_json(record_path.read_text()), skipped=True)
+        record = RunRecord.from_json(record_path.read_text(), f"run record {record_path}")
+        return CellResult(record=record, skipped=True)
     try:
         return _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path)
     except NumericalFailureError as exc:
@@ -239,19 +242,7 @@ def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) ->
     )
     cell_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory(sub, cell_dir / "trajectory")
-    (cell_dir / "constants.json").write_text(
-        json.dumps(
-            {
-                "lipschitz": consts.lipschitz,
-                "loss_bound": consts.loss_bound,
-                "smoothness": consts.smoothness,
-                "source": consts.source,
-                "probes": consts.probes,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    (cell_dir / "constants.json").write_text(json.dumps(asdict(consts), indent=2) + "\n")
     record_path.write_text(record.to_json())
     return CellResult(record=record, skipped=False)
 
@@ -272,8 +263,10 @@ class PipelineResult:
     output_dir: str
 
 
-def _load_constants(out_dir: Path, cid: str) -> dict:
-    return json.loads((out_dir / "cells" / cid / "constants.json").read_text())
+def _load_constants(out_dir: Path, cid: str) -> bounds.ConstantsEstimate:
+    path = out_dir / "cells" / cid / "constants.json"
+    return from_json_object(bounds.ConstantsEstimate, read_json_object(path, "constants"),
+                            f"constants {path}")
 
 
 def _stability_stage(cfg: ExperimentConfig, log) -> list[stability.StabilityReport]:
@@ -302,10 +295,10 @@ def _bounds_stage(
             continue
         consts = [_load_constants(out_dir, r.run_id) for r in group]
         lipschitz = cfg.lipschitz if cfg.lipschitz is not None else max(
-            c["lipschitz"] for c in consts
+            c.lipschitz for c in consts
         )
         loss_bound = cfg.loss_bound if cfg.loss_bound is not None else max(
-            c["loss_bound"] for c in consts
+            c.loss_bound for c in consts
         )
         beta = beta_by_n.get(n)
         if beta is None or beta <= 0:

@@ -154,6 +154,9 @@ class StabilityReport:
     eval_split: str
     init_mode: str
 
+    def __post_init__(self) -> None:
+        check_fields(self, "stability report")
+
     def to_json(self) -> str:
         doc = {
             "n": self.n,

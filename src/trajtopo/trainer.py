@@ -47,10 +47,6 @@ class SyntheticTask:
         """Vectorized losses, shape (iterates, samples)."""
         raise NotImplementedError
 
-    def grad_smoothness(self, samples: np.ndarray) -> float | None:
-        """Gradient-Lipschitz constant over the sample set, if known."""
-        return None
-
 
 class QuadraticTask(SyntheticTask):
     """loss(w, z) = ||w - x||^2 / 2 with target x = z[:d]."""
@@ -67,9 +63,6 @@ class QuadraticTask(SyntheticTask):
     def loss_table(self, iterates, samples):
         targets = samples[:, : self.input_dim]
         return 0.5 * cdist(iterates, targets, metric="sqeuclidean")
-
-    def grad_smoothness(self, samples):
-        return 1.0
 
 
 class LogisticTask(SyntheticTask):
@@ -92,10 +85,6 @@ class LogisticTask(SyntheticTask):
         y = samples[:, self.input_dim]
         margins = (iterates @ x.T) * y[None, :]
         return np.logaddexp(0.0, -margins)
-
-    def grad_smoothness(self, samples):
-        x = samples[:, : self.input_dim]
-        return float((x * x).sum(axis=1).max()) / 4.0
 
 
 class SmallMLPTask(SyntheticTask):

@@ -142,3 +142,45 @@ def greedy_dedup_indices(values: np.ndarray, eps: float) -> list[int]:
         if all(values[i, j] > eps for j in kept):
             kept.append(i)
     return kept
+
+
+def tie_break_prim_edges(d: np.ndarray) -> list[tuple[int, int, float]]:
+    """Dense Prim scan that resolves every tie between equally close
+    candidates, and between equally close tree vertices, toward the
+    lexicographically smallest normalized (i, j) pair; edges sorted by
+    (i, j)."""
+    m = d.shape[0]
+    if m == 1:
+        return []
+    in_tree = np.zeros(m, dtype=bool)
+    in_tree[0] = True
+    best = d[0].copy()
+    parent = np.zeros(m, dtype=np.int64)
+    best[0] = np.inf
+    idx = np.arange(m)
+    edges = []
+    for _ in range(m - 1):
+        masked = np.where(in_tree, np.inf, best)
+        w = float(masked.min())
+        candidates = np.flatnonzero(masked == w)
+        lo = np.minimum(parent[candidates], candidates)
+        hi = np.maximum(parent[candidates], candidates)
+        v = int(candidates[np.lexsort((hi, lo))[0]])
+        a = int(parent[v])
+        edges.append((min(a, v), max(a, v), float(d[a, v])))
+        in_tree[v] = True
+        best[v] = np.inf
+        dv = d[v]
+        out = ~in_tree
+        closer = out & (dv < best)
+        best[closer] = dv[closer]
+        parent[closer] = v
+        tied = out & (dv == best) & ~closer
+        if tied.any():
+            t = idx[tied]
+            new_lo, new_hi = np.minimum(v, t), np.maximum(v, t)
+            old_lo, old_hi = np.minimum(parent[t], t), np.maximum(parent[t], t)
+            swap = (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
+            parent[t[swap]] = v
+    edges.sort(key=lambda e: (e[0], e[1]))
+    return edges

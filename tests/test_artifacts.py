@@ -151,6 +151,20 @@ class TestDomainTypes:
         back = RunRecord.from_json(record.to_json())
         assert back == record
 
+    def test_run_record_from_json_checks_types(self):
+        good = json.loads(RunRecord(
+            run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.25,
+            e_alpha=1.5, pmag={"100.0": 7.0},
+        ).to_json())
+        for bad in ({"pmag": {"100.0": "x"}}, {"pmag": [7.0]}, {"n": 2.5}, {"gen_gap": None}):
+            with pytest.raises(InvalidInputError):
+                RunRecord.from_json(json.dumps({**good, **bad}))
+        with pytest.raises(InvalidInputError, match="lacks"):
+            RunRecord.from_json(json.dumps({k: v for k, v in good.items() if k != "e_alpha"}))
+        # records written before `beta_hat` was dropped still load
+        legacy = RunRecord.from_json(json.dumps({**good, "beta_hat": None}))
+        assert legacy == RunRecord.from_json(json.dumps(good))
+
     def test_run_record_rejects_negative_complexity(self):
         record = RunRecord(
             run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.0,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import distances_of
-from oracles import exhaustive_lifetime_sum, exhaustive_mst_edges
+from oracles import exhaustive_lifetime_sum, exhaustive_mst_edges, tie_break_prim_edges
 from trajtopo.errors import InvalidInputError
 from trajtopo.lifetime import alpha_weighted_lifetime_sum, minimum_spanning_tree
 
@@ -66,6 +66,30 @@ class TestMinimumSpanningTree:
     def test_deterministic(self, rng):
         dist = distances_of(rng.standard_normal((12, 2)))
         assert minimum_spanning_tree(dist).edges == minimum_spanning_tree(dist).edges
+
+    def test_matches_tie_resolving_scan(self, rng):
+        """The lowest-index scan gives the old tie-resolving scan's edges when
+        no two distances are equal, and the same multiset of edge lengths on
+        tie-heavy lattices. The lifetime sums are equal where every distance
+        is an integer; elsewhere a tie may change the order of the sum, so
+        it may move by a few ulps."""
+        for _ in range(40):
+            dist = distances_of(rng.standard_normal((int(rng.integers(1, 60)), 3)))
+            assert minimum_spanning_tree(dist).edges == tie_break_prim_edges(dist.values)
+        for dim in (1, 2):
+            for _ in range(40):
+                points = rng.integers(0, 5, size=(int(rng.integers(1, 60)), dim))
+                dist = distances_of(points.astype(np.float64))
+                old = np.array([e[2] for e in tie_break_prim_edges(dist.values)])
+                new = minimum_spanning_tree(dist).lengths()
+                np.testing.assert_array_equal(np.sort(new), np.sort(old))
+                for alpha in (0.0, 0.5, 1.0):
+                    expected = float(np.sum(old**alpha)) if len(old) else 0.0
+                    value = alpha_weighted_lifetime_sum(dist, alpha)
+                    if dim == 1:
+                        assert value == expected
+                    else:
+                        assert value == pytest.approx(expected, rel=len(old) * np.finfo(float).eps)
 
     def test_total_length_matches_scipy_at_scale(self, rng):
         """Independent library MST agrees on total length for clouds far

@@ -3,22 +3,26 @@ import importlib
 import importlib.util
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trajtopo.analysis import THEOREM_KEY
+from trajtopo.artifacts import RunRecord
 from trajtopo.cli import main
-from trajtopo.errors import InvalidInputError
+from trajtopo.errors import InvalidInputError, from_json_object
 from trajtopo.pipeline import (
     ExperimentConfig,
     StabilitySettings,
+    _load_constants,
     cell_id,
     config_from_dict,
     load_config,
     run_pipeline,
 )
+from trajtopo.stability import StabilityReport
 
 SMALL = dict(
     task="quadratic",
@@ -369,6 +373,30 @@ def _json_file(name: str, doc):
     return prepare
 
 
+# a grid that trains in well under a second, should a check ever let it through
+_TINY_RUN = {
+    "task": "quadratic", "input_dim": 2, "n_grid": [8], "eta_grid": [0.1], "seeds": [0],
+    "iterations": 5, "subsample": 5,
+    "stability": {"J": 2, "seeds": [0], "iterations": 5, "converge_iterations": 0},
+}
+
+
+def _finished_run(pattern: str, edit):
+    """A finished `_TINY_RUN` in `out`, with its config in `out/cfg.json`;
+    `edit` changes the JSON object of the first file matching `pattern`."""
+    def prepare(out: Path) -> None:
+        (out / "cfg.json").write_text(json.dumps(_TINY_RUN))
+        run_pipeline(config_from_dict(json.loads(json.dumps(_TINY_RUN))), output_dir=out)
+        path = sorted(out.glob(pattern))[0]
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    return prepare
+
+
+_RERUN = ["run", "--config", "{out}/cfg.json", "--out", "{out}"]
+_TRAJ_GEN = ["traj-gen", "--n", "5", "--eta", "0.1", "--out", "{out}/tg"]
 _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iterations": 5}
 
 
@@ -399,11 +427,42 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["bound", "--theorem", "pmag", "--stability-report", "{out}/report.json",
           "--loss-bound", "1", "--samples", "1"], _json_file("report.json", {"mean": "x"}),
          "'mean'"),
+        (["run", "--jobs", "x"], None, "argument --jobs: invalid int value: 'x'"),
+        (["traj-gen", "--n", "x", "--eta", "0.1"], None, "argument --n: invalid int value"),
+        (["pmag", "{out}/D", "--solver", "nope", "--scales", "1"], None,
+         "argument --solver: invalid choice: 'nope'"),
+        (["bound", "--loss-bound", "1", "--samples", "1"], None,
+         "the following arguments are required: --theorem"),
+        (_TRAJ_GEN + ["--input-dim", "0"], None, "input_dim and hidden must be >= 1"),
+        (_TRAJ_GEN + ["--iterations", "0"], None, "iteration counts out of range"),
+        (_TRAJ_GEN + ["--task", "foo"], None, "argument --task: invalid choice: 'foo'"),
+        (["report", "{out}"],
+         _finished_run("report/summary.json", lambda d: d.update(pmag_scales=["a"])),
+         "'pmag_scales' must be list[float]"),
+        (["report", "{out}"],
+         _finished_run("report/summary.json", lambda d: d.update(pmag_scales=[])),
+         "scale grid must be nonempty"),
+        (["report", "{out}"], _finished_run("report/summary.json", lambda d: d.update(task=5)),
+         "'task' must be str"),
+        (["report", "{out}"],
+         _finished_run("report/summary.json", lambda d: d.update(stability=[{"n": 1}])),
+         "stability report in"),
+        (["report", "{out}"], _finished_run("cells/*/record.json", lambda d: d.pop("gen_gap")),
+         "lacks ['gen_gap']"),
+        (_RERUN, _finished_run("cells/*/record.json", lambda d: d.pop("gen_gap")),
+         "lacks ['gen_gap']"),
+        (_RERUN, _finished_run("cells/*/constants.json", lambda d: d.pop("lipschitz")),
+         "lacks ['lipschitz']"),
     ],
     ids=["bound-without-samples", "report-without-records", "report-without-summary",
          "stability-n-string", "stability-n-float", "stability-n-null-list",
          "stability-n-empty-list", "bound-samples-not-numbers", "bound-report-without-mean",
-         "bound-report-mean-string"],
+         "bound-report-mean-string", "run-jobs-not-int", "traj-gen-n-not-int",
+         "pmag-unknown-solver", "bound-without-theorem", "traj-gen-input-dim-0",
+         "traj-gen-iterations-0", "traj-gen-unknown-task", "report-summary-scales-strings",
+         "report-summary-scales-empty", "report-summary-task-int",
+         "report-summary-stability-entry-partial", "report-record-without-gen-gap",
+         "rerun-record-without-gen-gap", "rerun-constants-without-lipschitz"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -431,12 +490,6 @@ _WRONG_TYPED_STABILITY = {
     "J": "x", "seeds": 3, "init_mode": 1, "eval_split": None, "direction": True,
     "iterations": "a", "converge_iterations": 1.5, "step": "fast",
 }
-# a grid that trains in well under a second, should a check ever let it through
-_TINY_RUN = {
-    "task": "quadratic", "input_dim": 2, "n_grid": [8], "eta_grid": [0.1], "seeds": [0],
-    "iterations": 5, "subsample": 5,
-    "stability": {"J": 2, "seeds": [0], "iterations": 5, "converge_iterations": 0},
-}
 _RUN = ["run", "--config", "{cfg}", "--out", "{out}"]
 
 
@@ -453,6 +506,9 @@ def _misuse_cases():
         yield pytest.param(_RUN + ["--set", f"stability.{f.name}={json.dumps(value)}"], _TINY_RUN,
                            id=f"set-stability.{f.name}")
     yield pytest.param(_RUN, {**_TINY_RUN, "n_grid": [20.5]}, id="file-n_grid-float")
+    for key in ("input_dim", "hidden"):
+        yield pytest.param(_RUN, {**_TINY_RUN, key: 0}, id=f"file-{key}-0")
+        yield pytest.param(_RUN + ["--set", f"{key}=0"], _TINY_RUN, id=f"set-{key}-0")
     yield pytest.param(_RUN + ["--set", "validate=1"], _TINY_RUN, id="set-validate")
     yield pytest.param(_RUN + ["--set", 'stability={"J":"x"}'], _TINY_RUN,
                        id="set-stability-J-string")
@@ -479,6 +535,36 @@ def test_config_misuse_exits_2_before_training(tmp_path, capsys, argv, doc):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (out / "cells").exists()
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: trajtopo run")
+
+
+def test_cell_and_summary_files_roundtrip_byte_identical(tmp_path):
+    """Every record, constants file and summary stability entry that a run
+    with stability writes reads back through its typed reader and writes
+    the same bytes again."""
+    out = tmp_path / "out"
+    run_pipeline(small_config(), output_dir=out)
+    records = sorted(out.glob("cells/*/record.json"))
+    assert len(records) == 4
+    for path in records:
+        text = path.read_text()
+        record = RunRecord.from_json(text)
+        assert THEOREM_KEY in record.pmag
+        assert record.to_json() == text
+        constants_path = path.parent / "constants.json"
+        constants = _load_constants(out, path.parent.name)
+        assert json.dumps(asdict(constants), indent=2) + "\n" == constants_path.read_text()
+    summary = json.loads((out / "report" / "summary.json").read_text())
+    assert summary["stability"]
+    for doc in summary["stability"]:
+        report = from_json_object(StabilityReport, doc, "stability report")
+        assert json.loads(report.to_json()) == doc
 
 
 def test_readme_config_table_matches_dataclasses():
