@@ -72,25 +72,14 @@ def kendall(x, y) -> float:
     return (concordant - discordant) / denom
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def spearman(x, y) -> float:
     """Rank correlation: Pearson r of average ranks."""
+    # imported here: scipy.stats takes longer to import than the whole CLI
+    from scipy.stats import rankdata
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    r, _, _ = pearson(_ranks(x), _ranks(y))
+    r, _, _ = pearson(rankdata(x), rankdata(y))
     return r
 
 

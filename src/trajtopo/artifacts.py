@@ -48,6 +48,17 @@ class ArtifactManifest:
             raise InvalidInputError("metadata must map strings to strings")
 
 
+def read_json_object(path: str | Path, what: str = "config") -> dict:
+    """Read a JSON file that must hold one object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"malformed {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{what} {path} must be a JSON object")
+    return doc
+
+
 def write_artifact(manifest: ArtifactManifest, matrix: np.ndarray, path: str | Path) -> None:
     """Write ``<path>.json`` and ``<path>.bin`` for a finite 2-D matrix."""
     manifest.validate()
@@ -73,12 +84,7 @@ def read_artifact(path: str | Path) -> tuple[ArtifactManifest, np.ndarray]:
     """Inverse of :func:`write_artifact`."""
     json_path = Path(f"{path}.json")
     bin_path = Path(f"{path}.bin")
-    try:
-        doc = json.loads(json_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"malformed manifest {json_path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"manifest {json_path} is not a JSON object")
+    doc = read_json_object(json_path, "manifest")
     try:
         manifest = ArtifactManifest(
             role=doc["role"],
@@ -169,7 +175,7 @@ class RunRecord:
     pmag: dict[str, float]
 
     def __post_init__(self) -> None:
-        check_fields(self, "run record")
+        check_fields(type(self), vars(self), "run record")
 
     def validate(self) -> None:
         if self.e_alpha < 0 or any(v < 0 for v in self.pmag.values()):
@@ -191,11 +197,13 @@ class RunRecord:
         return record
 
 
-def _join_ids(ids: np.ndarray) -> str:
+def join_ids(ids: np.ndarray) -> str:
+    """The comma-separated form in which artifact metadata stores ids."""
     return ",".join(str(int(i)) for i in ids)
 
 
-def _split_ids(text: str) -> np.ndarray:
+def split_ids(text: str) -> np.ndarray:
+    """Inverse of :func:`join_ids`."""
     if text == "":
         return np.zeros(0, dtype=np.int64)
     return np.array([int(p) for p in text.split(",")], dtype=np.int64)
@@ -203,7 +211,7 @@ def _split_ids(text: str) -> np.ndarray:
 
 def save_trajectory(traj: Trajectory, path: str | Path) -> None:
     meta = dict(traj.meta)
-    meta["iteration_ids"] = _join_ids(traj.iteration_ids)
+    meta["iteration_ids"] = join_ids(traj.iteration_ids)
     manifest = ArtifactManifest(role="trajectory", shape=traj.points.shape, metadata=meta)
     write_artifact(manifest, traj.points, path)
 
@@ -214,14 +222,14 @@ def load_trajectory(path: str | Path) -> Trajectory:
         raise InvalidInputError(f"artifact {path} has role {manifest.role!r}, not trajectory")
     meta = dict(manifest.metadata)
     ids_text = meta.pop("iteration_ids", "")
-    ids = _split_ids(ids_text) if ids_text else np.arange(matrix.shape[0], dtype=np.int64)
+    ids = split_ids(ids_text) if ids_text else np.arange(matrix.shape[0], dtype=np.int64)
     return Trajectory(points=matrix, iteration_ids=ids, meta=meta)
 
 
 def save_loss_matrix(losses: LossMatrix, path: str | Path) -> None:
     meta = {
-        "iteration_ids": _join_ids(losses.iteration_ids),
-        "sample_ids": _join_ids(losses.sample_ids),
+        "iteration_ids": join_ids(losses.iteration_ids),
+        "sample_ids": join_ids(losses.sample_ids),
         "split": losses.split,
     }
     manifest = ArtifactManifest(role="loss_matrix", shape=losses.values.shape, metadata=meta)
@@ -236,8 +244,8 @@ def load_loss_matrix(path: str | Path) -> LossMatrix:
     try:
         return LossMatrix(
             values=matrix,
-            iteration_ids=_split_ids(meta["iteration_ids"]),
-            sample_ids=_split_ids(meta["sample_ids"]),
+            iteration_ids=split_ids(meta["iteration_ids"]),
+            sample_ids=split_ids(meta["sample_ids"]),
             split=meta["split"],
         )
     except KeyError as exc:

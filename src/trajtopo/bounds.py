@@ -10,7 +10,7 @@ means over the supplied complexity samples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class ConstantsEstimate:
     probes: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self, "constants")
+        check_fields(type(self), vars(self), "constants")
         if self.lipschitz <= 0 or self.loss_bound <= 0:
             raise InvalidInputError("constants must be positive")
         if self.smoothness is not None and self.smoothness <= 0:
@@ -57,12 +57,7 @@ class BoundResult:
             raise InvalidInputError("bound value must be finite and nonnegative")
 
     def to_json(self) -> str:
-        doc = {
-            "theorem": self.theorem,
-            "beta": self.beta,
-            "value": self.value,
-            "inputs": dict(sorted(self.inputs.items())),
-        }
+        doc = asdict(self) | {"inputs": dict(sorted(self.inputs.items()))}
         return json.dumps(doc, indent=2) + "\n"
 
 

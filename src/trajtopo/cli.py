@@ -22,6 +22,7 @@ from .artifacts import (
     RunRecord,
     load_loss_matrix,
     load_trajectory,
+    read_json_object,
     save_loss_matrix,
     save_trajectory,
 )
@@ -53,7 +54,7 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
     into one config document, in that order, and build it with the one
     typed check of `pipeline.config_from_dict`. `stability.KEY` reaches the
     stability section."""
-    doc = pipeline.read_json_object(args.config) if args.config else {}
+    doc = read_json_object(args.config) if args.config else {}
     lists = {"n_grid": int, "eta_grid": float, "seeds": int}
     for key in ("task", "n_grid", "eta_grid", "seeds", "iterations", "jobs"):
         value = getattr(args, key)
@@ -140,9 +141,7 @@ def cmd_distmat(args: argparse.Namespace) -> int:
     traj = load_trajectory(args.trajectory)
     if args.subsample:
         traj = geometry.subsample_uniform(traj, args.subsample, args.seed)
-    dist = geometry.pairwise_distances(traj)
-    eps = geometry.default_dedup_eps(dist) if args.dedup_eps is None else args.dedup_eps
-    dist = geometry.deduplicate(dist, eps)
+    dist = geometry.distance_matrix(traj, args.dedup_eps)
     save_distance_matrix(dist, args.out)
     print(json.dumps({"points": len(dist), "out": str(args.out)}, sort_keys=True))
     return 0
@@ -199,7 +198,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         return 0
     if not args.config:
         raise InvalidInputError("pass --config or two loss-matrix artifacts")
-    doc = pipeline.read_json_object(args.config, "stability config")
+    doc = read_json_object(args.config, "stability config")
     n = doc.pop("n", None)
     n_values = n if isinstance(n, list) else [n]
     if not n_values or not fits(n_values, list[int]):
@@ -214,8 +213,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     for report in reports:
         sys.stdout.write(report.to_json())
     if args.csv:
-        lines = [stability.STABILITY_CSV_HEADER] + [r.csv_row() for r in reports]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        Path(args.csv).write_text(stability.stability_csv(reports))
     return 0
 
 
@@ -236,7 +234,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.beta is not None:
         beta = args.beta
     elif args.stability_report:
-        mean = pipeline.read_json_object(args.stability_report, "stability report").get("mean")
+        mean = read_json_object(args.stability_report, "stability report").get("mean")
         if not fits(mean, float):
             raise InvalidInputError(f"stability report needs a number 'mean', got {mean!r}")
         beta = float(mean)
@@ -267,7 +265,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary_path = runs_dir / "report" / "summary.json"
     if not summary_path.exists():
         raise InvalidInputError(f"no {summary_path}; report needs a finished `trajtopo run`")
-    summary = pipeline.read_json_object(summary_path, "summary")
+    summary = read_json_object(summary_path, "summary")
     keys = ("task", "alpha", "pmag_scales", "stability", "bounds")
     if not all(k in summary for k in keys):
         raise InvalidInputError(f"{summary_path} lacks one of {keys}; re-run `trajtopo run`")

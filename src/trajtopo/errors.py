@@ -50,19 +50,20 @@ def fits(value, hint) -> bool:
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
 
 
-def check_fields(obj, what: str) -> None:
-    """Raise InvalidInputError for the first field of dataclass `obj` whose
-    value does not fit its annotation."""
-    hints = typing.get_type_hints(type(obj))
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if not fits(value, hints[f.name]):
-            raise InvalidInputError(f"{what} {f.name!r} must be {f.type}, got {value!r}")
+def check_fields(cls, values: dict, what: str) -> None:
+    """Raise InvalidInputError for the first field of dataclass `cls` whose
+    value in `values` does not fit its annotation; absent fields are not
+    checked."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name in values and not fits(values[f.name], hints[f.name]):
+            raise InvalidInputError(f"{what} {f.name!r} must be {f.type}, got {values[f.name]!r}")
 
 
 def from_json_object(cls, doc, what: str):
     """Build dataclass `cls` from a decoded JSON object whose keys are its
-    field names; unknown and missing keys raise InvalidInputError."""
+    field names; unknown and missing keys and wrong-typed values raise
+    InvalidInputError, with `what` naming the source."""
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} must be a JSON object")
     fields = dataclasses.fields(cls)
@@ -76,4 +77,5 @@ def from_json_object(cls, doc, what: str):
     ]
     if missing:
         raise InvalidInputError(f"{what} lacks {missing}")
+    check_fields(cls, doc, what)
     return cls(**doc)

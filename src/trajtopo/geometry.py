@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .artifacts import ArtifactManifest, Trajectory, read_artifact, write_artifact
+from .artifacts import (ArtifactManifest, Trajectory, join_ids, read_artifact, split_ids,
+                        write_artifact)
 from .errors import InvalidInputError
 from .rng import stream
 
@@ -55,10 +56,7 @@ def pairwise_distances(traj: Trajectory) -> DistanceMatrix:
     points = traj.points
     if not np.isfinite(points).all():
         raise InvalidInputError("trajectory contains non-finite points")
-    if points.shape[0] == 1:
-        values = np.zeros((1, 1))
-    else:
-        values = squareform(pdist(points, metric="euclidean"))
+    values = squareform(pdist(points, metric="euclidean"))
     return DistanceMatrix(values=values, point_ids=traj.iteration_ids.copy())
 
 
@@ -110,8 +108,16 @@ def default_dedup_eps(dist: DistanceMatrix) -> float:
     return 1e-12 * float(dist.values.max(initial=0.0))
 
 
+def distance_matrix(traj: Trajectory, eps: float | None = None) -> DistanceMatrix:
+    """Distances between a trajectory's iterates with coincident ones
+    removed: `pairwise_distances`, then `deduplicate` at `eps`, by default
+    `default_dedup_eps`."""
+    dist = pairwise_distances(traj)
+    return deduplicate(dist, default_dedup_eps(dist) if eps is None else eps)
+
+
 def save_distance_matrix(dist: DistanceMatrix, path: str | Path) -> None:
-    meta = {"point_ids": ",".join(str(int(i)) for i in dist.point_ids)}
+    meta = {"point_ids": join_ids(dist.point_ids)}
     manifest = ArtifactManifest(role="distance_matrix", shape=dist.values.shape, metadata=meta)
     write_artifact(manifest, dist.values, path)
 
@@ -121,8 +127,5 @@ def load_distance_matrix(path: str | Path) -> DistanceMatrix:
     if manifest.role != "distance_matrix":
         raise InvalidInputError(f"artifact {path} has role {manifest.role!r}, not distance_matrix")
     ids_text = manifest.metadata.get("point_ids", "")
-    if ids_text:
-        ids = np.array([int(p) for p in ids_text.split(",")], dtype=np.int64)
-    else:
-        ids = np.arange(matrix.shape[0], dtype=np.int64)
+    ids = split_ids(ids_text) if ids_text else np.arange(matrix.shape[0], dtype=np.int64)
     return DistanceMatrix(values=matrix, point_ids=ids)

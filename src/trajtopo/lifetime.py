@@ -78,7 +78,4 @@ def alpha_weighted_lifetime_sum(dist: DistanceMatrix, alpha: float) -> float:
             "still well defined",
             stacklevel=2,
         )
-    tree = minimum_spanning_tree(dist)
-    if tree.count == 0:
-        return 0.0
-    return float(np.sum(tree.lengths() ** alpha))
+    return float(np.sum(minimum_spanning_tree(dist).lengths() ** alpha))

@@ -70,20 +70,22 @@ def similarity_matrix(dist: DistanceMatrix, s: float) -> np.ndarray:
     return z
 
 
-def _solve_direct(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_direct(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky solve; returns gamma and its residual ||Z gamma - b||_inf."""
     try:
         factor = scipy.linalg.cho_factor(z)
         gamma = scipy.linalg.cho_solve(factor, b)
-        residual = np.abs(z @ gamma - b).max()
-        if residual > RESIDUAL_TOL:
+        r = b - z @ gamma
+        if np.abs(r).max() > RESIDUAL_TOL:
             # one step of iterative refinement with the existing factorization
-            gamma = gamma + scipy.linalg.cho_solve(factor, b - z @ gamma)
+            gamma = gamma + scipy.linalg.cho_solve(factor, r)
+            r = b - z @ gamma
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             "similarity matrix is not positive definite; this usually means "
             "duplicate points survived deduplication or the input is non-finite"
         ) from exc
-    return gamma
+    return gamma, float(np.abs(r).max())
 
 
 def _solve_cg(z: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:
@@ -114,43 +116,32 @@ def weighting(dist: DistanceMatrix, s: float, solver: str = "direct") -> Weighti
     """Solve Z gamma = 1 for the scaled space.
 
     The conjugate-gradient path falls back to the dense factorization when
-    it does not reach its relative-residual target within 10*m iterations.
-    Either way the returned residual ||Z gamma - 1||_inf is at most 1e-10.
+    it does not reach its relative-residual target within 10*m iterations,
+    or when its true residual exceeds the tolerance. Either way the returned
+    residual ||Z gamma - 1||_inf is at most 1e-10.
     """
     if solver not in SOLVERS:
         raise InvalidInputError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
     m = len(dist)
-    if m > 1:
-        off = dist.values[~np.eye(m, dtype=bool)]
-        if (off <= 0).any():
-            raise InvalidInputError(
-                "distance matrix contains coincident points; deduplicate first"
-            )
+    if (dist.values[~np.eye(m, dtype=bool)] <= 0).any():
+        raise InvalidInputError("distance matrix contains coincident points; deduplicate first")
     z = similarity_matrix(dist, s)
     b = np.ones(m)
 
     iterations = 0
-    gamma: np.ndarray | None = None
-    used = solver
     if solver == "conjugate_gradient":
         gamma, iterations, converged = _solve_cg(z, b, CG_MAX_ITER_FACTOR * m)
-        if not converged:
-            gamma = None
-            used = "direct"
-    if gamma is None:
-        gamma = _solve_direct(z, b)
-
-    residual = float(np.abs(z @ gamma - b).max())
-    if residual > RESIDUAL_TOL and used != "direct":
-        gamma = _solve_direct(z, b)
-        used = "direct"
-        residual = float(np.abs(z @ gamma - b).max())
+        # CG stops on its recursively updated residual; the true one decides
+        residual = float(np.abs(z @ gamma - b).max()) if converged else np.inf
+        if residual <= RESIDUAL_TOL:
+            return WeightingSolution(gamma, residual, solver, iterations)
+    gamma, residual = _solve_direct(z, b)
     if residual > RESIDUAL_TOL:
         raise NumericalFailureError(
             f"weighting residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             "check for near-duplicate points"
         )
-    return WeightingSolution(gamma=gamma, residual=residual, solver=used, iterations=iterations)
+    return WeightingSolution(gamma, residual, "direct", iterations)
 
 
 def positive_magnitude(dist: DistanceMatrix, s: float, solver: str = "direct") -> float:

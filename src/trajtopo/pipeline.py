@@ -15,14 +15,15 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, bounds, geometry, lifetime, magnitude, stability, trainer
 from .analysis import THEOREM_KEY
-from .artifacts import LossMatrix, RunRecord, Trajectory, load_trajectory, save_trajectory
+from .artifacts import (LossMatrix, RunRecord, Trajectory, load_trajectory, read_json_object,
+                        save_trajectory)
 from .errors import InvalidInputError, NumericalFailureError, check_fields, from_json_object
 from .rng import stream
 
@@ -41,7 +42,7 @@ class StabilitySettings:
     step: float | None = None
 
     def __post_init__(self) -> None:
-        check_fields(self, "stability section")
+        check_fields(type(self), vars(self), "stability section")
 
 
 @dataclass
@@ -78,16 +79,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check every value, the stability section included, before any
         cell trains."""
-        check_fields(self, "config")
-        if self.task not in trainer.TASK_KINDS:
-            raise InvalidInputError(f"unknown task {self.task!r}")
+        check_fields(type(self), vars(self), "config")
+        trainer.make_task(self.task, self.input_dim, self.hidden)
         for name in ("n_grid", "eta_grid", "batch_grid", "seeds"):
             if not getattr(self, name):
                 raise InvalidInputError(f"{name} must be nonempty")
         if any(n < 1 for n in self.n_grid):
             raise InvalidInputError("sample sizes must be >= 1")
-        if self.input_dim < 1 or self.hidden < 1:
-            raise InvalidInputError("input_dim and hidden must be >= 1")
         if self.iterations < 1 or self.warmup < 0:
             raise InvalidInputError("iteration counts out of range")
         if self.step_rule not in ("constant", "decaying"):
@@ -99,24 +97,25 @@ class ExperimentConfig:
         magnitude.ScaleGrid(tuple(sorted(set(self.pmag_scales))))
         if self.theorem_lambda <= 0:
             raise InvalidInputError("theorem_lambda must be positive")
+        if any(v is not None and v <= 0 for v in (self.lipschitz, self.loss_bound)):
+            raise InvalidInputError("lipschitz and loss_bound must be positive when given")
         if self.jobs < 1:
             raise InvalidInputError("jobs must be >= 1")
         self.stability_configs()
 
     def stability_configs(self) -> list[stability.StabilityConfig]:
         """One stability experiment per sample size, none without a
-        stability section. Each section field sets the `StabilityConfig`
-        field of its name; J is clamped to n, and unset seeds and step
-        come from the grid."""
+        stability section. Each field that the run config and
+        `StabilityConfig` share, and `step` as the first learning rate, is
+        the grid's value unless the section sets it; J is clamped to n."""
         settings = self.stability
         if settings is None:
             return []
-        shared = {k: getattr(self, k)
-                  for k in ("task", "input_dim", "radius", "step_rule", "class_sep", "noise")}
-        shared |= vars(settings) | {
-            "seeds": settings.seeds if settings.seeds is not None else list(self.seeds),
-            "step": settings.step if settings.step is not None else float(self.eta_grid[0]),
+        grid_keys = {f.name for f in fields(self)} & {
+            f.name for f in fields(stability.StabilityConfig)
         }
+        shared = {k: getattr(self, k) for k in grid_keys} | {"step": float(self.eta_grid[0])}
+        shared |= {k: v for k, v in vars(settings).items() if v is not None}
         configs = []
         for n in sorted(set(self.n_grid)):
             j = None if settings.J is None else min(settings.J, n)
@@ -126,22 +125,12 @@ class ExperimentConfig:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a run config from a decoded JSON object."""
+    if doc.get("stability") is not None:
+        section = from_json_object(StabilitySettings, doc["stability"], "stability section")
+        doc = doc | {"stability": section}
     cfg = from_json_object(ExperimentConfig, doc, "config")
-    if cfg.stability is not None:
-        cfg.stability = from_json_object(StabilitySettings, cfg.stability, "stability section")
     cfg.validate()
     return cfg
-
-
-def read_json_object(path: str | Path, what: str = "config") -> dict:
-    """Read a JSON file that must hold one object."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"malformed {what} {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{what} {path} must be a JSON object")
-    return doc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -221,8 +210,7 @@ def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) ->
     gap = analysis.worst_case_gap(lm_train, lm_test)
 
     sub = geometry.subsample_uniform(window, cfg.subsample, seed)
-    dist = geometry.pairwise_distances(sub)
-    dist = geometry.deduplicate(dist, geometry.default_dedup_eps(dist))
+    dist = geometry.distance_matrix(sub)
     e_alpha = lifetime.alpha_weighted_lifetime_sum(dist, cfg.alpha)
     pmag = {
         scale_key(s): magnitude.positive_magnitude(dist, s)
@@ -313,9 +301,7 @@ def _bounds_stage(
         pmag_samples = []
         for r in group:
             traj = load_trajectory(out_dir / "cells" / r.run_id / "trajectory")
-            dist = geometry.pairwise_distances(traj)
-            dist = geometry.deduplicate(dist, geometry.default_dedup_eps(dist))
-            value = magnitude.positive_magnitude(dist, s_theorem)
+            value = magnitude.positive_magnitude(geometry.distance_matrix(traj), s_theorem)
             pmag_samples.append(value)
             r.pmag[THEOREM_KEY] = value
             (out_dir / "cells" / r.run_id / "record.json").write_text(r.to_json())
@@ -375,10 +361,9 @@ def _write_reports(
         reports[kind] = rep
         (report_dir / f"grid_{kind}.csv").write_text(rep.to_csv())
 
+    stab_reports = sorted(stab_reports, key=lambda r: r.n)
     if stab_reports:
-        lines = [stability.STABILITY_CSV_HEADER]
-        lines += [r.csv_row() for r in sorted(stab_reports, key=lambda r: r.n)]
-        (report_dir / "stability.csv").write_text("\n".join(lines) + "\n")
+        (report_dir / "stability.csv").write_text(stability.stability_csv(stab_reports))
 
     summary = {
         "task": cfg.task,
@@ -387,12 +372,11 @@ def _write_reports(
         "runs": [json.loads(r.to_json()) for r in records],
         "per_n_stats": {
             kind: {
-                str(n): {"tau": g.tau, "r": g.r, "slope": g.slope, "count": g.count}
-                for n, g in rep.per_n_stats.items()
+                str(n): asdict(g) for n, g in rep.per_n_stats.items()
             }
             for kind, rep in reports.items()
         },
-        "stability": [json.loads(r.to_json()) for r in sorted(stab_reports, key=lambda r: r.n)],
+        "stability": [asdict(r) for r in stab_reports],
         "bounds": bound_rows,
     }
     (report_dir / "summary.json").write_text(

@@ -11,7 +11,7 @@ smooth Lipschitz losses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -24,6 +24,7 @@ from .trainer import (
     PerturbSpec,
     SGDConfig,
     loss_matrix,
+    make_task,
     make_task_and_data,
     perturb_dataset,
     projected_sgd,
@@ -113,9 +114,11 @@ class StabilityConfig:
     converge_iterations: int = 400
     class_sep: float = 1.0
     noise: float = 1.0
+    hidden: int = 8
 
     def __post_init__(self) -> None:
-        check_fields(self, "stability config")
+        check_fields(type(self), vars(self), "stability config")
+        make_task(self.task, self.input_dim, self.hidden)
         if self.J is None:
             self.J = default_injection_count(self.n)
         if self.init_mode not in INIT_MODES:
@@ -140,37 +143,25 @@ class StabilityReport:
     `beta_hats` divides it by the replacement count J, giving the
     per-replacement stability coefficient that the deviation is assumed to
     scale with (for J = 0 the two coincide at zero). Mean and stderr refer
-    to `beta_hats`.
+    to `beta_hats`. The field order is the key order of `to_json`.
     """
 
-    beta_hats: list[float]
-    raw_deviations: list[float]
-    seeds: list[int]
-    mean: float
-    stderr: float
     n: int
     J: int
     direction: str
     eval_split: str
     init_mode: str
+    seeds: list[int]
+    beta_hats: list[float]
+    raw_deviations: list[float]
+    mean: float
+    stderr: float
 
     def __post_init__(self) -> None:
-        check_fields(self, "stability report")
+        check_fields(type(self), vars(self), "stability report")
 
     def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "J": self.J,
-            "direction": self.direction,
-            "eval_split": self.eval_split,
-            "init_mode": self.init_mode,
-            "seeds": self.seeds,
-            "beta_hats": self.beta_hats,
-            "raw_deviations": self.raw_deviations,
-            "mean": self.mean,
-            "stderr": self.stderr,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def csv_row(self) -> str:
         return ",".join(
@@ -187,6 +178,11 @@ class StabilityReport:
 
 
 STABILITY_CSV_HEADER = "init_mode,eval_split,n,J,mean,stderr,seeds"
+
+
+def stability_csv(reports: list[StabilityReport]) -> str:
+    """The text of `stability.csv`: the header, then one row per report."""
+    return "\n".join([STABILITY_CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
 
 
 def _probe_set(
@@ -212,36 +208,26 @@ def run_single_seed(cfg: StabilityConfig, seed: int) -> float:
     """One Algorithm-style estimate: train twin runs differing only in J
     injected samples, then compare their loss matrices."""
     task, data, pool = make_task_and_data(
-        cfg.task, cfg.n, cfg.input_dim, seed, class_sep=cfg.class_sep, noise=cfg.noise
+        cfg.task, cfg.n, cfg.input_dim, seed,
+        class_sep=cfg.class_sep, noise=cfg.noise, hidden=cfg.hidden,
     )
     spec = PerturbSpec(J=cfg.J, pool=pool, seed=seed)
     data_perturbed = perturb_dataset(data, spec)
     injected = pool.ids[: cfg.J]
 
-    w0 = None
-    tag = "window"
-    if cfg.init_mode == "locally_converged":
-        warm_cfg = SGDConfig(
-            radius=cfg.radius,
-            step=cfg.step,
-            iterations=cfg.converge_iterations,
-            seed=seed,
-            step_rule=cfg.step_rule,
-            stream_tag="warmup",
-        )
-        w0 = projected_sgd(task, data, warm_cfg).points[-1]
-
-    run_cfg = dict(
+    sgd = SGDConfig(
         radius=cfg.radius,
         step=cfg.step,
         iterations=cfg.iterations,
         seed=seed,
         step_rule=cfg.step_rule,
-        w0=w0,
-        stream_tag=tag,
+        stream_tag="window",
     )
-    traj_a = projected_sgd(task, data, SGDConfig(**run_cfg))
-    traj_b = projected_sgd(task, data_perturbed, SGDConfig(**run_cfg))
+    if cfg.init_mode == "locally_converged":
+        warm = replace(sgd, iterations=cfg.converge_iterations, stream_tag="warmup")
+        sgd = replace(sgd, w0=projected_sgd(task, data, warm).points[-1])
+    traj_a = projected_sgd(task, data, sgd)
+    traj_b = projected_sgd(task, data_perturbed, sgd)
 
     probes = _probe_set(cfg, seed, data_perturbed, pool, injected)
     losses_a = loss_matrix(task, traj_a, probes, "probe")

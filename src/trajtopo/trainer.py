@@ -9,7 +9,7 @@ batch-index stream can be shared between a run and its perturbed twin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -142,7 +142,6 @@ class Dataset:
 
     samples: np.ndarray
     n: int
-    seed: int
     ids: np.ndarray
 
     def __post_init__(self) -> None:
@@ -155,7 +154,7 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(self.samples[idx], len(idx), self.seed, self.ids[idx])
+        return Dataset(self.samples[idx], len(idx), self.ids[idx])
 
 
 @dataclass
@@ -279,7 +278,7 @@ def perturb_dataset(data: Dataset, spec: PerturbSpec) -> Dataset:
         where = stream(spec.seed, "perturb").choice(data.n, size=spec.J, replace=False)
         samples[where] = spec.pool.samples[: spec.J]
         ids[where] = spec.pool.ids[: spec.J]
-    return Dataset(samples=samples, n=data.n, seed=data.seed, ids=ids)
+    return Dataset(samples=samples, n=data.n, ids=ids)
 
 
 def loss_matrix(
@@ -296,13 +295,16 @@ def loss_matrix(
 
 
 def make_task(kind: str, input_dim: int, hidden: int = 8) -> SyntheticTask:
+    """The task of `kind`; the one check of the task kind and its sizes."""
+    if kind not in TASK_KINDS:
+        raise InvalidInputError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
+    if input_dim < 1 or hidden < 1:
+        raise InvalidInputError("input_dim and hidden must be >= 1")
     if kind == "quadratic":
         return QuadraticTask(input_dim)
     if kind == "logistic_regression":
         return LogisticTask(input_dim)
-    if kind == "small_mlp":
-        return SmallMLPTask(input_dim, hidden=hidden)
-    raise InvalidInputError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
+    return SmallMLPTask(input_dim, hidden=hidden)
 
 
 def make_task_and_data(
@@ -337,6 +339,6 @@ def make_task_and_data(
         center = class_sep / np.sqrt(input_dim)
         features = center * labels[:, None] + noise * rng.standard_normal((total, input_dim))
     samples = np.hstack([features, labels[:, None]])
-    train = Dataset(samples[:n], n, seed, ids=np.arange(n, dtype=np.int64))
-    pool = Dataset(samples[n:], pool_size, seed, ids=np.arange(n, total, dtype=np.int64))
+    train = Dataset(samples[:n], n, ids=np.arange(n, dtype=np.int64))
+    pool = Dataset(samples[n:], pool_size, ids=np.arange(n, total, dtype=np.int64))
     return task, train, pool

@@ -8,6 +8,7 @@ coordinate by coordinate, and Rademacher sups are looped in pure Python.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
@@ -184,3 +185,46 @@ def tie_break_prim_edges(d: np.ndarray) -> list[tuple[int, int, float]]:
             parent[t[swap]] = v
     edges.sort(key=lambda e: (e[0], e[1]))
     return edges
+
+
+def stability_report_json(report) -> str:
+    """A stability report as JSON with its keys listed by hand."""
+    doc = {
+        "n": report.n,
+        "J": report.J,
+        "direction": report.direction,
+        "eval_split": report.eval_split,
+        "init_mode": report.init_mode,
+        "seeds": report.seeds,
+        "beta_hats": report.beta_hats,
+        "raw_deviations": report.raw_deviations,
+        "mean": report.mean,
+        "stderr": report.stderr,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def bound_result_json(result) -> str:
+    """A bound result as JSON with its keys listed by hand."""
+    doc = {
+        "theorem": result.theorem,
+        "beta": result.beta,
+        "value": result.value,
+        "inputs": dict(sorted(result.inputs.items())),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their positions."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from oracles import average_ranks
 from trajtopo.analysis import (
     GRID_CSV_HEADER,
     grid_report,
@@ -143,6 +144,26 @@ class TestSpearman:
         np.testing.assert_allclose(
             spearman(x, y), scipy.stats.spearmanr(x, y).statistic, rtol=1e-12
         )
+
+    def test_equals_loop_ranks(self, rng):
+        """Spearman is bit-identical to Pearson r of the ranks that a
+        tie-grouping loop assigns, with and without ties."""
+        cases = [
+            ([3.0, 1.0, 2.0, 5.0], [1.0, 2.0, 3.0, 4.0]),
+            ([1.0, 1.0, 2.0, 2.0, 2.0, 0.0], [0.5, 0.5, 0.5, 1.0, 2.0, 3.0]),
+        ]
+        for _ in range(2000):
+            size = int(rng.integers(2, 40))
+            cases.append((rng.integers(0, 6, size).astype(float), rng.standard_normal(size)))
+        for x, y in cases:
+            for a, b in ((np.asarray(x), np.asarray(y)), (np.asarray(y), np.asarray(x))):
+                try:
+                    expected = pearson(average_ranks(a), average_ranks(b))[0]
+                except UndefinedStatisticError:
+                    with pytest.raises(UndefinedStatisticError):
+                        spearman(a, b)
+                else:
+                    assert spearman(a, b) == expected
 
 
 class TestGridReport:

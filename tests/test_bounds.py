@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import distances_of, make_trajectory
-from oracles import brute_rademacher
+from oracles import bound_result_json, brute_rademacher
 from trajtopo.artifacts import LossMatrix
 from trajtopo.bounds import (
+    BoundResult,
     ConstantsEstimate,
     ealpha_bound,
     estimate_constants,
@@ -104,6 +105,21 @@ class TestPmagBound:
         np.testing.assert_allclose(
             pmag_bound(1.6, 1.5, 1.0, [2.0, 4.0]).value, 2.0 * base, rtol=1e-12
         )
+
+
+class TestBoundResultJson:
+    def test_to_json_key_order(self):
+        """Bound results serialize with the hand-listed key order of the
+        JSON format and sorted inputs, byte for byte."""
+        results = [
+            ealpha_bound(0.02, 1.5, kn_alpha(100, 2.0, 1.5, 0.5), [1.0, 2.5, 3.0]),
+            ealpha_bound(1.0, 1.0, 5.0, [0.0]),
+            pmag_bound(0.03, 2.0, 0.5, [1.5, 4.0, 9.0]),
+            BoundResult(theorem="pmag", beta=0.5, value=2.0, inputs={"z": 1.0, "a": 2}),
+            BoundResult(theorem="ealpha", beta=1e-9, value=0.0),
+        ]
+        for result in results:
+            assert result.to_json() == bound_result_json(result)
 
 
 class TestRademacher:

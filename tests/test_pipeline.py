@@ -453,6 +453,14 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "lacks ['gen_gap']"),
         (_RERUN, _finished_run("cells/*/constants.json", lambda d: d.pop("lipschitz")),
          "lacks ['lipschitz']"),
+        (["report", "{out}"],
+         _finished_run("cells/*/record.json", lambda d: d.update(gen_gap=None)),
+         "record.json 'gen_gap' must be float, got None"),
+        (_RERUN, _finished_run("cells/*/constants.json", lambda d: d.update(lipschitz="x")),
+         "constants.json 'lipschitz' must be float, got 'x'"),
+        (["report", "{out}"],
+         _finished_run("report/summary.json", lambda d: d["stability"][0].update(mean=None)),
+         "summary.json 'mean' must be float, got None"),
     ],
     ids=["bound-without-samples", "report-without-records", "report-without-summary",
          "stability-n-string", "stability-n-float", "stability-n-null-list",
@@ -462,7 +470,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "traj-gen-iterations-0", "traj-gen-unknown-task", "report-summary-scales-strings",
          "report-summary-scales-empty", "report-summary-task-int",
          "report-summary-stability-entry-partial", "report-record-without-gen-gap",
-         "rerun-record-without-gen-gap", "rerun-constants-without-lipschitz"],
+         "rerun-record-without-gen-gap", "rerun-constants-without-lipschitz",
+         "report-record-gen-gap-null", "rerun-constants-lipschitz-string",
+         "report-summary-stability-mean-null"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -506,9 +516,10 @@ def _misuse_cases():
         yield pytest.param(_RUN + ["--set", f"stability.{f.name}={json.dumps(value)}"], _TINY_RUN,
                            id=f"set-stability.{f.name}")
     yield pytest.param(_RUN, {**_TINY_RUN, "n_grid": [20.5]}, id="file-n_grid-float")
-    for key in ("input_dim", "hidden"):
-        yield pytest.param(_RUN, {**_TINY_RUN, key: 0}, id=f"file-{key}-0")
-        yield pytest.param(_RUN + ["--set", f"{key}=0"], _TINY_RUN, id=f"set-{key}-0")
+    for key, value in (("input_dim", 0), ("hidden", 0), ("lipschitz", -1), ("loss_bound", 0)):
+        yield pytest.param(_RUN, {**_TINY_RUN, key: value}, id=f"file-{key}-{value}")
+        yield pytest.param(_RUN + ["--set", f"{key}={value}"], _TINY_RUN,
+                           id=f"set-{key}-{value}")
     yield pytest.param(_RUN + ["--set", "validate=1"], _TINY_RUN, id="set-validate")
     yield pytest.param(_RUN + ["--set", 'stability={"J":"x"}'], _TINY_RUN,
                        id="set-stability-J-string")
@@ -521,6 +532,9 @@ def _misuse_cases():
                        id="stability-config-seeds-int")
     yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "iterations": "a"},
                        id="stability-config-iterations-string")
+    for key in ("input_dim", "hidden"):
+        yield pytest.param(["stability", "--config", "{cfg}"], {**stab, key: 0},
+                           id=f"stability-config-{key}-0")
 
 
 @pytest.mark.parametrize("argv, doc", _misuse_cases())
@@ -535,6 +549,23 @@ def test_config_misuse_exits_2_before_training(tmp_path, capsys, argv, doc):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (out / "cells").exists()
+
+
+def test_stability_stage_uses_hidden(tmp_path, capsys):
+    """A `small_mlp` run's stability stage trains the network width the run
+    configures: its report equals `stability --config` with that `hidden`."""
+    run = {"task": "small_mlp", "input_dim": 3, "hidden": 4, "n_grid": [20], "eta_grid": [0.1],
+           "seeds": [0, 1], "iterations": 30, "subsample": 20,
+           "stability": {"J": 2, "iterations": 20}}
+    run_pipeline(config_from_dict(run), output_dir=tmp_path / "out")
+    summary = json.loads((tmp_path / "out" / "report" / "summary.json").read_text())
+    stab = {"task": "small_mlp", "input_dim": 3, "hidden": 4, "n": 20, "seeds": [0, 1],
+            "J": 2, "iterations": 20, "step": 0.1}
+    path = tmp_path / "stab.json"
+    path.write_text(json.dumps(stab))
+    capsys.readouterr()
+    assert main(["stability", "--config", str(path)]) == 0
+    assert [json.loads(capsys.readouterr().out)] == summary["stability"]
 
 
 def test_help_prints_usage_and_exits_0(capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import blocked_max_min_estimate
+from oracles import blocked_max_min_estimate, stability_report_json
 from trajtopo.artifacts import LossMatrix
 from trajtopo.errors import InvalidInputError
 from trajtopo.stability import (
     StabilityConfig,
+    StabilityReport,
     analytic_sgd_stability,
     default_injection_count,
     estimate_stability,
@@ -213,3 +214,25 @@ class TestExperiment:
         row = report.csv_row().split(",")
         assert row[0] == "random_init" and row[1] == "train"
         assert row[2] == "12" and row[3] == "2"
+
+    def test_to_json_key_order(self):
+        """Reports serialize with the hand-listed key order of the JSON
+        format, byte for byte."""
+        cfg = StabilityConfig(
+            task="quadratic", n=12, J=2, seeds=[0, 1], input_dim=2,
+            iterations=10, step=0.2, direction="symmetrized",
+        )
+        reports = [
+            run_stability_experiment(cfg),
+            StabilityReport(
+                beta_hats=[0.125, 1e-17], raw_deviations=[0.25, 2e-17], seeds=[3, 9],
+                mean=0.0625, stderr=0.0625, n=400, J=2, direction="directed",
+                eval_split="validation", init_mode="locally_converged",
+            ),
+            StabilityReport(
+                beta_hats=[0.0], raw_deviations=[0.0], seeds=[0], mean=0.0, stderr=0.0,
+                n=1, J=0, direction="directed", eval_split="train", init_mode="random_init",
+            ),
+        ]
+        for report in reports:
+            assert report.to_json() == stability_report_json(report)

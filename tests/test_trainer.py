@@ -21,7 +21,6 @@ def dataset(rows, start_id=0):
     return Dataset(
         samples=rows,
         n=rows.shape[0],
-        seed=0,
         ids=np.arange(start_id, start_id + rows.shape[0]),
     )
 
