@@ -23,17 +23,21 @@ ROLES = ("trajectory", "loss_matrix", "distance_matrix")
 SPLITS = ("train", "test", "probe")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ArtifactManifest:
-    """Sidecar description of one binary matrix."""
+    """Sidecar description of one binary matrix. The field order is the key
+    order of `<stem>.json`."""
 
-    role: str
-    shape: tuple[int, int]
-    metadata: dict[str, str] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
+    role: str
     dtype: str = DTYPE
+    shape: list[int]
+    metadata: dict[str, str] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if isinstance(self.shape, tuple):  # a numpy shape
+            self.shape = list(self.shape)
+        check_fields(type(self), vars(self), "manifest")
         if self.schema_version != SCHEMA_VERSION:
             raise UnsupportedVersionError(
                 f"unsupported schema_version {self.schema_version!r}, expected {SCHEMA_VERSION}"
@@ -42,10 +46,8 @@ class ArtifactManifest:
             raise InvalidInputError(f"unknown artifact role {self.role!r}")
         if self.dtype != DTYPE:
             raise InvalidInputError(f"unsupported dtype {self.dtype!r}, expected {DTYPE!r}")
-        if len(self.shape) != 2 or any(int(s) <= 0 for s in self.shape):
+        if len(self.shape) != 2 or any(s <= 0 for s in self.shape):
             raise InvalidInputError(f"shape must be two positive integers, got {self.shape!r}")
-        if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()):
-            raise InvalidInputError("metadata must map strings to strings")
 
 
 def read_json_object(path: str | Path, what: str = "config") -> dict:
@@ -61,42 +63,28 @@ def read_json_object(path: str | Path, what: str = "config") -> dict:
 
 def write_artifact(manifest: ArtifactManifest, matrix: np.ndarray, path: str | Path) -> None:
     """Write ``<path>.json`` and ``<path>.bin`` for a finite 2-D matrix."""
-    manifest.validate()
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape != tuple(int(s) for s in manifest.shape):
+    if list(matrix.shape) != manifest.shape:
         raise InvalidInputError(
             f"matrix shape {matrix.shape} does not match manifest shape {tuple(manifest.shape)}"
         )
     if not np.isfinite(matrix).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    doc = {
-        "schema_version": manifest.schema_version,
-        "role": manifest.role,
-        "dtype": manifest.dtype,
-        "shape": [int(s) for s in manifest.shape],
-        "metadata": dict(sorted(manifest.metadata.items())),
-    }
+    doc = asdict(manifest) | {"metadata": dict(sorted(manifest.metadata.items()))}
     Path(f"{path}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     Path(f"{path}.bin").write_bytes(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
-def read_artifact(path: str | Path) -> tuple[ArtifactManifest, np.ndarray]:
-    """Inverse of :func:`write_artifact`."""
+def read_artifact(path: str | Path, role: str) -> tuple[ArtifactManifest, np.ndarray]:
+    """Inverse of :func:`write_artifact`; the manifest must declare `role`."""
     json_path = Path(f"{path}.json")
     bin_path = Path(f"{path}.bin")
-    doc = read_json_object(json_path, "manifest")
-    try:
-        manifest = ArtifactManifest(
-            role=doc["role"],
-            shape=tuple(doc["shape"]),
-            metadata=doc.get("metadata", {}),
-            schema_version=doc["schema_version"],
-            dtype=doc["dtype"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"manifest {json_path} is missing required keys: {exc}") from exc
-    manifest.validate()
-    rows, cols = (int(s) for s in manifest.shape)
+    manifest = from_json_object(
+        ArtifactManifest, read_json_object(json_path, "manifest"), f"manifest {json_path}"
+    )
+    if manifest.role != role:
+        raise InvalidInputError(f"artifact {path} has role {manifest.role!r}, not {role}")
+    rows, cols = manifest.shape
     payload = bin_path.read_bytes()
     expected = 8 * rows * cols
     if len(payload) != expected:
@@ -202,27 +190,30 @@ def join_ids(ids: np.ndarray) -> str:
     return ",".join(str(int(i)) for i in ids)
 
 
-def split_ids(text: str) -> np.ndarray:
-    """Inverse of :func:`join_ids`."""
-    if text == "":
-        return np.zeros(0, dtype=np.int64)
-    return np.array([int(p) for p in text.split(",")], dtype=np.int64)
+def parse_ids(metadata: dict[str, str], key: str, path: str | Path) -> np.ndarray:
+    """The ids that :func:`join_ids` stored under `key` of the metadata of
+    artifact `path`; the key is required."""
+    if key not in metadata:
+        raise InvalidInputError(f"artifact {path} lacks metadata key {key!r}")
+    try:
+        return np.array([int(p) for p in metadata[key].split(",")], dtype=np.int64)
+    except ValueError:
+        raise InvalidInputError(
+            f"artifact {path} metadata {key!r} must be comma-separated integers, "
+            f"got {metadata[key]!r}"
+        ) from None
 
 
 def save_trajectory(traj: Trajectory, path: str | Path) -> None:
-    meta = dict(traj.meta)
-    meta["iteration_ids"] = join_ids(traj.iteration_ids)
+    meta = traj.meta | {"iteration_ids": join_ids(traj.iteration_ids)}
     manifest = ArtifactManifest(role="trajectory", shape=traj.points.shape, metadata=meta)
     write_artifact(manifest, traj.points, path)
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    manifest, matrix = read_artifact(path)
-    if manifest.role != "trajectory":
-        raise InvalidInputError(f"artifact {path} has role {manifest.role!r}, not trajectory")
-    meta = dict(manifest.metadata)
-    ids_text = meta.pop("iteration_ids", "")
-    ids = split_ids(ids_text) if ids_text else np.arange(matrix.shape[0], dtype=np.int64)
+    manifest, matrix = read_artifact(path, "trajectory")
+    ids = parse_ids(manifest.metadata, "iteration_ids", path)
+    meta = {k: v for k, v in manifest.metadata.items() if k != "iteration_ids"}
     return Trajectory(points=matrix, iteration_ids=ids, meta=meta)
 
 
@@ -237,16 +228,11 @@ def save_loss_matrix(losses: LossMatrix, path: str | Path) -> None:
 
 
 def load_loss_matrix(path: str | Path) -> LossMatrix:
-    manifest, matrix = read_artifact(path)
-    if manifest.role != "loss_matrix":
-        raise InvalidInputError(f"artifact {path} has role {manifest.role!r}, not loss_matrix")
+    manifest, matrix = read_artifact(path, "loss_matrix")
     meta = manifest.metadata
-    try:
-        return LossMatrix(
-            values=matrix,
-            iteration_ids=split_ids(meta["iteration_ids"]),
-            sample_ids=split_ids(meta["sample_ids"]),
-            split=meta["split"],
-        )
-    except KeyError as exc:
-        raise InvalidInputError(f"loss-matrix artifact {path} lacks metadata key {exc}") from exc
+    return LossMatrix(
+        values=matrix,
+        iteration_ids=parse_ids(meta, "iteration_ids", path),
+        sample_ids=parse_ids(meta, "sample_ids", path),
+        split=meta.get("split"),
+    )

@@ -139,7 +139,7 @@ def cmd_traj_gen(args: argparse.Namespace) -> int:
 
 def cmd_distmat(args: argparse.Namespace) -> int:
     traj = load_trajectory(args.trajectory)
-    if args.subsample:
+    if args.subsample is not None:
         traj = geometry.subsample_uniform(traj, args.subsample, args.seed)
     dist = geometry.distance_matrix(traj, args.dedup_eps)
     save_distance_matrix(dist, args.out)
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int)
     p.add_argument("--input-dim", type=int)
     p.add_argument("--radius", type=float)
-    p.add_argument("--step-rule", choices=["constant", "decaying"])
+    p.add_argument("--step-rule", choices=trainer.STEP_RULES)
     p.add_argument("--class-sep", type=float)
     p.add_argument("--noise", type=float)
     p.add_argument("--out")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .artifacts import (ArtifactManifest, Trajectory, join_ids, read_artifact, split_ids,
+from .artifacts import (ArtifactManifest, Trajectory, join_ids, parse_ids, read_artifact,
                         write_artifact)
 from .errors import InvalidInputError
 from .rng import stream
@@ -123,9 +123,5 @@ def save_distance_matrix(dist: DistanceMatrix, path: str | Path) -> None:
 
 
 def load_distance_matrix(path: str | Path) -> DistanceMatrix:
-    manifest, matrix = read_artifact(path)
-    if manifest.role != "distance_matrix":
-        raise InvalidInputError(f"artifact {path} has role {manifest.role!r}, not distance_matrix")
-    ids_text = manifest.metadata.get("point_ids", "")
-    ids = split_ids(ids_text) if ids_text else np.arange(matrix.shape[0], dtype=np.int64)
-    return DistanceMatrix(values=matrix, point_ids=ids)
+    manifest, matrix = read_artifact(path, "distance_matrix")
+    return DistanceMatrix(values=matrix, point_ids=parse_ids(manifest.metadata, "point_ids", path))

@@ -88,12 +88,17 @@ class ExperimentConfig:
             raise InvalidInputError("sample sizes must be >= 1")
         if self.iterations < 1 or self.warmup < 0:
             raise InvalidInputError("iteration counts out of range")
-        if self.step_rule not in ("constant", "decaying"):
+        if self.step_rule not in trainer.STEP_RULES:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
         if self.subsample < 1:
             raise InvalidInputError("subsample size must be >= 1")
         if not 0 <= self.alpha:
             raise InvalidInputError("alpha must be nonnegative")
+        if self.stability is not None and not 0 < self.alpha <= 1:
+            # the bounds stage evaluates the lifetime-sum bound at this alpha
+            raise InvalidInputError(
+                f"alpha must lie in (0, 1] with a stability section, got {self.alpha}"
+            )
         magnitude.ScaleGrid(tuple(sorted(set(self.pmag_scales))))
         if self.theorem_lambda <= 0:
             raise InvalidInputError("theorem_lambda must be positive")
@@ -292,8 +297,7 @@ def _bounds_stage(
         if beta is None or beta <= 0:
             # bound needs a positive stability coefficient
             continue
-        alpha = cfg.alpha if 0 < cfg.alpha <= 1 else 1.0
-        k_const = bounds.kn_alpha(n, lipschitz, loss_bound, alpha)
+        k_const = bounds.kn_alpha(n, lipschitz, loss_bound, cfg.alpha)
         ealpha_samples = [r.e_alpha for r in group]
         res_e = bounds.ealpha_bound(beta, loss_bound, k_const, ealpha_samples)
 
@@ -307,12 +311,15 @@ def _bounds_stage(
             (out_dir / "cells" / r.run_id / "record.json").write_text(r.to_json())
         res_p = bounds.pmag_bound(beta, loss_bound, cfg.theorem_lambda, pmag_samples)
 
+        # the closed form needs every cell's smoothness G and a first step below 1/G
         analytic = None
-        if cfg.step_rule == "decaying" and cfg.task == "quadratic":
-            step = float(cfg.eta_grid[0])
-            if step < 1.0:
+        smoothness = [c.smoothness for c in consts]
+        step = float(cfg.eta_grid[0])
+        if cfg.step_rule == "decaying" and None not in smoothness:
+            g = max(smoothness)
+            if step < 1.0 / g:
                 analytic = stability.analytic_sgd_stability(
-                    lipschitz, 1.0, cfg.radius, step, n, cfg.iterations
+                    lipschitz, g, cfg.radius, step, n, cfg.iterations
                 )
         row = {
             "n": n,
@@ -320,7 +327,7 @@ def _bounds_stage(
             "analytic_beta": analytic,
             "L": lipschitz,
             "B": loss_bound,
-            "alpha": alpha,
+            "alpha": cfg.alpha,
             "K": k_const,
             "lambda": cfg.theorem_lambda,
             "theorem_scale": s_theorem,

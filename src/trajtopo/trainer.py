@@ -20,6 +20,7 @@ from .errors import InvalidInputError, NumericalFailureError
 from .rng import stream
 
 TASK_KINDS = ("quadratic", "logistic_regression", "small_mlp")
+STEP_RULES = ("constant", "decaying")
 
 
 class SyntheticTask:
@@ -188,7 +189,7 @@ class SGDConfig:
             raise InvalidInputError("projection radius must be positive")
         if self.step < 0:
             raise InvalidInputError("step constant must be nonnegative")
-        if self.step_rule not in ("constant", "decaying"):
+        if self.step_rule not in STEP_RULES:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
         if self.iterations < 0:
             raise InvalidInputError("iteration count must be nonnegative")

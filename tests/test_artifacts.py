@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from trajtopo.artifacts import (
     write_artifact,
 )
 from trajtopo.errors import InvalidInputError, UnsupportedVersionError
+from trajtopo.geometry import DistanceMatrix, load_distance_matrix, save_distance_matrix
 
 
 def manifest_for(matrix, role="trajectory", **meta):
@@ -28,7 +30,7 @@ class TestWriteRead:
         matrix = np.array([[0.0]])
         write_artifact(manifest_for(matrix), matrix, tmp_path / "a")
         assert (tmp_path / "a.bin").stat().st_size == 8
-        _, back = read_artifact(tmp_path / "a")
+        _, back = read_artifact(tmp_path / "a", "trajectory")
         np.testing.assert_array_equal(back, matrix)
 
     def test_bytes_are_little_endian_row_major(self, tmp_path):
@@ -49,7 +51,7 @@ class TestWriteRead:
             rows, cols = rng.integers(1, 20, size=2)
             matrix = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 8)
             write_artifact(manifest_for(matrix, role="loss_matrix"), matrix, tmp_path / f"m{trial}")
-            _, back = read_artifact(tmp_path / f"m{trial}")
+            _, back = read_artifact(tmp_path / f"m{trial}", "loss_matrix")
             assert back.tobytes() == matrix.tobytes()
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -58,7 +60,7 @@ class TestWriteRead:
         payload = (tmp_path / "a.bin").read_bytes()
         (tmp_path / "a.bin").write_bytes(payload[:-8])
         with pytest.raises(InvalidInputError, match="bytes"):
-            read_artifact(tmp_path / "a")
+            read_artifact(tmp_path / "a", "trajectory")
 
     def test_future_schema_version_rejected(self, tmp_path):
         matrix = np.ones((1, 1))
@@ -67,14 +69,14 @@ class TestWriteRead:
         doc["schema_version"] = 2
         (tmp_path / "a.json").write_text(json.dumps(doc))
         with pytest.raises(UnsupportedVersionError):
-            read_artifact(tmp_path / "a")
+            read_artifact(tmp_path / "a", "trajectory")
 
     def test_nan_payload_rejected(self, tmp_path):
         matrix = np.ones((1, 2))
         write_artifact(manifest_for(matrix), matrix, tmp_path / "a")
         (tmp_path / "a.bin").write_bytes(struct.pack("<2d", 1.0, float("nan")))
         with pytest.raises(InvalidInputError, match="non-finite"):
-            read_artifact(tmp_path / "a")
+            read_artifact(tmp_path / "a", "trajectory")
 
     def test_non_finite_write_rejected(self, tmp_path):
         matrix = np.array([[np.inf]])
@@ -91,7 +93,7 @@ class TestWriteRead:
         write_artifact(manifest_for(matrix), matrix, tmp_path / "a")
         (tmp_path / "a.json").write_text("{not json")
         with pytest.raises(InvalidInputError, match="malformed"):
-            read_artifact(tmp_path / "a")
+            read_artifact(tmp_path / "a", "trajectory")
 
     def test_manifest_key_layout(self, tmp_path):
         """Sidecar JSON carries exactly the five documented keys."""
@@ -109,11 +111,11 @@ class TestWriteRead:
 
     def test_unknown_role_rejected(self):
         with pytest.raises(InvalidInputError, match="role"):
-            ArtifactManifest(role="weights", shape=(1, 1), metadata={}).validate()
+            ArtifactManifest(role="weights", shape=(1, 1), metadata={})
 
     def test_nonpositive_shape_rejected(self):
         with pytest.raises(InvalidInputError, match="shape"):
-            ArtifactManifest(role="loss_matrix", shape=(0, 3), metadata={}).validate()
+            ArtifactManifest(role="loss_matrix", shape=(0, 3), metadata={})
 
 
 class TestDomainTypes:
@@ -205,3 +207,79 @@ class TestHelpers:
         write_artifact(manifest_for(matrix, role="loss_matrix"), matrix, tmp_path / "d")
         with pytest.raises(InvalidInputError, match="role"):
             load_trajectory(tmp_path / "d")
+
+
+def _saved(role, path):
+    """A valid two-row artifact of `role` at `path`, and its loader."""
+    if role == "trajectory":
+        save_trajectory(Trajectory(points=np.ones((2, 3)), iteration_ids=[4, 5]), path)
+        return load_trajectory
+    if role == "loss_matrix":
+        losses = LossMatrix(values=np.ones((2, 3)), iteration_ids=[4, 5], sample_ids=[0, 1, 2],
+                            split="train")
+        save_loss_matrix(losses, path)
+        return load_loss_matrix
+    save_distance_matrix(DistanceMatrix(values=[[0.0, 1.0], [1.0, 0.0]], point_ids=[4, 5]), path)
+    return load_distance_matrix
+
+
+def _edit_manifest(stem, edit):
+    path = stem.parent / f"{stem.name}.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+_ID_KEYS = [("trajectory", "iteration_ids"), ("loss_matrix", "iteration_ids"),
+            ("loss_matrix", "sample_ids"), ("distance_matrix", "point_ids")]
+
+
+class TestManifestChecks:
+    @pytest.mark.parametrize("role, key", _ID_KEYS)
+    @pytest.mark.parametrize("ids", ["a,b", "4,", "", "4.0,5"])
+    def test_non_integer_ids_rejected(self, tmp_path, role, key, ids):
+        load = _saved(role, tmp_path / "a")
+        _edit_manifest(tmp_path / "a", lambda d: d["metadata"].update({key: ids}))
+        with pytest.raises(InvalidInputError, match=re.escape(f"{tmp_path / 'a'} metadata '{key}'")):
+            load(tmp_path / "a")
+
+    @pytest.mark.parametrize("role, key", _ID_KEYS)
+    def test_missing_id_key_rejected(self, tmp_path, role, key):
+        load = _saved(role, tmp_path / "a")
+        _edit_manifest(tmp_path / "a", lambda d: d["metadata"].pop(key))
+        with pytest.raises(InvalidInputError, match=f"lacks metadata key '{key}'"):
+            load(tmp_path / "a")
+
+    @pytest.mark.parametrize("field, value", [
+        ("role", 5), ("shape", "2x3"), ("shape", [2.0, 3]), ("metadata", {"split": 1}),
+        ("schema_version", "1"), ("dtype", None),
+    ])
+    def test_wrong_typed_field_names_the_file(self, tmp_path, field, value):
+        _saved("loss_matrix", tmp_path / "a")
+        _edit_manifest(tmp_path / "a", lambda d: d.update({field: value}))
+        with pytest.raises(InvalidInputError, match=re.escape(f"manifest {tmp_path / 'a.json'} '{field}'")):
+            load_loss_matrix(tmp_path / "a")
+
+    def test_unknown_key_rejected(self, tmp_path):
+        _saved("trajectory", tmp_path / "a")
+        _edit_manifest(tmp_path / "a", lambda d: d.update(comment="x"))
+        with pytest.raises(InvalidInputError, match="unknown manifest .* keys: \\['comment'\\]"):
+            load_trajectory(tmp_path / "a")
+
+    @pytest.mark.parametrize("role", ["trajectory", "loss_matrix", "distance_matrix"])
+    def test_read_artifact_checks_role(self, tmp_path, role):
+        _saved(role, tmp_path / "a")
+        other = "trajectory" if role != "trajectory" else "distance_matrix"
+        with pytest.raises(InvalidInputError, match=f"has role '{role}', not {other}"):
+            read_artifact(tmp_path / "a", other)
+        manifest, _ = read_artifact(tmp_path / "a", role)
+        assert manifest.role == role
+
+    @pytest.mark.parametrize("role", ["trajectory", "loss_matrix", "distance_matrix"])
+    def test_loader_roundtrip_rewrites_same_bytes(self, tmp_path, role):
+        load = _saved(role, tmp_path / "a")
+        manifest, matrix = read_artifact(tmp_path / "a", role)
+        write_artifact(manifest, matrix, tmp_path / "b")
+        for suffix in (".json", ".bin"):
+            assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"a{suffix}").read_bytes()
+        load(tmp_path / "b")

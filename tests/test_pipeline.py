@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trajtopo.analysis import THEOREM_KEY
-from trajtopo.artifacts import RunRecord
+from trajtopo.artifacts import RunRecord, Trajectory, save_trajectory
 from trajtopo.cli import main
 from trajtopo.errors import InvalidInputError, from_json_object
 from trajtopo.pipeline import (
@@ -395,6 +395,22 @@ def _finished_run(pattern: str, edit):
     return prepare
 
 
+def _artifacts(edit=None):
+    """A trajectory artifact `out/t` and its distance matrix `out/d`; `edit`
+    changes the JSON object of `out/<stem>.json` for each `stem: edit`."""
+    def prepare(out: Path) -> None:
+        traj = Trajectory(points=np.arange(8.0).reshape(4, 2) ** 2, iteration_ids=[3, 4, 5, 6])
+        save_trajectory(traj, out / "t")
+        assert main(["distmat", str(out / "t"), "--out", str(out / "d")]) == 0
+        for stem, change in (edit or {}).items():
+            path = out / f"{stem}.json"
+            doc = json.loads(path.read_text())
+            change(doc)
+            path.write_text(json.dumps(doc))
+
+    return prepare
+
+
 _RERUN = ["run", "--config", "{out}/cfg.json", "--out", "{out}"]
 _TRAJ_GEN = ["traj-gen", "--n", "5", "--eta", "0.1", "--out", "{out}/tg"]
 _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iterations": 5}
@@ -461,6 +477,21 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["report", "{out}"],
          _finished_run("report/summary.json", lambda d: d["stability"][0].update(mean=None)),
          "summary.json 'mean' must be float, got None"),
+        (["distmat", "{out}/t", "--out", "{out}/d2"],
+         _artifacts({"t": lambda d: d["metadata"].update(iteration_ids="a,b")}),
+         "t metadata 'iteration_ids' must be comma-separated integers, got 'a,b'"),
+        (["distmat", "{out}/t", "--out", "{out}/d2"],
+         _artifacts({"t": lambda d: d["metadata"].pop("iteration_ids")}),
+         "t lacks metadata key 'iteration_ids'"),
+        (["distmat", "{out}/t", "--out", "{out}/d2", "--subsample", "0"], _artifacts(),
+         "subsample size must be >= 1, got 0"),
+        (["lifetime-sum", "{out}/d"], _artifacts({"d": lambda d: d.update(shape="4x4")}),
+         "d.json 'shape' must be list[int], got '4x4'"),
+        (["pmag", "{out}/d", "--scales", "1"],
+         _artifacts({"d": lambda d: d["metadata"].update(point_ids="3,4,5,x")}),
+         "d metadata 'point_ids' must be comma-separated integers"),
+        (["distmat", "{out}/d", "--out", "{out}/d2"], _artifacts(),
+         "has role 'distance_matrix', not trajectory"),
     ],
     ids=["bound-without-samples", "report-without-records", "report-without-summary",
          "stability-n-string", "stability-n-float", "stability-n-null-list",
@@ -472,7 +503,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "report-summary-stability-entry-partial", "report-record-without-gen-gap",
          "rerun-record-without-gen-gap", "rerun-constants-without-lipschitz",
          "report-record-gen-gap-null", "rerun-constants-lipschitz-string",
-         "report-summary-stability-mean-null"],
+         "report-summary-stability-mean-null", "distmat-ids-not-integers",
+         "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
+         "pmag-ids-not-integers", "distmat-wrong-role"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -516,7 +549,8 @@ def _misuse_cases():
         yield pytest.param(_RUN + ["--set", f"stability.{f.name}={json.dumps(value)}"], _TINY_RUN,
                            id=f"set-stability.{f.name}")
     yield pytest.param(_RUN, {**_TINY_RUN, "n_grid": [20.5]}, id="file-n_grid-float")
-    for key, value in (("input_dim", 0), ("hidden", 0), ("lipschitz", -1), ("loss_bound", 0)):
+    for key, value in (("input_dim", 0), ("hidden", 0), ("lipschitz", -1), ("loss_bound", 0),
+                       ("alpha", 2), ("alpha", 0)):
         yield pytest.param(_RUN, {**_TINY_RUN, key: value}, id=f"file-{key}-{value}")
         yield pytest.param(_RUN + ["--set", f"{key}={value}"], _TINY_RUN,
                            id=f"set-{key}-{value}")
@@ -610,16 +644,72 @@ def test_readme_config_table_matches_dataclasses():
     assert set(re.findall(r"`(\w+)`", stability_row)) == {f.name for f in fields(StabilitySettings)}
 
 
-def test_perfbench_span_targets_resolve():
-    """Every per-layer span of the benchmark tracer names a trajtopo
-    function, so moving code cannot silently turn layer time into
-    unattributed time."""
+def _perfbench_layers():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_perfbench_span_targets_resolve():
+    """Every per-layer span of the benchmark tracer names a trajtopo
+    function, so moving code cannot silently turn layer time into
+    unattributed time."""
+    layers = _perfbench_layers()
     assert layers.SPANS
     for _, target, _ in layers.SPANS:
         module_name, attr = target.split(":")
         module = importlib.import_module(f"trajtopo.{module_name}")
         assert callable(getattr(module, attr, None)), target
+
+
+def test_traced_run_and_stage_chain(tmp_path, capsys):
+    """A run and a traj-gen, distmat, lifetime-sum and pmag chain succeed
+    under the benchmark tracer, whose counters read the wrapped functions'
+    arguments and results by name; a signature they rely on cannot change
+    unnoticed."""
+    layers = _perfbench_layers()
+    (tmp_path / "cfg.json").write_text(json.dumps(_TINY_RUN))
+    chain = tmp_path / "chain"
+    argvs = [
+        ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")],
+        ["traj-gen", "--n", "8", "--eta", "0.1", "--iterations", "20", "--input-dim", "2",
+         "--out", str(chain)],
+        ["distmat", str(chain / "trajectory"), "--out", str(chain / "d"), "--subsample", "10"],
+        ["lifetime-sum", str(chain / "d")],
+        ["pmag", str(chain / "d"), "--scales", "1,100"],
+    ]
+    tracer = layers.Tracer()
+    with tracer.installed():
+        assert [main(argv) for argv in argvs] == [0] * len(argvs)
+    assert "not found" not in capsys.readouterr().err
+    for name in ("artifacts.bytes_written", "artifacts.bytes_read", "magnitude.solves",
+                 "lifetime.mst_calls"):
+        assert tracer.counts[name] > 0, name
+
+
+def test_analytic_rows_follow_cell_smoothness(tmp_path):
+    """With decaying steps the bounds stage adds closed-form rows when every
+    cell's constants carry a smoothness G and the first step is below 1/G:
+    the quadratic task's G = 1 at eta 0.05 qualifies, a stored G of 20 not."""
+    out = tmp_path / "out"
+
+    def bound_rows():
+        run_pipeline(small_config(step_rule="decaying"), output_dir=out)
+        rows = json.loads((out / "report" / "summary.json").read_text())["bounds"]
+        assert len(rows) == 2
+        return rows
+
+    assert all(r["analytic_beta"] > 0 and "pmag_bound_analytic" in r for r in bound_rows())
+    for path in out.glob("cells/*/constants.json"):
+        path.write_text(json.dumps({**json.loads(path.read_text()), "smoothness": 20.0}))
+    assert all(r["analytic_beta"] is None and "pmag_bound_analytic" not in r
+               for r in bound_rows())
+
+
+def test_alpha_outside_unit_interval_without_stability_section():
+    """Only the bounds stage needs alpha in (0, 1]; without a stability
+    section any nonnegative alpha is a valid lifetime-sum exponent."""
+    for alpha in (0, 2.5):
+        assert config_from_dict({"alpha": alpha}).alpha == alpha
