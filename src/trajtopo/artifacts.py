@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedVersionError, check_fields, from_json_object
+from .errors import (InvalidInputError, UnsupportedVersionError, check_fields, from_json_object,
+                     naming)
 
 SCHEMA_VERSION = 1
 DTYPE = "f64le"
@@ -214,7 +215,8 @@ def load_trajectory(path: str | Path) -> Trajectory:
     manifest, matrix = read_artifact(path, "trajectory")
     ids = parse_ids(manifest.metadata, "iteration_ids", path)
     meta = {k: v for k, v in manifest.metadata.items() if k != "iteration_ids"}
-    return Trajectory(points=matrix, iteration_ids=ids, meta=meta)
+    with naming(f"artifact {path}"):
+        return Trajectory(points=matrix, iteration_ids=ids, meta=meta)
 
 
 def save_loss_matrix(losses: LossMatrix, path: str | Path) -> None:
@@ -230,9 +232,8 @@ def save_loss_matrix(losses: LossMatrix, path: str | Path) -> None:
 def load_loss_matrix(path: str | Path) -> LossMatrix:
     manifest, matrix = read_artifact(path, "loss_matrix")
     meta = manifest.metadata
-    return LossMatrix(
-        values=matrix,
-        iteration_ids=parse_ids(meta, "iteration_ids", path),
-        sample_ids=parse_ids(meta, "sample_ids", path),
-        split=meta.get("split"),
-    )
+    iteration_ids = parse_ids(meta, "iteration_ids", path)
+    sample_ids = parse_ids(meta, "sample_ids", path)
+    with naming(f"artifact {path}"):
+        return LossMatrix(values=matrix, iteration_ids=iteration_ids, sample_ids=sample_ids,
+                          split=meta.get("split"))

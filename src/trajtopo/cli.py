@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import analysis, bounds, geometry, lifetime, magnitude, pipeline, stability, trainer
 from .artifacts import (
-    RunRecord,
     load_loss_matrix,
     load_trajectory,
     read_json_object,
@@ -257,33 +256,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     runs_dir = Path(args.runs_dir)
-    record_paths = sorted(runs_dir.glob("cells/*/record.json"))
-    if not record_paths:
-        raise InvalidInputError(f"no run records under {runs_dir}")
-    records = [RunRecord.from_json(p.read_text(), f"run record {p}") for p in record_paths]
-    records.sort(key=lambda r: (r.n, r.eta, r.batch, r.seed))
-    summary_path = runs_dir / "report" / "summary.json"
-    if not summary_path.exists():
-        raise InvalidInputError(f"no {summary_path}; report needs a finished `trajtopo run`")
-    summary = read_json_object(summary_path, "summary")
-    keys = ("task", "alpha", "pmag_scales", "stability", "bounds")
-    if not all(k in summary for k in keys):
-        raise InvalidInputError(f"{summary_path} lacks one of {keys}; re-run `trajtopo run`")
-    if not fits(summary["stability"], list[dict]) or not fits(summary["bounds"], list[dict]):
-        raise InvalidInputError(f"{summary_path}: 'stability' and 'bounds' must list objects")
-    cfg = pipeline.config_from_dict({k: summary[k] for k in ("task", "alpha", "pmag_scales")})
-    # older summaries also hold `analytic_beta` and `extras`, which reports no longer carry
-    dropped = ("analytic_beta", "extras")
-    stab_reports = [
-        from_json_object(
-            stability.StabilityReport,
-            {k: v for k, v in doc.items() if k not in dropped},
-            f"stability report in {summary_path}",
-        )
-        for doc in summary["stability"]
-    ]
     out_dir = Path(args.out) if args.out else runs_dir / "report"
-    pipeline._write_reports(cfg, out_dir, records, stab_reports, summary["bounds"])
+    records = pipeline.rebuild_reports(runs_dir, out_dir)
     print(json.dumps({"out": str(out_dir), "runs": len(records)}, sort_keys=True))
     return 0
 

@@ -5,6 +5,7 @@ The CLI maps these onto exit codes: invalid input -> 2, numerical
 failure -> 3. Plain OSError is left alone for filesystem problems.
 """
 
+import contextlib
 import dataclasses
 import numbers
 import types
@@ -62,8 +63,8 @@ def check_fields(cls, values: dict, what: str) -> None:
 
 def from_json_object(cls, doc, what: str):
     """Build dataclass `cls` from a decoded JSON object whose keys are its
-    field names; unknown and missing keys and wrong-typed values raise
-    InvalidInputError, with `what` naming the source."""
+    field names; unknown and missing keys, wrong-typed values and the
+    class's own checks raise InvalidInputError naming the source `what`."""
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} must be a JSON object")
     fields = dataclasses.fields(cls)
@@ -78,4 +79,14 @@ def from_json_object(cls, doc, what: str):
     if missing:
         raise InvalidInputError(f"{what} lacks {missing}")
     check_fields(cls, doc, what)
-    return cls(**doc)
+    with naming(what):
+        return cls(**doc)
+
+
+@contextlib.contextmanager
+def naming(what: str):
+    """Re-raise an InvalidInputError of the block, same class, naming `what`."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc

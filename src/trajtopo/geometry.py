@@ -16,7 +16,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .artifacts import (ArtifactManifest, Trajectory, join_ids, parse_ids, read_artifact,
                         write_artifact)
-from .errors import InvalidInputError
+from .errors import InvalidInputError, naming
 from .rng import stream
 
 DEFAULT_SUBSAMPLE = 1500
@@ -124,4 +124,6 @@ def save_distance_matrix(dist: DistanceMatrix, path: str | Path) -> None:
 
 def load_distance_matrix(path: str | Path) -> DistanceMatrix:
     manifest, matrix = read_artifact(path, "distance_matrix")
-    return DistanceMatrix(values=matrix, point_ids=parse_ids(manifest.metadata, "point_ids", path))
+    point_ids = parse_ids(manifest.metadata, "point_ids", path)
+    with naming(f"artifact {path}"):
+        return DistanceMatrix(values=matrix, point_ids=point_ids)

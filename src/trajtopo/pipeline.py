@@ -24,7 +24,8 @@ from . import analysis, bounds, geometry, lifetime, magnitude, stability, traine
 from .analysis import THEOREM_KEY
 from .artifacts import (LossMatrix, RunRecord, Trajectory, load_trajectory, read_json_object,
                         save_trajectory)
-from .errors import InvalidInputError, NumericalFailureError, check_fields, from_json_object
+from .errors import (InvalidInputError, NumericalFailureError, check_fields, fits, from_json_object,
+                     naming)
 from .rng import stream
 
 
@@ -50,7 +51,8 @@ class ExperimentConfig:
     """Declarative description of a full grid experiment.
 
     Every field can be set in a JSON config file under the same name and
-    overridden from the command line; `validate` checks the result.
+    overridden from the command line. Construction checks every value, the
+    stability section and the SGD settings of every cell included.
     """
 
     task: str = "quadratic"
@@ -76,9 +78,7 @@ class ExperimentConfig:
     output_dir: str | None = None
     jobs: int = 1
 
-    def validate(self) -> None:
-        """Check every value, the stability section included, before any
-        cell trains."""
+    def __post_init__(self) -> None:
         check_fields(type(self), vars(self), "config")
         trainer.make_task(self.task, self.input_dim, self.hidden)
         for name in ("n_grid", "eta_grid", "batch_grid", "seeds"):
@@ -88,8 +88,9 @@ class ExperimentConfig:
             raise InvalidInputError("sample sizes must be >= 1")
         if self.iterations < 1 or self.warmup < 0:
             raise InvalidInputError("iteration counts out of range")
-        if self.step_rule not in trainer.STEP_RULES:
-            raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
+        for eta in self.eta_grid:
+            for batch in self.batch_grid:
+                self.sgd_config(eta, batch, self.seeds[0])
         if self.subsample < 1:
             raise InvalidInputError("subsample size must be >= 1")
         if not 0 <= self.alpha:
@@ -108,6 +109,12 @@ class ExperimentConfig:
             raise InvalidInputError("jobs must be >= 1")
         self.stability_configs()
 
+    def sgd_config(self, eta: float, batch: int, seed: int) -> trainer.SGDConfig:
+        """The SGD settings of the cell (eta, batch, seed): the warm-up and
+        the recorded window in one run."""
+        return trainer.SGDConfig(radius=self.radius, step=eta, seed=seed, batch=batch,
+                                 iterations=self.warmup + self.iterations, step_rule=self.step_rule)
+
     def stability_configs(self) -> list[stability.StabilityConfig]:
         """One stability experiment per sample size, none without a
         stability section. Each field that the run config and
@@ -122,20 +129,19 @@ class ExperimentConfig:
         shared = {k: getattr(self, k) for k in grid_keys} | {"step": float(self.eta_grid[0])}
         shared |= {k: v for k, v in vars(settings).items() if v is not None}
         configs = []
-        for n in sorted(set(self.n_grid)):
-            j = None if settings.J is None else min(settings.J, n)
-            configs.append(stability.StabilityConfig(**(shared | {"n": n, "J": j})))
+        with naming("stability section"):
+            for n in sorted(set(self.n_grid)):
+                j = None if settings.J is None else min(settings.J, n)
+                configs.append(stability.StabilityConfig(**(shared | {"n": n, "J": j})))
         return configs
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build and validate a run config from a decoded JSON object."""
+    """Build a run config, which checks itself, from a decoded JSON object."""
     if doc.get("stability") is not None:
         section = from_json_object(StabilitySettings, doc["stability"], "stability section")
         doc = doc | {"stability": section}
-    cfg = from_json_object(ExperimentConfig, doc, "config")
-    cfg.validate()
-    return cfg
+    return from_json_object(ExperimentConfig, doc, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -160,6 +166,14 @@ class CellResult:
     skipped: bool
 
 
+def _read_record(path: Path) -> RunRecord:
+    return RunRecord.from_json(path.read_text(), f"run record {path}")
+
+
+def _in_grid_order(records: list[RunRecord]) -> list[RunRecord]:
+    return sorted(records, key=lambda r: (r.n, r.eta, r.batch, r.seed))
+
+
 def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int,
                  out_dir: str) -> CellResult:
     """Train one grid cell and write its record and subsampled trajectory.
@@ -171,12 +185,24 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     cell_dir = Path(out_dir) / "cells" / cid
     record_path = cell_dir / "record.json"
     if record_path.exists():
-        record = RunRecord.from_json(record_path.read_text(), f"run record {record_path}")
-        return CellResult(record=record, skipped=True)
+        return CellResult(record=_read_record(record_path), skipped=True)
     try:
-        return _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path)
+        task, window, lm_train, lm_test = train_cell(cfg, n, eta, batch, seed)
+        sub = geometry.subsample_uniform(window, cfg.subsample, seed)
+        dist = geometry.distance_matrix(sub)
+        e_alpha = lifetime.alpha_weighted_lifetime_sum(dist, cfg.alpha)
+        pmag = {scale_key(s): magnitude.positive_magnitude(dist, s) for s in cfg.pmag_scales}
+        consts = bounds.estimate_constants(task, window, lm_train)
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"cell {cid}: {exc}") from exc
+    record = RunRecord(run_id=cid, n=n, eta=float(eta), batch=batch, seed=seed,
+                       gen_gap=analysis.worst_case_gap(lm_train, lm_test), e_alpha=e_alpha,
+                       pmag=pmag)
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    save_trajectory(sub, cell_dir / "trajectory")
+    (cell_dir / "constants.json").write_text(json.dumps(asdict(consts), indent=2) + "\n")
+    record_path.write_text(record.to_json())
+    return CellResult(record=record, skipped=False)
 
 
 def train_cell(
@@ -192,15 +218,7 @@ def train_cell(
         cfg.task, n, cfg.input_dim, seed,
         class_sep=cfg.class_sep, noise=cfg.noise, hidden=cfg.hidden,
     )
-    sgd = trainer.SGDConfig(
-        radius=cfg.radius,
-        step=eta,
-        iterations=cfg.warmup + cfg.iterations,
-        seed=seed,
-        step_rule=cfg.step_rule,
-        batch=batch,
-    )
-    full = trainer.projected_sgd(task, data, sgd)
+    full = trainer.projected_sgd(task, data, cfg.sgd_config(eta, batch, seed))
     window = trainer.tail_window(full, cfg.iterations + 1)
 
     m = min(n, 500)
@@ -208,36 +226,6 @@ def train_cell(
     lm_train = trainer.loss_matrix(task, window, data.take(train_idx), "train")
     lm_test = trainer.loss_matrix(task, window, pool.take(np.arange(m)), "test")
     return task, window, lm_train, lm_test
-
-
-def _compute_cell_fresh(cfg, n, eta, batch, seed, cid, cell_dir, record_path) -> CellResult:
-    task, window, lm_train, lm_test = train_cell(cfg, n, eta, batch, seed)
-    gap = analysis.worst_case_gap(lm_train, lm_test)
-
-    sub = geometry.subsample_uniform(window, cfg.subsample, seed)
-    dist = geometry.distance_matrix(sub)
-    e_alpha = lifetime.alpha_weighted_lifetime_sum(dist, cfg.alpha)
-    pmag = {
-        scale_key(s): magnitude.positive_magnitude(dist, s)
-        for s in cfg.pmag_scales
-    }
-
-    consts = bounds.estimate_constants(task, window, lm_train)
-    record = RunRecord(
-        run_id=cid,
-        n=n,
-        eta=float(eta),
-        batch=batch,
-        seed=seed,
-        gen_gap=gap,
-        e_alpha=e_alpha,
-        pmag=pmag,
-    )
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    save_trajectory(sub, cell_dir / "trajectory")
-    (cell_dir / "constants.json").write_text(json.dumps(asdict(consts), indent=2) + "\n")
-    record_path.write_text(record.to_json())
-    return CellResult(record=record, skipped=False)
 
 
 def _timed_cell(args) -> tuple[CellResult, float]:
@@ -278,14 +266,12 @@ def _bounds_stage(
     records: list[RunRecord],
     stab_reports: list[stability.StabilityReport],
 ) -> list[dict]:
-    """Evaluate both bounds per sample size, reusing stored trajectories for
-    the theorem-schedule magnitude scale."""
-    beta_by_n = {r.n: r.mean for r in stab_reports}
+    """Evaluate both bounds per sample size, one per stability report,
+    reusing stored trajectories for the theorem-schedule magnitude scale."""
     rows: list[dict] = []
-    for n in sorted(set(cfg.n_grid)):
+    for report in stab_reports:
+        n, beta = report.n, report.mean
         group = [r for r in records if r.n == n]
-        if not group:
-            continue
         consts = [_load_constants(out_dir, r.run_id) for r in group]
         lipschitz = cfg.lipschitz if cfg.lipschitz is not None else max(
             c.lipschitz for c in consts
@@ -293,8 +279,7 @@ def _bounds_stage(
         loss_bound = cfg.loss_bound if cfg.loss_bound is not None else max(
             c.loss_bound for c in consts
         )
-        beta = beta_by_n.get(n)
-        if beta is None or beta <= 0:
+        if beta <= 0:
             # bound needs a positive stability coefficient
             continue
         k_const = bounds.kn_alpha(n, lipschitz, loss_bound, cfg.alpha)
@@ -391,13 +376,38 @@ def _write_reports(
     )
 
 
-def run_pipeline(cfg: ExperimentConfig, output_dir: str | None = None) -> PipelineResult:
-    """Run the full grid, then the stability, bounds, and report stages."""
-    cfg.validate()
-    out = output_dir or cfg.output_dir
-    if not out:
-        raise InvalidInputError("no output directory configured")
-    out_dir = Path(out)
+def rebuild_reports(runs_dir: Path, report_dir: Path) -> list[RunRecord]:
+    """Rewrite every report file of the finished run in `runs_dir` into
+    `report_dir`, from its cell records and its `report/summary.json`;
+    returns the records."""
+    record_paths = sorted(runs_dir.glob("cells/*/record.json"))
+    if not record_paths:
+        raise InvalidInputError(f"no run records under {runs_dir}")
+    records = _in_grid_order([_read_record(p) for p in record_paths])
+    summary_path = runs_dir / "report" / "summary.json"
+    if not summary_path.exists():
+        raise InvalidInputError(f"no {summary_path}; report needs a finished `trajtopo run`")
+    summary = read_json_object(summary_path, "summary")
+    keys = ("task", "alpha", "pmag_scales", "stability", "bounds")
+    if not all(k in summary for k in keys):
+        raise InvalidInputError(f"{summary_path} lacks one of {keys}; re-run `trajtopo run`")
+    if not fits(summary["stability"], list[dict]) or not fits(summary["bounds"], list[dict]):
+        raise InvalidInputError(f"{summary_path}: 'stability' and 'bounds' must list objects")
+    cfg = config_from_dict({k: summary[k] for k in ("task", "alpha", "pmag_scales")})
+    # older summaries also hold `analytic_beta` and `extras`, which reports no longer carry
+    dropped = ("analytic_beta", "extras")
+    stab_reports = [from_json_object(stability.StabilityReport,
+                                     {k: v for k, v in doc.items() if k not in dropped},
+                                     f"stability report in {summary_path}")
+                    for doc in summary["stability"]]
+    _write_reports(cfg, report_dir, records, stab_reports, summary["bounds"])
+    return records
+
+
+def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path) -> PipelineResult:
+    """Run the full grid into `output_dir`, then the stability, bounds, and
+    report stages."""
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "pipeline.log.jsonl"
 
@@ -419,11 +429,10 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | None = None) -> Pipeli
             log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)
             results.append(res)
 
-    records = [r.record for r in results]
-    records.sort(key=lambda r: (r.n, r.eta, r.batch, r.seed))
+    records = _in_grid_order([r.record for r in results])
 
     stab_reports = _stability_stage(cfg, log)
-    bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports) if stab_reports else []
+    bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports)
     _write_reports(cfg, out_dir / "report", records, stab_reports, bound_rows)
 
     return PipelineResult(

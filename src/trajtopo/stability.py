@@ -129,10 +129,17 @@ class StabilityConfig:
             raise InvalidInputError(f"unknown direction {self.direction!r}")
         if not self.seeds:
             raise InvalidInputError("need at least one seed")
-        if self.iterations < 0 or self.converge_iterations < 0:
-            raise InvalidInputError("stability iteration counts must be nonnegative")
-        if self.J > self.n:
-            raise InvalidInputError(f"replacement count {self.J} exceeds n = {self.n}")
+        if not 0 <= self.J <= self.n:
+            raise InvalidInputError(f"replacement count {self.J} must lie in [0, n = {self.n}]")
+        for warmup in (False, True):
+            self.sgd_config(self.seeds[0], warmup)
+
+    def sgd_config(self, seed: int, warmup: bool = False) -> SGDConfig:
+        """The SGD settings of the twin runs of `seed`, or with `warmup` of
+        the run whose last iterate starts them in `locally_converged` mode."""
+        return SGDConfig(radius=self.radius, step=self.step, seed=seed, step_rule=self.step_rule,
+                         iterations=self.converge_iterations if warmup else self.iterations,
+                         stream_tag="warmup" if warmup else "window")
 
 
 @dataclass
@@ -215,16 +222,9 @@ def run_single_seed(cfg: StabilityConfig, seed: int) -> float:
     data_perturbed = perturb_dataset(data, spec)
     injected = pool.ids[: cfg.J]
 
-    sgd = SGDConfig(
-        radius=cfg.radius,
-        step=cfg.step,
-        iterations=cfg.iterations,
-        seed=seed,
-        step_rule=cfg.step_rule,
-        stream_tag="window",
-    )
+    sgd = cfg.sgd_config(seed)
     if cfg.init_mode == "locally_converged":
-        warm = replace(sgd, iterations=cfg.converge_iterations, stream_tag="warmup")
+        warm = cfg.sgd_config(seed, warmup=True)
         sgd = replace(sgd, w0=projected_sgd(task, data, warm).points[-1])
     traj_a = projected_sgd(task, data, sgd)
     traj_b = projected_sgd(task, data_perturbed, sgd)

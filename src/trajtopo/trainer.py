@@ -175,6 +175,8 @@ class PerturbSpec:
 
 @dataclass
 class SGDConfig:
+    """Settings of one projected-SGD run, and the one check of their ranges."""
+
     radius: float
     step: float
     iterations: int
@@ -186,15 +188,15 @@ class SGDConfig:
 
     def __post_init__(self) -> None:
         if self.radius <= 0:
-            raise InvalidInputError("projection radius must be positive")
+            raise InvalidInputError(f"projection radius must be positive, got {self.radius}")
         if self.step < 0:
-            raise InvalidInputError("step constant must be nonnegative")
+            raise InvalidInputError(f"step constant must be nonnegative, got {self.step}")
         if self.step_rule not in STEP_RULES:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
         if self.iterations < 0:
-            raise InvalidInputError("iteration count must be nonnegative")
+            raise InvalidInputError(f"iteration count must be nonnegative, got {self.iterations}")
         if self.batch < 1:
-            raise InvalidInputError("batch size must be >= 1")
+            raise InvalidInputError(f"batch size must be >= 1, got {self.batch}")
 
 
 def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from trajtopo.analysis import THEOREM_KEY
-from trajtopo.artifacts import RunRecord, Trajectory, save_trajectory
+from trajtopo.artifacts import LossMatrix, RunRecord, Trajectory, save_loss_matrix, save_trajectory
 from trajtopo.cli import main
 from trajtopo.errors import InvalidInputError, from_json_object
 from trajtopo.pipeline import (
@@ -65,7 +66,7 @@ class TestPipeline:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):
-            small_config(n_grid=[]).validate()
+            small_config(n_grid=[])
 
     def test_rerun_skips_and_reproduces(self, tmp_path):
         cfg = small_config()
@@ -395,6 +396,21 @@ def _finished_run(pattern: str, edit):
     return prepare
 
 
+def _loss_matrices(edit):
+    """Loss-matrix artifacts `out/a` and `out/b`; `edit` changes the JSON
+    object of `out/a.json`."""
+    def prepare(out: Path) -> None:
+        losses = LossMatrix(values=np.ones((2, 3)), iteration_ids=[0, 1], sample_ids=[0, 1, 2],
+                            split="train")
+        for stem in ("a", "b"):
+            save_loss_matrix(losses, out / stem)
+        doc = json.loads((out / "a.json").read_text())
+        edit(doc)
+        (out / "a.json").write_text(json.dumps(doc))
+
+    return prepare
+
+
 def _artifacts(edit=None):
     """A trajectory artifact `out/t` and its distance matrix `out/d`; `edit`
     changes the JSON object of `out/<stem>.json` for each `stem: edit`."""
@@ -492,6 +508,14 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "d metadata 'point_ids' must be comma-separated integers"),
         (["distmat", "{out}/d", "--out", "{out}/d2"], _artifacts(),
          "has role 'distance_matrix', not trajectory"),
+        (["distmat", "{out}/t", "--out", "{out}/d2"],
+         _artifacts({"t": lambda d: d.update(schema_version=2)}),
+         "manifest {out}/t.json: unsupported schema_version 2, expected 1"),
+        (["distmat", "{out}/t", "--out", "{out}/d2"],
+         _artifacts({"t": lambda d: d["metadata"].update(iteration_ids="1,2")}),
+         "artifact {out}/t: iteration_ids length must equal the number of rows"),
+        (["stability", "{out}/a", "{out}/b"], _loss_matrices(lambda d: d["metadata"].pop("split")),
+         "artifact {out}/a: unknown split None"),
     ],
     ids=["bound-without-samples", "report-without-records", "report-without-summary",
          "stability-n-string", "stability-n-float", "stability-n-null-list",
@@ -505,7 +529,8 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "report-record-gen-gap-null", "rerun-constants-lipschitz-string",
          "report-summary-stability-mean-null", "distmat-ids-not-integers",
          "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
-         "pmag-ids-not-integers", "distmat-wrong-role"],
+         "pmag-ids-not-integers", "distmat-wrong-role", "distmat-schema-version-2",
+         "distmat-ids-wrong-length", "stability-losses-without-split"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -516,7 +541,7 @@ def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, messa
     assert main([a.format(out=out) for a in argv]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert message in err
+    assert message.format(out=out) in err
     assert "Traceback" not in err
 
 
@@ -550,10 +575,19 @@ def _misuse_cases():
                            id=f"set-stability.{f.name}")
     yield pytest.param(_RUN, {**_TINY_RUN, "n_grid": [20.5]}, id="file-n_grid-float")
     for key, value in (("input_dim", 0), ("hidden", 0), ("lipschitz", -1), ("loss_bound", 0),
-                       ("alpha", 2), ("alpha", 0)):
-        yield pytest.param(_RUN, {**_TINY_RUN, key: value}, id=f"file-{key}-{value}")
-        yield pytest.param(_RUN + ["--set", f"{key}={value}"], _TINY_RUN,
-                           id=f"set-{key}-{value}")
+                       ("alpha", 2), ("alpha", 0), ("eta_grid", [0.1, -1]), ("batch_grid", [1, 0]),
+                       ("n_grid", [0]), ("step_rule", "x"), ("subsample", 0), ("alpha", -1),
+                       ("theorem_lambda", 0)):
+        name = f"{key}-{value}".replace(" ", "")
+        yield pytest.param(_RUN, {**_TINY_RUN, key: value}, id=f"file-{name}")
+        yield pytest.param(_RUN + ["--set", f"{key}={json.dumps(value)}"], _TINY_RUN,
+                           id=f"set-{name}")
+    for key, value in (("step", -1), ("J", -1), ("eval_split", "x"), ("direction", "x")):
+        section = {**_TINY_RUN["stability"], key: value}
+        yield pytest.param(_RUN, {**_TINY_RUN, "stability": section},
+                           id=f"file-stability.{key}-{value}")
+        yield pytest.param(_RUN + ["--set", f"stability.{key}={json.dumps(value)}"], _TINY_RUN,
+                           id=f"set-stability.{key}-{value}")
     yield pytest.param(_RUN + ["--set", "validate=1"], _TINY_RUN, id="set-validate")
     yield pytest.param(_RUN + ["--set", 'stability={"J":"x"}'], _TINY_RUN,
                        id="set-stability-J-string")
@@ -566,9 +600,9 @@ def _misuse_cases():
                        id="stability-config-seeds-int")
     yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "iterations": "a"},
                        id="stability-config-iterations-string")
-    for key in ("input_dim", "hidden"):
-        yield pytest.param(["stability", "--config", "{cfg}"], {**stab, key: 0},
-                           id=f"stability-config-{key}-0")
+    for key, value in (("input_dim", 0), ("hidden", 0), ("J", -1)):
+        yield pytest.param(["stability", "--config", "{cfg}"], {**stab, key: value},
+                           id=f"stability-config-{key}-{value}")
 
 
 @pytest.mark.parametrize("argv, doc", _misuse_cases())
@@ -600,6 +634,23 @@ def test_stability_stage_uses_hidden(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stability", "--config", str(path)]) == 0
     assert [json.loads(capsys.readouterr().out)] == summary["stability"]
+
+
+def test_cli_names_no_private_attribute_of_another_module():
+    """`cli` uses other trajtopo modules only through their public names, so
+    a module's private helpers and formats stay behind it."""
+    path = Path(__file__).resolve().parents[1] / "src" / "trajtopo" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level == 1 or (node.module or "").split(".")[0] == "trajtopo")]
+    modules = {a.asname or a.name for node in imports if node.module in (None, "trajtopo")
+               for a in node.names}
+    private = [f"{node.module}.{a.name}" for node in imports for a in node.names
+               if a.name.startswith("_")]
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert modules and private == []
 
 
 def test_help_prints_usage_and_exits_0(capsys):
