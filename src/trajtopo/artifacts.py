@@ -165,25 +165,23 @@ class RunRecord:
 
     def __post_init__(self) -> None:
         check_fields(type(self), vars(self), "run record")
-
-    def validate(self) -> None:
         if self.e_alpha < 0 or any(v < 0 for v in self.pmag.values()):
             raise InvalidInputError("complexity statistics must be nonnegative")
 
     def to_json(self) -> str:
-        self.validate()
         doc = asdict(self) | {"pmag": dict(sorted(self.pmag.items()))}
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str, what: str = "run record") -> "RunRecord":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"malformed {what}: {exc}") from exc
         if isinstance(doc, dict):
             # records written before `beta_hat` was dropped still load
             doc.pop("beta_hat", None)
-        record = from_json_object(cls, doc, what)
-        record.validate()
-        return record
+        return from_json_object(cls, doc, what)
 
 
 def join_ids(ids: np.ndarray) -> str:

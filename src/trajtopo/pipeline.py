@@ -393,7 +393,8 @@ def rebuild_reports(runs_dir: Path, report_dir: Path) -> list[RunRecord]:
         raise InvalidInputError(f"{summary_path} lacks one of {keys}; re-run `trajtopo run`")
     if not fits(summary["stability"], list[dict]) or not fits(summary["bounds"], list[dict]):
         raise InvalidInputError(f"{summary_path}: 'stability' and 'bounds' must list objects")
-    cfg = config_from_dict({k: summary[k] for k in ("task", "alpha", "pmag_scales")})
+    with naming(str(summary_path)):
+        cfg = config_from_dict({k: summary[k] for k in ("task", "alpha", "pmag_scales")})
     # older summaries also hold `analytic_beta` and `extras`, which reports no longer carry
     dropped = ("analytic_beta", "extras")
     stab_reports = [from_json_object(stability.StabilityReport,

@@ -42,9 +42,32 @@ def default_injection_count(n: int) -> int:
     return max(1, (50 * n) // 100)
 
 
+_BLOCK_ROWS = 64
+
+
 def _directed_estimate(a: np.ndarray, b: np.ndarray) -> float:
-    # worst sample (Chebyshev distance), then best match, then worst iterate
-    return float(cdist(a, b, "chebyshev").min(axis=1).max())
+    """Max over rows of `a` of the min over rows of `b` of the Chebyshev
+    (worst-sample) distance, found without the full distance matrix.
+
+    The distance from row i to row min(i, T'b - 1) of `b`, the twin run's
+    iterate at the same step, bounds row i's minimum from above and is the
+    very value `cdist` gives for that pair. Rows are visited by decreasing
+    bound, in blocks; a row whose bound is at most the running max cannot
+    raise it and is skipped, and the first block left empty ends the scan
+    (early break as in Taha & Hanbury, TPAMI 2015). The result equals the
+    dense `cdist(a, b).min(axis=1).max()` bit for bit.
+    """
+    twins = b[np.minimum(np.arange(a.shape[0]), b.shape[0] - 1)]
+    bounds = np.abs(a - twins).max(axis=1)
+    order = np.argsort(-bounds, kind="stable")
+    best = 0.0
+    for start in range(0, order.size, _BLOCK_ROWS):
+        block = order[start : start + _BLOCK_ROWS]
+        rows = block[bounds[block] > best]
+        if rows.size == 0:
+            break
+        best = max(best, float(cdist(a[rows], b, "chebyshev").min(axis=1).max()))
+    return best
 
 
 def estimate_stability(
@@ -58,6 +81,8 @@ def estimate_stability(
     """
     if not np.array_equal(losses_a.sample_ids, losses_b.sample_ids):
         raise InvalidInputError("loss matrices must share the same evaluation samples")
+    if losses_a.values.size == 0 or losses_b.values.size == 0:
+        raise InvalidInputError("loss matrices must hold at least one iterate and one sample")
     value = _directed_estimate(losses_a.values, losses_b.values)
     if symmetrized:
         value = max(value, _directed_estimate(losses_b.values, losses_a.values))

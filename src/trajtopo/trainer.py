@@ -9,6 +9,7 @@ batch-index stream can be shared between a run and its perturbed twin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,16 +230,22 @@ def projected_sgd(task: SyntheticTask, data: Dataset, cfg: SGDConfig) -> Traject
     )
     points = np.empty((cfg.iterations + 1, task.param_dim))
     points[0] = w
-    for k, idx in enumerate(batches, start=1):
-        grad = task.mean_gradient(w, data.samples[idx])
-        if not np.isfinite(grad).all():
-            raise NumericalFailureError(f"non-finite gradient at iteration {k}")
-        eta = cfg.step if cfg.step_rule == "constant" else cfg.step / k
-        w = w - eta * grad
-        norm = float(np.linalg.norm(w))
-        if norm > cfg.radius:
-            w *= cfg.radius / norm
-        points[k] = w
+    # a non-finite gradient or an overflowing step makes its row non-finite,
+    # and every later one too (NaN passes the step and the projection), so
+    # one check after the loop finds the iteration where it first appeared
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, idx in enumerate(batches, start=1):
+            grad = task.mean_gradient(w, data.samples[idx])
+            eta = cfg.step if cfg.step_rule == "constant" else cfg.step / k
+            w = w - eta * grad
+            norm = math.sqrt(w @ w)
+            if norm > cfg.radius:
+                w *= cfg.radius / norm
+            points[k] = w
+    finite = np.isfinite(points[1:]).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise NumericalFailureError(f"non-finite gradient at iteration {k}")
 
     meta = {
         "task": task.kind,

@@ -168,12 +168,11 @@ class TestDomainTypes:
         assert legacy == RunRecord.from_json(json.dumps(good))
 
     def test_run_record_rejects_negative_complexity(self):
-        record = RunRecord(
-            run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.0,
-            e_alpha=-1.0, pmag={},
-        )
         with pytest.raises(InvalidInputError):
-            record.validate()
+            RunRecord(
+                run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.0,
+                e_alpha=-1.0, pmag={},
+            )
 
 
 class TestHelpers:

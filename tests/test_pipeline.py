@@ -384,14 +384,15 @@ _TINY_RUN = {
 
 def _finished_run(pattern: str, edit):
     """A finished `_TINY_RUN` in `out`, with its config in `out/cfg.json`;
-    `edit` changes the JSON object of the first file matching `pattern`."""
+    `edit` changes the JSON object of the first file matching `pattern`, or
+    returns the text that replaces that file."""
     def prepare(out: Path) -> None:
         (out / "cfg.json").write_text(json.dumps(_TINY_RUN))
         run_pipeline(config_from_dict(json.loads(json.dumps(_TINY_RUN))), output_dir=out)
         path = sorted(out.glob(pattern))[0]
         doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
+        text = edit(doc)
+        path.write_text(text if isinstance(text, str) else json.dumps(doc))
 
     return prepare
 
@@ -473,7 +474,7 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "'pmag_scales' must be list[float]"),
         (["report", "{out}"],
          _finished_run("report/summary.json", lambda d: d.update(pmag_scales=[])),
-         "scale grid must be nonempty"),
+         "{out}/report/summary.json: config: scale grid must be nonempty"),
         (["report", "{out}"], _finished_run("report/summary.json", lambda d: d.update(task=5)),
          "'task' must be str"),
         (["report", "{out}"],
@@ -493,6 +494,11 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["report", "{out}"],
          _finished_run("report/summary.json", lambda d: d["stability"][0].update(mean=None)),
          "summary.json 'mean' must be float, got None"),
+        (["report", "{out}"],
+         _finished_run("cells/*/record.json", lambda d: d.update(e_alpha=-1.0)),
+         "record.json: complexity statistics must be nonnegative"),
+        (["report", "{out}"], _finished_run("cells/*/record.json", lambda d: "{not json"),
+         "record.json: Expecting property name enclosed in double quotes"),
         (["distmat", "{out}/t", "--out", "{out}/d2"],
          _artifacts({"t": lambda d: d["metadata"].update(iteration_ids="a,b")}),
          "t metadata 'iteration_ids' must be comma-separated integers, got 'a,b'"),
@@ -527,7 +533,8 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "report-summary-stability-entry-partial", "report-record-without-gen-gap",
          "rerun-record-without-gen-gap", "rerun-constants-without-lipschitz",
          "report-record-gen-gap-null", "rerun-constants-lipschitz-string",
-         "report-summary-stability-mean-null", "distmat-ids-not-integers",
+         "report-summary-stability-mean-null", "report-record-e-alpha-negative",
+         "report-record-not-json", "distmat-ids-not-integers",
          "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
          "pmag-ids-not-integers", "distmat-wrong-role", "distmat-schema-version-2",
          "distmat-ids-wrong-length", "stability-losses-without-split"],

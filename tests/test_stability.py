@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import blocked_max_min_estimate, stability_report_json
+from trajtopo import stability
 from trajtopo.artifacts import LossMatrix
 from trajtopo.errors import InvalidInputError
 from trajtopo.stability import (
@@ -92,6 +93,95 @@ class TestEstimator:
         b = losses([[0.0, 1.0]], sample_ids=[0, 2])
         with pytest.raises(InvalidInputError):
             estimate_stability(a, b)
+
+    def test_empty_matrix_rejected(self):
+        no_iterates = LossMatrix(values=np.zeros((0, 2)), iteration_ids=[], sample_ids=[0, 1],
+                                 split="probe")
+        full = losses([[0.0, 1.0]])
+        for a, b in ((no_iterates, full), (full, no_iterates)):
+            with pytest.raises(InvalidInputError, match="at least one iterate"):
+                estimate_stability(a, b)
+        no_samples = losses(np.zeros((2, 0)), sample_ids=[])
+        with pytest.raises(InvalidInputError, match="one sample"):
+            estimate_stability(no_samples, no_samples)
+
+
+def assert_matches_oracle(a, b):
+    """The pruned estimator equals the dense oracle, directed both ways and
+    symmetrized."""
+    forward = blocked_max_min_estimate(a, b)
+    backward = blocked_max_min_estimate(b, a)
+    assert estimate_stability(losses(a), losses(b)) == forward
+    assert estimate_stability(losses(b), losses(a)) == backward
+    assert estimate_stability(losses(a), losses(b), symmetrized=True) == max(forward, backward)
+
+
+def twin_like(rng, rows, cols):
+    """A loss path and its twin: the same path plus a small perturbation."""
+    a = np.abs(np.cumsum(rng.standard_normal((rows, cols)), axis=0))
+    return a, a + 1e-3 * rng.exponential(size=a.shape)
+
+
+class TestPrunedEstimator:
+    """The scan that skips rows which cannot raise the max, against the dense
+    max-min oracle."""
+
+    def test_random_shapes_sweep(self):
+        rng = np.random.default_rng(7)
+        shapes = [(1, 1, 3), (1, 40, 3), (40, 1, 3), (1, 1, 1), (1, 130, 2), (130, 1, 2)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 150, size=2)) + (int(rng.integers(1, 9)),)
+                   for _ in range(210)]
+        shapes += [(t, t, 4) for t in (2, 63, 64, 65, 129)]
+        relations = {(ta > tb) - (ta < tb) for ta, tb, _ in shapes}
+        assert relations == {-1, 0, 1}
+        for rows_a, rows_b, cols in shapes:
+            if rng.uniform() < 0.5:
+                # few distinct values: ties between rows and between bounds
+                a = rng.integers(0, 3, size=(rows_a, cols)).astype(np.float64)
+                b = rng.integers(0, 3, size=(rows_b, cols)).astype(np.float64)
+            else:
+                a = rng.exponential(size=(rows_a, cols)) * 10.0 ** rng.integers(-3, 3)
+                b = rng.exponential(size=(rows_b, cols)) * 10.0 ** rng.integers(-3, 3)
+            assert_matches_oracle(a, b)
+
+    def test_all_bounds_tied(self, rng):
+        # every row is exactly 1 from its twin, so every bound is equal
+        a = rng.integers(0, 4, size=(150, 3)).astype(np.float64)
+        b = a + 1.0
+        bounds = np.abs(a - b).max(axis=1)
+        assert (bounds == 1.0).all()
+        assert_matches_oracle(a, b)
+
+    def test_twin_like_inputs(self, rng):
+        for rows_a, rows_b in ((300, 300), (300, 200), (200, 300)):
+            a, b = twin_like(rng, max(rows_a, rows_b), 20)
+            assert_matches_oracle(a[:rows_a], b[:rows_b])
+
+    def test_reversed_twin_defeats_pruning(self, rng):
+        a, _ = twin_like(rng, 200, 10)
+        assert_matches_oracle(a, a[::-1].copy())
+
+    def test_several_blocks(self, rng):
+        for rows in (65, 128, 129, 700):
+            a = rng.exponential(size=(rows, 6))
+            b = rng.exponential(size=(rows + 3, 6))
+            assert_matches_oracle(a, b)
+
+    def test_twin_like_pair_solves_few_rows_per_block(self, rng, monkeypatch):
+        rows_seen = []
+        dense = stability.cdist
+
+        def recording_cdist(x, y, metric):
+            rows_seen.append(x.shape[0])
+            assert y.shape[0] == 1001
+            return dense(x, y, metric)
+
+        monkeypatch.setattr(stability, "cdist", recording_cdist)
+        a, b = twin_like(rng, 1001, 50)
+        value = estimate_stability(losses(a), losses(b))
+        assert value == blocked_max_min_estimate(a, b)
+        assert 0 < sum(rows_seen) < 1001
+        assert max(rows_seen) <= 64
 
 
 class TestClosedForm:

@@ -108,6 +108,39 @@ class TestProjectedSgd:
         with pytest.raises(NumericalFailureError, match="iteration 1"):
             projected_sgd(task, dataset([[0.0, 0.0, 0.0]]), cfg)
 
+    def test_gradient_turning_non_finite_names_its_iteration(self):
+        from trajtopo.errors import NumericalFailureError
+        from trajtopo.trainer import QuadraticTask
+
+        class LateExplodingTask(QuadraticTask):
+            calls = 0
+
+            def mean_gradient(self, w, batch):
+                self.calls += 1
+                if self.calls == 3:
+                    return np.array([np.nan, np.inf])
+                return super().mean_gradient(w, batch)
+
+        task = LateExplodingTask(2)
+        cfg = SGDConfig(radius=1.0, step=0.1, iterations=5, seed=0, w0=np.zeros(2))
+        with pytest.raises(NumericalFailureError, match="iteration 3$"):
+            projected_sgd(task, dataset([[0.5, 0.5, 0.0]]), cfg)
+
+    def test_overflowing_step_is_a_numerical_failure(self):
+        """A finite gradient whose step overflows is a numerical failure at
+        that step, not an invalid (non-finite) trajectory."""
+        from trajtopo.errors import NumericalFailureError
+        from trajtopo.trainer import QuadraticTask
+
+        class SteepTask(QuadraticTask):
+            def mean_gradient(self, w, batch):
+                return np.full(self.param_dim, 1e308)
+
+        task = SteepTask(2)
+        cfg = SGDConfig(radius=1.0, step=10.0, iterations=5, seed=0, w0=np.zeros(2))
+        with pytest.raises(NumericalFailureError, match="iteration 1$"):
+            projected_sgd(task, dataset([[0.0, 0.0, 0.0]]), cfg)
+
     def test_w0_shape_checked(self):
         task = make_task("quadratic", 3)
         cfg = SGDConfig(radius=1.0, step=0.1, iterations=1, seed=0, w0=np.zeros(2))
