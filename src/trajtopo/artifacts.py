@@ -55,7 +55,7 @@ def read_json_object(path: str | Path, what: str = "config") -> dict:
     """Read a JSON file that must hold one object."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"malformed {what} {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} {path} must be a JSON object")

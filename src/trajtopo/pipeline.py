@@ -5,13 +5,24 @@ SGD, window and subsample the trajectory, compute the distance matrix and
 both complexity statistics, and append a RunRecord. Optional stages add
 empirical stability estimates per sample size and evaluate both
 generalization bounds. Reports are assembled deterministically: two runs
-with the same config produce byte-identical CSV/JSON outputs, and
-completed cells are skipped on re-runs via their on-disk records.
+with the same config produce byte-identical CSV/JSON outputs.
+
+A re-run into the same directory reuses what a config that shapes it the
+same way stored, and recomputes the rest:
+- a cell, when `cells/<id>/fingerprint` holds the SHA-256 of every config
+  field that shapes the cell (all but `UNFINGERPRINTED`) with its own
+  (n, eta, batch, seed);
+- a stability report, stored as `stability/<SHA-256 of its
+  StabilityConfig>.json`;
+- a cell's PMag at the theorem scale, when `cells/<id>/theorem_scale.json`
+  holds the scale of the bound that is due.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -160,6 +171,46 @@ def scale_key(s: float) -> str:
     return repr(float(s))
 
 
+# Run-config fields that a cell's fingerprint leaves out: the grid lists,
+# which the cell's own (n, eta, batch, seed) replace; the inputs of the
+# stability and bounds stages alone; and where and how the run executes.
+UNFINGERPRINTED = ("n_grid", "eta_grid", "batch_grid", "seeds", "stability", "theorem_lambda",
+                   "lipschitz", "loss_bound", "output_dir", "jobs")
+THEOREM_SCALE = "theorem_scale.json"
+
+
+def _fingerprint(doc: dict) -> str:
+    """SHA-256 of the canonical JSON of `doc`, as `rng._tag_entropy` hashes tags."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _stored_fingerprint(path: Path) -> str | None:
+    """The fingerprint that a cell's files were last completely written
+    under; None if there is none."""
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    if not re.fullmatch(rb"[0-9a-f]{64}\n", data):
+        raise InvalidInputError(f"cell fingerprint {path} must hold one SHA-256 hex digest")
+    return data[:-1].decode("ascii")
+
+
+@dataclass
+class TheoremScale:
+    """`cells/<id>/theorem_scale.json`: the scale of the PMag value that the
+    cell's record stores under `THEOREM_KEY`."""
+
+    scale: float
+
+
+def _stored_theorem_scale(path: Path) -> str | None:
+    """The `scale_key` of the scale stored at `path`; None if there is none."""
+    if not path.exists():
+        return None
+    doc = read_json_object(path, "theorem scale")
+    return scale_key(from_json_object(TheoremScale, doc, f"theorem scale {path}").scale)
+
+
 @dataclass
 class CellResult:
     record: RunRecord
@@ -176,15 +227,22 @@ def _in_grid_order(records: list[RunRecord]) -> list[RunRecord]:
 
 def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int,
                  out_dir: str) -> CellResult:
-    """Train one grid cell and write its record and subsampled trajectory.
+    """Train one grid cell and write its record, subsampled trajectory,
+    constants and fingerprint.
 
-    If the cell's record already exists on disk it is loaded and returned
-    unchanged, making re-runs cheap and idempotent.
+    If the cell's record exists and its fingerprint matches the config's,
+    the record is loaded and returned unchanged, making re-runs cheap and
+    idempotent. Otherwise the cell is trained again and every file is
+    rewritten, the fingerprint last, so that an interrupted write is never
+    reused.
     """
     cid = cell_id(cfg.task, n, eta, batch, seed)
     cell_dir = Path(out_dir) / "cells" / cid
     record_path = cell_dir / "record.json"
-    if record_path.exists():
+    fingerprint_path = cell_dir / "fingerprint"
+    shaping = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in UNFINGERPRINTED}
+    fingerprint = _fingerprint(shaping | {"n": n, "eta": float(eta), "batch": batch, "seed": seed})
+    if record_path.exists() and _stored_fingerprint(fingerprint_path) == fingerprint:
         return CellResult(record=_read_record(record_path), skipped=True)
     try:
         task, window, lm_train, lm_test = train_cell(cfg, n, eta, batch, seed)
@@ -199,9 +257,12 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
                        gen_gap=analysis.worst_case_gap(lm_train, lm_test), e_alpha=e_alpha,
                        pmag=pmag)
     cell_dir.mkdir(parents=True, exist_ok=True)
+    for stale in (fingerprint_path, cell_dir / THEOREM_SCALE):
+        stale.unlink(missing_ok=True)
     save_trajectory(sub, cell_dir / "trajectory")
     (cell_dir / "constants.json").write_text(json.dumps(asdict(consts), indent=2) + "\n")
     record_path.write_text(record.to_json())
+    fingerprint_path.write_text(fingerprint + "\n")
     return CellResult(record=record, skipped=False)
 
 
@@ -250,14 +311,43 @@ def _load_constants(out_dir: Path, cid: str) -> bounds.ConstantsEstimate:
                             f"constants {path}")
 
 
-def _stability_stage(cfg: ExperimentConfig, log) -> list[stability.StabilityReport]:
+def _stability_stage(cfg: ExperimentConfig, out_dir: Path,
+                     log) -> list[stability.StabilityReport]:
+    """One report per stability config: read from `stability/` if an
+    earlier run stored it under the config's fingerprint, else computed
+    and stored there."""
     reports = []
     for scfg in cfg.stability_configs():
         started = time.perf_counter()
-        report = stability.run_stability_experiment(scfg)
-        log("stability", n=scfg.n, J=scfg.J, seconds=round(time.perf_counter() - started, 3))
+        path = out_dir / "stability" / f"{_fingerprint(asdict(scfg))}.json"
+        skipped = path.exists()
+        if skipped:
+            report = from_json_object(stability.StabilityReport,
+                                      read_json_object(path, "stability report"),
+                                      f"stability report {path}")
+        else:
+            report = stability.run_stability_experiment(scfg)
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(report.to_json())
+        log("stability", n=scfg.n, J=scfg.J, skipped=skipped,
+            seconds=round(time.perf_counter() - started, 3))
         reports.append(report)
     return reports
+
+
+def _theorem_pmag(cell_dir: Path, record: RunRecord, s_theorem: float) -> float:
+    """The cell's PMag at the theorem scale `s_theorem`: the stored value
+    if its last bound had this scale, else solved from the stored
+    trajectory and stored in the record."""
+    scale_path = cell_dir / THEOREM_SCALE
+    if THEOREM_KEY not in record.pmag or _stored_theorem_scale(scale_path) != scale_key(s_theorem):
+        scale_path.unlink(missing_ok=True)
+        traj = load_trajectory(cell_dir / "trajectory")
+        dist = geometry.distance_matrix(traj)
+        record.pmag[THEOREM_KEY] = magnitude.positive_magnitude(dist, s_theorem)
+        (cell_dir / "record.json").write_text(record.to_json())
+        scale_path.write_text(json.dumps(asdict(TheoremScale(s_theorem))) + "\n")
+    return record.pmag[THEOREM_KEY]
 
 
 def _bounds_stage(
@@ -267,7 +357,9 @@ def _bounds_stage(
     stab_reports: list[stability.StabilityReport],
 ) -> list[dict]:
     """Evaluate both bounds per sample size, one per stability report,
-    reusing stored trajectories for the theorem-schedule magnitude scale."""
+    reusing stored trajectories for the theorem-schedule magnitude scale.
+    A record whose sample size gets no bound row keeps no theorem-scale
+    value."""
     rows: list[dict] = []
     for report in stab_reports:
         n, beta = report.n, report.mean
@@ -287,13 +379,7 @@ def _bounds_stage(
         res_e = bounds.ealpha_bound(beta, loss_bound, k_const, ealpha_samples)
 
         s_theorem = magnitude.pmag_scale(cfg.theorem_lambda, lipschitz, loss_bound, beta)
-        pmag_samples = []
-        for r in group:
-            traj = load_trajectory(out_dir / "cells" / r.run_id / "trajectory")
-            value = magnitude.positive_magnitude(geometry.distance_matrix(traj), s_theorem)
-            pmag_samples.append(value)
-            r.pmag[THEOREM_KEY] = value
-            (out_dir / "cells" / r.run_id / "record.json").write_text(r.to_json())
+        pmag_samples = [_theorem_pmag(out_dir / "cells" / r.run_id, r, s_theorem) for r in group]
         res_p = bounds.pmag_bound(beta, loss_bound, cfg.theorem_lambda, pmag_samples)
 
         # the closed form needs every cell's smoothness G and a first step below 1/G
@@ -327,6 +413,14 @@ def _bounds_stage(
                 analytic, loss_bound, cfg.theorem_lambda, pmag_samples
             ).value
         rows.append(row)
+
+    bounded = {row["n"] for row in rows}
+    for r in records:
+        if r.n not in bounded and THEOREM_KEY in r.pmag:
+            cell_dir = out_dir / "cells" / r.run_id
+            (cell_dir / THEOREM_SCALE).unlink(missing_ok=True)
+            del r.pmag[THEOREM_KEY]
+            (cell_dir / "record.json").write_text(r.to_json())
     return rows
 
 
@@ -337,9 +431,10 @@ def _write_reports(
     stab_reports: list[stability.StabilityReport],
     bound_rows: list[dict],
 ) -> None:
-    """Write the grid CSVs, `stability.csv` and `summary.json`. Only
-    `task`, `alpha` and `pmag_scales` of the config are read; the first
-    configured scale is the fixed scale."""
+    """Write the grid CSVs, `stability.csv` and `summary.json`, and remove
+    any grid CSV or `stability.csv` that an earlier run wrote and this one
+    does not. Only `task`, `alpha` and `pmag_scales` of the config are read;
+    the first configured scale is the fixed scale."""
     report_dir.mkdir(parents=True, exist_ok=True)
 
     kinds = [("e_alpha", None), ("pmag_fixed_scale", scale_key(cfg.pmag_scales[0]))]
@@ -348,14 +443,19 @@ def _write_reports(
     if records and all(THEOREM_KEY in r.pmag for r in records):
         kinds.append(("pmag_theorem_scale", THEOREM_KEY))
     reports = {}
+    texts = {}
     for kind, key in kinds:
         rep = analysis.grid_report(records, kind, scale_key=key)
         reports[kind] = rep
-        (report_dir / f"grid_{kind}.csv").write_text(rep.to_csv())
+        texts[report_dir / f"grid_{kind}.csv"] = rep.to_csv()
 
     stab_reports = sorted(stab_reports, key=lambda r: r.n)
     if stab_reports:
-        (report_dir / "stability.csv").write_text(stability.stability_csv(stab_reports))
+        texts[report_dir / "stability.csv"] = stability.stability_csv(stab_reports)
+    for path, text in texts.items():
+        path.write_text(text)
+    for stale in {*report_dir.glob("grid_*.csv"), report_dir / "stability.csv"} - set(texts):
+        stale.unlink(missing_ok=True)
 
     summary = {
         "task": cfg.task,
@@ -432,7 +532,7 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path) -> PipelineResul
 
     records = _in_grid_order([r.record for r in results])
 
-    stab_reports = _stability_stage(cfg, log)
+    stab_reports = _stability_stage(cfg, out_dir, log)
     bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports)
     _write_reports(cfg, out_dir / "report", records, stab_reports, bound_rows)
 

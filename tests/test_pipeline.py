@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trajtopo import magnitude, pipeline, stability
 from trajtopo.analysis import THEOREM_KEY
 from trajtopo.artifacts import LossMatrix, RunRecord, Trajectory, save_loss_matrix, save_trajectory
 from trajtopo.cli import main
@@ -68,14 +69,47 @@ class TestPipeline:
         with pytest.raises(InvalidInputError):
             small_config(n_grid=[])
 
-    def test_rerun_skips_and_reproduces(self, tmp_path):
+    def test_rerun_skips_and_reproduces(self, tmp_path, monkeypatch):
+        """A re-run of the same config trains nothing, runs no stability
+        experiment and solves no magnitude system, and leaves every cell and
+        report file as it was."""
         cfg = small_config()
         first = run_pipeline(cfg, output_dir=tmp_path / "out")
         before = tree_digest(tmp_path / "out")
+        calls = []
+        for module, name in ((stability, "run_stability_experiment"),
+                             (magnitude, "positive_magnitude")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name, **kwargs:
+                                calls.append(_name) or _real(*args, **kwargs))
         second = run_pipeline(cfg, output_dir=tmp_path / "out")
         assert first.computed == 4 and first.skipped == 0
         assert second.computed == 0 and second.skipped == 4
+        assert calls == []
         assert tree_digest(tmp_path / "out") == before
+
+    def test_rerun_with_changed_alpha_matches_fresh_run(self, tmp_path):
+        """A re-run under another alpha retrains its cells rather than keep
+        the alpha=1 lifetime sums: every cell and report file equals a fresh
+        alpha=0.5 run's."""
+        run_pipeline(small_config(), output_dir=tmp_path / "rerun")
+        result = run_pipeline(small_config(alpha=0.5), output_dir=tmp_path / "rerun")
+        run_pipeline(small_config(alpha=0.5), output_dir=tmp_path / "fresh")
+        assert result.computed == 4
+        assert tree_digest(tmp_path / "rerun") == tree_digest(tmp_path / "fresh")
+
+    @pytest.mark.parametrize(
+        "section",
+        [None, StabilitySettings(J=0, iterations=30, converge_iterations=0, seeds=[0, 1])],
+        ids=["without-stability-section", "zero-beta"],
+    )
+    def test_rerun_drops_theorem_output_a_fresh_run_lacks(self, tmp_path, section):
+        """A re-run whose sample sizes get no bound row keeps no theorem-scale
+        value, CSV or stability report of the run before it."""
+        run_pipeline(small_config(), output_dir=tmp_path / "rerun")
+        run_pipeline(small_config(stability=section), output_dir=tmp_path / "rerun")
+        run_pipeline(small_config(stability=section), output_dir=tmp_path / "fresh")
+        assert tree_digest(tmp_path / "rerun") == tree_digest(tmp_path / "fresh")
 
     def test_fresh_runs_byte_identical(self, tmp_path):
         run_pipeline(small_config(), output_dir=tmp_path / "a")
@@ -374,25 +408,30 @@ def _json_file(name: str, doc):
     return prepare
 
 
-# a grid that trains in well under a second, should a check ever let it through
+# a grid that trains in well under a second, should a check ever let it through;
+# its stability estimate is positive, so it has a bound row
 _TINY_RUN = {
     "task": "quadratic", "input_dim": 2, "n_grid": [8], "eta_grid": [0.1], "seeds": [0],
     "iterations": 5, "subsample": 5,
-    "stability": {"J": 2, "seeds": [0], "iterations": 5, "converge_iterations": 0},
+    "stability": {"J": 2, "seeds": [0], "iterations": 20, "converge_iterations": 0},
 }
 
 
 def _finished_run(pattern: str, edit):
     """A finished `_TINY_RUN` in `out`, with its config in `out/cfg.json`;
-    `edit` changes the JSON object of the first file matching `pattern`, or
-    returns the text that replaces that file."""
+    `edit` changes the JSON object of the first file matching `pattern` (the
+    text of a file that is not `.json`), or returns the text or bytes that
+    replace that file."""
     def prepare(out: Path) -> None:
         (out / "cfg.json").write_text(json.dumps(_TINY_RUN))
         run_pipeline(config_from_dict(json.loads(json.dumps(_TINY_RUN))), output_dir=out)
         path = sorted(out.glob(pattern))[0]
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text()) if path.suffix == ".json" else path.read_text()
         text = edit(doc)
-        path.write_text(text if isinstance(text, str) else json.dumps(doc))
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text if isinstance(text, str) else json.dumps(doc))
 
     return prepare
 
@@ -429,6 +468,9 @@ def _artifacts(edit=None):
 
 
 _RERUN = ["run", "--config", "{out}/cfg.json", "--out", "{out}"]
+_TINY_CELL = "{out}/cells/quadratic-n8-eta0p1-b1-s0"
+_TINY_STABILITY = "{out}/stability/" + pipeline._fingerprint(
+    asdict(config_from_dict(_TINY_RUN).stability_configs()[0])) + ".json"
 _TRAJ_GEN = ["traj-gen", "--n", "5", "--eta", "0.1", "--out", "{out}/tg"]
 _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iterations": 5}
 
@@ -499,6 +541,24 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "record.json: complexity statistics must be nonnegative"),
         (["report", "{out}"], _finished_run("cells/*/record.json", lambda d: "{not json"),
          "record.json: Expecting property name enclosed in double quotes"),
+        (_RERUN, _finished_run("stability/*.json", lambda d: "{not json"),
+         f"malformed stability report {_TINY_STABILITY}: Expecting property name"),
+        (_RERUN, _finished_run("stability/*.json", lambda d: b"\xff{"),
+         f"malformed stability report {_TINY_STABILITY}: 'utf-8' codec can't decode"),
+        (_RERUN, _finished_run("stability/*.json", lambda d: d.update(mean="x")),
+         f"stability report {_TINY_STABILITY} 'mean' must be float, got 'x'"),
+        (_RERUN, _finished_run("stability/*.json", lambda d: d.pop("beta_hats")),
+         f"stability report {_TINY_STABILITY} lacks ['beta_hats']"),
+        (_RERUN, _finished_run("cells/*/fingerprint", lambda text: text[:20]),
+         f"cell fingerprint {_TINY_CELL}/fingerprint must hold one SHA-256 hex digest"),
+        (_RERUN, _finished_run("cells/*/fingerprint", lambda text: b"\xff" * 64 + b"\n"),
+         f"cell fingerprint {_TINY_CELL}/fingerprint must hold one SHA-256 hex digest"),
+        (_RERUN, _finished_run("cells/*/theorem_scale.json", lambda d: "[1.0"),
+         f"malformed theorem scale {_TINY_CELL}/theorem_scale.json: Expecting"),
+        (_RERUN, _finished_run("cells/*/theorem_scale.json", lambda d: d.update(scale="x")),
+         f"theorem scale {_TINY_CELL}/theorem_scale.json 'scale' must be float, got 'x'"),
+        (_RERUN, _finished_run("cells/*/theorem_scale.json", lambda d: d.pop("scale")),
+         f"theorem scale {_TINY_CELL}/theorem_scale.json lacks ['scale']"),
         (["distmat", "{out}/t", "--out", "{out}/d2"],
          _artifacts({"t": lambda d: d["metadata"].update(iteration_ids="a,b")}),
          "t metadata 'iteration_ids' must be comma-separated integers, got 'a,b'"),
@@ -534,7 +594,12 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "rerun-record-without-gen-gap", "rerun-constants-without-lipschitz",
          "report-record-gen-gap-null", "rerun-constants-lipschitz-string",
          "report-summary-stability-mean-null", "report-record-e-alpha-negative",
-         "report-record-not-json", "distmat-ids-not-integers",
+         "report-record-not-json", "rerun-stability-cache-not-json",
+         "rerun-stability-cache-not-utf8", "rerun-stability-cache-mean-string",
+         "rerun-stability-cache-without-beta-hats", "rerun-fingerprint-truncated",
+         "rerun-fingerprint-not-utf8", "rerun-theorem-scale-not-json",
+         "rerun-theorem-scale-string", "rerun-theorem-scale-without-scale",
+         "distmat-ids-not-integers",
          "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
          "pmag-ids-not-integers", "distmat-wrong-role", "distmat-schema-version-2",
          "distmat-ids-wrong-length", "stability-losses-without-split"],
@@ -641,6 +706,87 @@ def test_stability_stage_uses_hidden(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stability", "--config", str(path)]) == 0
     assert [json.loads(capsys.readouterr().out)] == summary["stability"]
+
+
+# Each config field that a cell's or a stability report's fingerprint covers,
+# with a value other than `_TINY_RUN`'s, whether a re-run under it retrains
+# the cell, and whether it redoes the stability experiment. The bounds-stage
+# fields reach neither fingerprint but move the theorem scale.
+_SHAPING_FIELDS = {
+    "task": ("logistic_regression", True, True),
+    "input_dim": (3, True, True),
+    "iterations": (6, True, False),
+    "warmup": (2, True, False),
+    "subsample": (4, True, False),
+    "radius": (5.0, True, True),
+    "step_rule": ("decaying", True, True),
+    "alpha": (0.5, True, False),
+    "pmag_scales": ([10.0], True, False),
+    "class_sep": (2.0, True, True),
+    "noise": (0.5, True, True),
+    "hidden": (4, True, True),
+}
+_SECTION_FIELDS = {
+    "J": (1, False, True),
+    "seeds": ([0, 1], False, True),
+    "init_mode": ("locally_converged", False, True),
+    "eval_split": ("validation", False, True),
+    "direction": ("symmetrized", False, True),
+    "iterations": (6, False, True),
+    "converge_iterations": (3, False, True),
+    "step": (0.2, False, True),
+}
+_BOUND_FIELDS = {
+    "theorem_lambda": (2.0, False, False),
+    "lipschitz": (2.0, False, False),
+    "loss_bound": (3.0, False, False),
+}
+
+
+def test_fingerprints_cover_every_config_field(tmp_path, monkeypatch):
+    """Each run-config field is fingerprinted with its cells or named in
+    `pipeline.UNFINGERPRINTED`, each `StabilityConfig` field is fingerprinted
+    with its report, and every fingerprinted field has a flip case below; a
+    field added later fails here until it is classified."""
+    docs = []
+    real = pipeline._fingerprint
+    monkeypatch.setattr(pipeline, "_fingerprint", lambda doc: docs.append(doc) or real(doc))
+    run_pipeline(config_from_dict(_TINY_RUN), output_dir=tmp_path / "out")
+    cell_doc, stability_doc = docs
+    config_fields = {f.name for f in fields(ExperimentConfig)}
+    assert set(cell_doc) == set(_SHAPING_FIELDS) | {"n", "eta", "batch", "seed"}
+    assert set(_SHAPING_FIELDS) | set(pipeline.UNFINGERPRINTED) == config_fields
+    assert set(_SHAPING_FIELDS).isdisjoint(pipeline.UNFINGERPRINTED)
+    assert set(_BOUND_FIELDS) <= set(pipeline.UNFINGERPRINTED)
+    assert set(stability_doc) == {f.name for f in fields(stability.StabilityConfig)}
+    assert set(_SECTION_FIELDS) == {f.name for f in fields(StabilitySettings)}
+
+
+@pytest.mark.parametrize(
+    "key, value, retrains, restabilizes",
+    [(k, *v) for k, v in (_SHAPING_FIELDS | _BOUND_FIELDS).items()]
+    + [(f"stability.{k}", *v) for k, v in _SECTION_FIELDS.items()],
+    ids=list(_SHAPING_FIELDS | _BOUND_FIELDS) + [f"stability.{k}" for k in _SECTION_FIELDS],
+)
+def test_rerun_after_one_field_changes_matches_fresh_run(tmp_path, key, value, retrains,
+                                                         restabilizes):
+    """A re-run that changes one field retrains the cell or redoes the
+    stability experiment exactly when that field shapes it, and its
+    `report/` then equals a fresh run's."""
+    changed = json.loads(json.dumps(_TINY_RUN))
+    section, _, name = key.rpartition(".")
+    (changed[section] if section else changed)[name] = value
+    out = tmp_path / "rerun"
+    run_pipeline(config_from_dict(_TINY_RUN), output_dir=out)
+    logged = len((out / "pipeline.log.jsonl").read_text().splitlines())
+    result = run_pipeline(config_from_dict(changed), output_dir=out)
+    run_pipeline(config_from_dict(changed), output_dir=tmp_path / "fresh")
+    log = (out / "pipeline.log.jsonl").read_text().splitlines()[logged:]
+    assert result.computed == int(retrains)
+    assert [e["skipped"] for e in map(json.loads, log) if e["event"] == "stability"] == [
+        not restabilizes
+    ]
+    assert tree_digest(out, ("report",)) == tree_digest(tmp_path / "fresh", ("report",))
 
 
 def test_cli_names_no_private_attribute_of_another_module():
