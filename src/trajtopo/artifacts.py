@@ -172,17 +172,6 @@ class RunRecord:
         doc = asdict(self) | {"pmag": dict(sorted(self.pmag.items()))}
         return json.dumps(doc, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str, what: str = "run record") -> "RunRecord":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"malformed {what}: {exc}") from exc
-        if isinstance(doc, dict):
-            # records written before `beta_hat` was dropped still load
-            doc.pop("beta_hat", None)
-        return from_json_object(cls, doc, what)
-
 
 def join_ids(ids: np.ndarray) -> str:
     """The comma-separated form in which artifact metadata stores ids."""

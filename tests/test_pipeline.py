@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajtopo import magnitude, pipeline, stability
+from trajtopo import magnitude, pipeline, stability, trainer
 from trajtopo.analysis import THEOREM_KEY
 from trajtopo.artifacts import LossMatrix, RunRecord, Trajectory, save_loss_matrix, save_trajectory
 from trajtopo.cli import main
@@ -46,9 +46,10 @@ def small_config(**overrides) -> ExperimentConfig:
 
 
 def tree_digest(root: Path, subdirs=("report", "cells")) -> dict[str, str]:
+    """SHA-256 of every file under each of `subdirs`, a file itself included."""
     out = {}
     for sub in subdirs:
-        for path in sorted((root / sub).rglob("*")):
+        for path in sorted([root / sub, *(root / sub).rglob("*")]):
             if path.is_file():
                 out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
@@ -214,10 +215,12 @@ class TestCli:
         assert rebuilt["runs"] == original["runs"]
         assert rebuilt["per_n_stats"]["e_alpha"] == original["per_n_stats"]["e_alpha"]
 
-    def test_report_rewrites_run_reports_byte_identical(self, tmp_path, capsys):
-        """`report` rebuilds every report file of a finished run, in place or
-        elsewhere, including stability, bounds and the first configured
-        fixed scale (20.0, which sorts after 100.0 as a string)."""
+    def test_report_rewrites_run_reports_byte_identical(self, tmp_path, capsys, monkeypatch):
+        """`report` writes the run's `report/` again, in place or elsewhere,
+        byte for byte, including stability, bounds and the first configured
+        fixed scale (20.0, which sorts after 100.0 as a string). It trains,
+        solves and writes nothing else, also after a re-run shrank the grid
+        and left the cells of the larger one in place."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "task": "quadratic", "input_dim": 3, "n_grid": [20, 40], "eta_grid": [0.05],
@@ -225,24 +228,27 @@ class TestCli:
             "stability": {"J": 4, "iterations": 30, "converge_iterations": 0, "seeds": [0, 1]},
         }))
         out = tmp_path / "out"
-        assert self.run_cli("run", "--config", cfg_path, "--out", out) == 0
-        before = tree_digest(out, subdirs=("report",))
-        summary = json.loads((out / "report" / "summary.json").read_text())
-        assert summary["bounds"] and summary["stability"]
-        assert "report/grid_pmag_theorem_scale.csv" in before
+        kept = ("cells", "stability", "run.json", "pipeline.log.jsonl")
+        for n_grid in ("20,40", "20"):
+            assert self.run_cli("run", "--config", cfg_path, "--n-grid", n_grid, "--out", out) == 0
+            before = tree_digest(out, subdirs=("report",))
+            assert "report/grid_pmag_theorem_scale.csv" in before
+            state = tree_digest(out, subdirs=kept)
+            summary = json.loads((out / "report" / "summary.json").read_text())
+            assert summary["bounds"] and summary["stability"]
+            assert len(summary["runs"]) == 2 * len(n_grid.split(","))
 
-        assert self.run_cli("report", out) == 0
-        assert tree_digest(out, subdirs=("report",)) == before
-        # records and summaries that still carry the dropped `beta_hat`,
-        # `analytic_beta` and `extras` keys load and give the same reports
-        for path in out.glob("cells/*/record.json"):
-            path.write_text(json.dumps({**json.loads(path.read_text()), "beta_hat": None}))
-        for entry in summary["stability"]:
-            entry.update(analytic_beta=None, extras={})
-        (out / "report" / "summary.json").write_text(json.dumps(summary))
-        assert self.run_cli("report", out, "--out", tmp_path / "elsewhere") == 0
-        elsewhere = tree_digest(tmp_path, subdirs=("elsewhere",))
-        assert {k.replace("elsewhere/", "report/"): v for k, v in elsewhere.items()} == before
+            with monkeypatch.context() as patch:
+                for module, name in ((trainer, "projected_sgd"), (magnitude, "weighting"),
+                                     (stability, "run_stability_experiment")):
+                    patch.setattr(module, name, lambda *args, _name=name, **kwargs:
+                                  pytest.fail(f"report called {_name}"))
+                assert self.run_cli("report", out) == 0
+                assert self.run_cli("report", out, "--out", tmp_path / "elsewhere") == 0
+            assert tree_digest(out, subdirs=("report",)) == before
+            elsewhere = tree_digest(tmp_path, subdirs=("elsewhere",))
+            assert {k.replace("elsewhere/", "report/"): v for k, v in elsewhere.items()} == before
+            assert tree_digest(out, subdirs=kept) == state
 
     def test_stage_chain_matches_pipeline(self, tmp_path, capsys):
         """traj-gen + distmat + lifetime-sum/pmag reproduce the pipeline's
@@ -396,11 +402,6 @@ class TestCli:
         ) == 2
 
 
-def _records_without_summary(out: Path) -> None:
-    run_pipeline(small_config(n_grid=[15], seeds=[0], stability=None), output_dir=out)
-    (out / "report" / "summary.json").unlink()
-
-
 def _json_file(name: str, doc):
     def prepare(out: Path) -> None:
         (out / name).write_text(json.dumps(doc))
@@ -421,11 +422,14 @@ def _finished_run(pattern: str, edit):
     """A finished `_TINY_RUN` in `out`, with its config in `out/cfg.json`;
     `edit` changes the JSON object of the first file matching `pattern` (the
     text of a file that is not `.json`), or returns the text or bytes that
-    replace that file."""
+    replace that file. An `edit` of None deletes the file."""
     def prepare(out: Path) -> None:
         (out / "cfg.json").write_text(json.dumps(_TINY_RUN))
         run_pipeline(config_from_dict(json.loads(json.dumps(_TINY_RUN))), output_dir=out)
         path = sorted(out.glob(pattern))[0]
+        if edit is None:
+            path.unlink()
+            return
         doc = json.loads(path.read_text()) if path.suffix == ".json" else path.read_text()
         text = edit(doc)
         if isinstance(text, bytes):
@@ -480,8 +484,13 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
     [
         (["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1"], None,
          "pass --samples or --samples-file"),
-        (["report", "{out}"], None, "no run records"),
-        (["report", "{out}"], _records_without_summary, "summary.json"),
+        (["report", "{out}"], None, "no {out}/run.json; re-run `trajtopo run`"),
+        (["report", "{out}"], _finished_run("run.json", None),
+         "no {out}/run.json; re-run `trajtopo run`"),
+        (["run", "--n-grid", "8,8", "--out", "{out}"], None,
+         "config: n_grid must be a nonempty list of distinct values, got [8, 8]"),
+        (["run", "--set", "eta_grid=[0.1,0.10]", "--out", "{out}"], None,
+         "config: eta_grid must be a nonempty list of distinct values, got [0.1, 0.1]"),
         (["stability", "--config", "{out}/stab.json"], _json_file("stab.json", {"n": "abc"}),
          "'n' must be an integer or a nonempty list of integers"),
         (["stability", "--config", "{out}/stab.json"],
@@ -511,17 +520,14 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (_TRAJ_GEN + ["--input-dim", "0"], None, "input_dim and hidden must be >= 1"),
         (_TRAJ_GEN + ["--iterations", "0"], None, "iteration counts out of range"),
         (_TRAJ_GEN + ["--task", "foo"], None, "argument --task: invalid choice: 'foo'"),
-        (["report", "{out}"],
-         _finished_run("report/summary.json", lambda d: d.update(pmag_scales=["a"])),
-         "'pmag_scales' must be list[float]"),
-        (["report", "{out}"],
-         _finished_run("report/summary.json", lambda d: d.update(pmag_scales=[])),
-         "{out}/report/summary.json: config: scale grid must be nonempty"),
-        (["report", "{out}"], _finished_run("report/summary.json", lambda d: d.update(task=5)),
-         "'task' must be str"),
-        (["report", "{out}"],
-         _finished_run("report/summary.json", lambda d: d.update(stability=[{"n": 1}])),
-         "stability report in"),
+        (["report", "{out}"], _finished_run("run.json", lambda d: d.update(pmag_scales=["a"])),
+         "config {out}/run.json 'pmag_scales' must be list[float], got ['a']"),
+        (["report", "{out}"], _finished_run("run.json", lambda d: d.update(pmag_scales=[])),
+         "config {out}/run.json: scale grid must be nonempty"),
+        (["report", "{out}"], _finished_run("run.json", lambda d: d.update(task=5)),
+         "config {out}/run.json 'task' must be str, got 5"),
+        (["report", "{out}"], _finished_run("stability/*.json", lambda d: d.pop("mean")),
+         f"stability report {_TINY_STABILITY} lacks ['mean']"),
         (["report", "{out}"], _finished_run("cells/*/record.json", lambda d: d.pop("gen_gap")),
          "lacks ['gen_gap']"),
         (_RERUN, _finished_run("cells/*/record.json", lambda d: d.pop("gen_gap")),
@@ -533,14 +539,15 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "record.json 'gen_gap' must be float, got None"),
         (_RERUN, _finished_run("cells/*/constants.json", lambda d: d.update(lipschitz="x")),
          "constants.json 'lipschitz' must be float, got 'x'"),
-        (["report", "{out}"],
-         _finished_run("report/summary.json", lambda d: d["stability"][0].update(mean=None)),
-         "summary.json 'mean' must be float, got None"),
+        (["report", "{out}"], _finished_run("stability/*.json", lambda d: d.update(mean=None)),
+         f"stability report {_TINY_STABILITY} 'mean' must be float, got None"),
         (["report", "{out}"],
          _finished_run("cells/*/record.json", lambda d: d.update(e_alpha=-1.0)),
          "record.json: complexity statistics must be nonnegative"),
         (["report", "{out}"], _finished_run("cells/*/record.json", lambda d: "{not json"),
          "record.json: Expecting property name enclosed in double quotes"),
+        (["report", "{out}"], _finished_run("cells/*/record.json", lambda d: b"\xff{"),
+         f"malformed run record {_TINY_CELL}/record.json: 'utf-8' codec can't decode"),
         (_RERUN, _finished_run("stability/*.json", lambda d: "{not json"),
          f"malformed stability report {_TINY_STABILITY}: Expecting property name"),
         (_RERUN, _finished_run("stability/*.json", lambda d: b"\xff{"),
@@ -559,6 +566,14 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          f"theorem scale {_TINY_CELL}/theorem_scale.json 'scale' must be float, got 'x'"),
         (_RERUN, _finished_run("cells/*/theorem_scale.json", lambda d: d.pop("scale")),
          f"theorem scale {_TINY_CELL}/theorem_scale.json lacks ['scale']"),
+        (["report", "{out}"], _finished_run("stability/*.json", None),
+         f"{_TINY_STABILITY} is missing or from another config"),
+        (["report", "{out}"], _finished_run("cells/*/fingerprint", lambda text: "0" * 64 + "\n"),
+         f"{_TINY_CELL}/fingerprint is missing or from another config"),
+        (["report", "{out}"], _finished_run("cells/*/theorem_scale.json", None),
+         f"{_TINY_CELL}/theorem_scale.json is missing or from another config"),
+        (["report", "{out}"], _finished_run("run.json", lambda d: d.update(stability=None)),
+         f"{_TINY_CELL}/record.json is missing or from another config"),
         (["distmat", "{out}/t", "--out", "{out}/d2"],
          _artifacts({"t": lambda d: d["metadata"].update(iteration_ids="a,b")}),
          "t metadata 'iteration_ids' must be comma-separated integers, got 'a,b'"),
@@ -583,22 +598,25 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["stability", "{out}/a", "{out}/b"], _loss_matrices(lambda d: d["metadata"].pop("split")),
          "artifact {out}/a: unknown split None"),
     ],
-    ids=["bound-without-samples", "report-without-records", "report-without-summary",
+    ids=["bound-without-samples", "report-without-records", "report-without-run-json",
+         "run-n-grid-repeated", "run-eta-grid-repeated",
          "stability-n-string", "stability-n-float", "stability-n-null-list",
          "stability-n-empty-list", "bound-samples-not-numbers", "bound-report-without-mean",
          "bound-report-mean-string", "run-jobs-not-int", "traj-gen-n-not-int",
          "pmag-unknown-solver", "bound-without-theorem", "traj-gen-input-dim-0",
-         "traj-gen-iterations-0", "traj-gen-unknown-task", "report-summary-scales-strings",
-         "report-summary-scales-empty", "report-summary-task-int",
-         "report-summary-stability-entry-partial", "report-record-without-gen-gap",
+         "traj-gen-iterations-0", "traj-gen-unknown-task", "report-run-json-scales-strings",
+         "report-run-json-scales-empty", "report-run-json-task-int",
+         "report-stability-cache-without-mean", "report-record-without-gen-gap",
          "rerun-record-without-gen-gap", "rerun-constants-without-lipschitz",
          "report-record-gen-gap-null", "rerun-constants-lipschitz-string",
-         "report-summary-stability-mean-null", "report-record-e-alpha-negative",
-         "report-record-not-json", "rerun-stability-cache-not-json",
+         "report-stability-cache-mean-null", "report-record-e-alpha-negative",
+         "report-record-not-json", "report-record-not-utf8", "rerun-stability-cache-not-json",
          "rerun-stability-cache-not-utf8", "rerun-stability-cache-mean-string",
          "rerun-stability-cache-without-beta-hats", "rerun-fingerprint-truncated",
          "rerun-fingerprint-not-utf8", "rerun-theorem-scale-not-json",
          "rerun-theorem-scale-string", "rerun-theorem-scale-without-scale",
+         "report-stability-cache-deleted", "report-fingerprint-mismatch",
+         "report-theorem-scale-deleted", "report-record-keeps-theorem-value",
          "distmat-ids-not-integers",
          "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
          "pmag-ids-not-integers", "distmat-wrong-role", "distmat-schema-version-2",
@@ -741,6 +759,12 @@ _BOUND_FIELDS = {
     "lipschitz": (2.0, False, False),
     "loss_bound": (3.0, False, False),
 }
+# The default value of a float field, spelled as an integer: the same value,
+# so a re-run under it retrains and restabilizes nothing.
+_RESPELLED = {
+    "pmag_scales": ([100], False, False),
+    "radius": (10, False, False),
+}
 
 
 def test_fingerprints_cover_every_config_field(tmp_path, monkeypatch):
@@ -765,14 +789,17 @@ def test_fingerprints_cover_every_config_field(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "key, value, retrains, restabilizes",
     [(k, *v) for k, v in (_SHAPING_FIELDS | _BOUND_FIELDS).items()]
-    + [(f"stability.{k}", *v) for k, v in _SECTION_FIELDS.items()],
-    ids=list(_SHAPING_FIELDS | _BOUND_FIELDS) + [f"stability.{k}" for k in _SECTION_FIELDS],
+    + [(f"stability.{k}", *v) for k, v in _SECTION_FIELDS.items()]
+    + [(k, *v) for k, v in _RESPELLED.items()],
+    ids=list(_SHAPING_FIELDS | _BOUND_FIELDS) + [f"stability.{k}" for k in _SECTION_FIELDS]
+    + [f"{k}-as-int" for k in _RESPELLED],
 )
 def test_rerun_after_one_field_changes_matches_fresh_run(tmp_path, key, value, retrains,
                                                          restabilizes):
     """A re-run that changes one field retrains the cell or redoes the
     stability experiment exactly when that field shapes it, and its
-    `report/` then equals a fresh run's."""
+    `report/` then equals a fresh run's. A re-run that only spells a float
+    as an integer changes no value, so it redoes nothing."""
     changed = json.loads(json.dumps(_TINY_RUN))
     section, _, name = key.rpartition(".")
     (changed[section] if section else changed)[name] = value
@@ -823,7 +850,7 @@ def test_cell_and_summary_files_roundtrip_byte_identical(tmp_path):
     assert len(records) == 4
     for path in records:
         text = path.read_text()
-        record = RunRecord.from_json(text)
+        record = from_json_object(RunRecord, json.loads(text), "run record")
         assert THEOREM_KEY in record.pmag
         assert record.to_json() == text
         constants_path = path.parent / "constants.json"
@@ -834,6 +861,23 @@ def test_cell_and_summary_files_roundtrip_byte_identical(tmp_path):
     for doc in summary["stability"]:
         report = from_json_object(StabilityReport, doc, "stability report")
         assert json.loads(report.to_json()) == doc
+
+
+def test_run_json_loads_back_to_the_same_config(tmp_path):
+    """The `run.json` that a run writes, which `report` runs from, loads back
+    through `config_from_dict` to an equal config that dumps to the same
+    bytes; an integer in a float field loads as that float."""
+    sample = load_config(Path(__file__).resolve().parents[1] / "sample_config.json")
+    tiny = config_from_dict(_TINY_RUN)
+    run_pipeline(tiny, output_dir=tmp_path)
+    assert (tmp_path / "run.json").read_text() == tiny.to_json()
+    for cfg in (sample, tiny):
+        text = cfg.to_json()
+        again = config_from_dict(json.loads(text))
+        assert again == cfg and again.to_json() == text
+    as_ints = config_from_dict({**_TINY_RUN, "radius": 10, "pmag_scales": [100], "lipschitz": 2})
+    assert as_ints.to_json() == config_from_dict(
+        {**_TINY_RUN, "radius": 10.0, "pmag_scales": [100.0], "lipschitz": 2.0}).to_json()
 
 
 def test_readme_config_table_matches_dataclasses():
