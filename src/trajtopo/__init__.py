@@ -4,6 +4,12 @@ Library and CLI for measuring the geometry of training trajectories
 (weighted MST lifetime sums, positive magnitude), estimating trajectory
 stability empirically, and evaluating stability-based generalization
 bounds on desk-scale synthetic runs.
+
+Every scipy name is imported inside the function that calls it, never at
+module level, and the process pool only by a run with `jobs > 1`: scipy
+takes longer to import than the rest of the CLI, and the commands that
+need none of it (`report`, `bound`, `lifetime-sum`, a re-run whose stored
+results all hit) never pay for it.
 """
 
 from .analysis import grid_report, kendall, pearson, slope_vs_n, spearman, worst_case_gap

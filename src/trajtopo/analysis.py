@@ -74,7 +74,6 @@ def kendall(x, y) -> float:
 
 def spearman(x, y) -> float:
     """Rank correlation: Pearson r of average ranks."""
-    # imported here: scipy.stats takes longer to import than the whole CLI
     from scipy.stats import rankdata
 
     x = np.asarray(x, dtype=np.float64)

@@ -7,6 +7,7 @@ failure -> 3. Plain OSError is left alone for filesystem problems.
 
 import contextlib
 import dataclasses
+import functools
 import numbers
 import types
 import typing
@@ -63,12 +64,17 @@ def _as_declared(value, hint):
     return float(value) if hint is float else value
 
 
+# resolved once per class: with postponed annotations every call would
+# compile each field's annotation string again
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def check_fields(cls, values: dict, what: str) -> None:
     """Raise InvalidInputError for the first field of dataclass `cls` whose
     value in `values` does not fit its annotation, else store each value in
     `values` as `_as_declared` gives it, so that `100` and `100.0` are one
     value in a float field; absent fields are not checked."""
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     for f in dataclasses.fields(cls):
         if f.name in values and not fits(values[f.name], hints[f.name]):
             raise InvalidInputError(f"{what} {f.name!r} must be {f.type}, got {values[f.name]!r}")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .artifacts import (ArtifactManifest, Trajectory, join_ids, parse_ids, read_artifact,
                         write_artifact)
@@ -53,6 +52,8 @@ class DistanceMatrix:
 
 def pairwise_distances(traj: Trajectory) -> DistanceMatrix:
     """Euclidean distance matrix over all iterates of a trajectory."""
+    from scipy.spatial.distance import pdist, squareform
+
     points = traj.points
     if not np.isfinite(points).all():
         raise InvalidInputError("trajectory contains non-finite points")

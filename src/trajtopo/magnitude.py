@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import DistanceMatrix
@@ -72,6 +71,8 @@ def similarity_matrix(dist: DistanceMatrix, s: float) -> np.ndarray:
 
 def _solve_direct(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky solve; returns gamma and its residual ||Z gamma - b||_inf."""
+    import scipy.linalg
+
     try:
         factor = scipy.linalg.cho_factor(z)
         gamma = scipy.linalg.cho_solve(factor, b)

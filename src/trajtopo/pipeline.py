@@ -27,7 +27,6 @@ import hashlib
 import json
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -516,6 +515,8 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
         for seed in cfg.seeds
     ]
     results: list[CellResult] = []
+    if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
         for res, seconds in (map if pool is None else pool.map)(_timed_cell, cells):
             log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)

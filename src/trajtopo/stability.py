@@ -14,7 +14,6 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .artifacts import LossMatrix
 from .errors import InvalidInputError, check_fields
@@ -57,6 +56,8 @@ def _directed_estimate(a: np.ndarray, b: np.ndarray) -> float:
     (early break as in Taha & Hanbury, TPAMI 2015). The result equals the
     dense `cdist(a, b).min(axis=1).max()` bit for bit.
     """
+    from scipy.spatial.distance import cdist
+
     twins = b[np.minimum(np.arange(a.shape[0]), b.shape[0] - 1)]
     bounds = np.abs(a - twins).max(axis=1)
     order = np.argsort(-bounds, kind="stable")

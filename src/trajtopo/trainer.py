@@ -9,12 +9,11 @@ batch-index stream can be shared between a run and its perturbed twin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import expit
 
 from .artifacts import LossMatrix, Trajectory
 from .errors import InvalidInputError, NumericalFailureError
@@ -49,6 +48,15 @@ class SyntheticTask:
         """Vectorized losses, shape (iterates, samples)."""
         raise NotImplementedError
 
+    @functools.cached_property
+    def _expit(self):
+        """scipy's logistic sigmoid, bound at the first gradient: building a
+        task, which every config check does, then loads no scipy, and an
+        SGD step runs no import statement."""
+        from scipy.special import expit
+
+        return expit
+
 
 class QuadraticTask(SyntheticTask):
     """loss(w, z) = ||w - x||^2 / 2 with target x = z[:d]."""
@@ -63,6 +71,8 @@ class QuadraticTask(SyntheticTask):
         return w - batch[:, : self.input_dim].mean(axis=0)
 
     def loss_table(self, iterates, samples):
+        from scipy.spatial.distance import cdist
+
         targets = samples[:, : self.input_dim]
         return 0.5 * cdist(iterates, targets, metric="sqeuclidean")
 
@@ -79,14 +89,17 @@ class LogisticTask(SyntheticTask):
     def mean_gradient(self, w, batch):
         x = batch[:, : self.input_dim]
         y = batch[:, self.input_dim]
-        s = expit(-y * (x @ w))
+        s = self._expit(-y * (x @ w))
         return -(x.T @ (y * s)) / len(batch)
 
     def loss_table(self, iterates, samples):
         x = samples[:, : self.input_dim]
         y = samples[:, self.input_dim]
-        margins = (iterates @ x.T) * y[None, :]
-        return np.logaddexp(0.0, -margins)
+        # one table-sized buffer, negated margins then losses: the peak is
+        # one table instead of three
+        table = iterates @ x.T
+        table *= -y
+        return np.logaddexp(0.0, table, out=table)
 
 
 class SmallMLPTask(SyntheticTask):
@@ -116,7 +129,7 @@ class SmallMLPTask(SyntheticTask):
         y = batch[:, self.input_dim]
         act = np.tanh(x @ w1.T + b1)
         out = act @ w2 + b2
-        dout = -y * expit(-y * out) / len(batch)
+        dout = -y * self._expit(-y * out) / len(batch)
         dw2 = act.T @ dout
         db2 = dout.sum()
         dpre = (dout[:, None] * w2[None, :]) * (1.0 - act * act)

@@ -3,7 +3,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from trajtopo.analysis import THEOREM_KEY
 from trajtopo.artifacts import LossMatrix, RunRecord, Trajectory, save_loss_matrix, save_trajectory
 from trajtopo.cli import main
 from trajtopo.errors import InvalidInputError, from_json_object
+from trajtopo.geometry import DistanceMatrix, save_distance_matrix
 from trajtopo.pipeline import (
     ExperimentConfig,
     StabilitySettings,
@@ -961,3 +965,52 @@ def test_alpha_outside_unit_interval_without_stability_section():
     section any nonnegative alpha is a valid lifetime-sum exponent."""
     for alpha in (0, 2.5):
         assert config_from_dict({"alpha": alpha}).alpha == alpha
+
+
+# Runs CLI commands in one fresh interpreter after importing the CLI and
+# loading the config, then prints the loaded modules that cost start-up:
+# scipy's and the process pool's.
+_LOADED_AFTER = """
+import json, sys
+from trajtopo import cli, pipeline
+pipeline.load_config(sys.argv[1])
+for argv in json.loads(sys.argv[2]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")))
+"""
+
+
+def _modules_loaded_by(config: Path, argvs: list[list[str]]) -> list[str]:
+    src = Path(pipeline.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, str(config), json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_that_need_no_scipy_never_load_it(tmp_path):
+    """Importing the CLI, loading a config, a re-run whose caches all hit,
+    `report`, `lifetime-sum` and `bound` load no scipy module and no process
+    pool; a fresh run of the same config does load scipy."""
+    # the logistic task, whose gradient needs scipy, checks that building
+    # a task for the config check does not load it
+    doc = {**_TINY_RUN, "task": "logistic_regression"}
+    out, cfg = tmp_path / "out", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    run_pipeline(config_from_dict(doc), output_dir=out)
+    dist = DistanceMatrix([[0.0, 5.0, 10.0], [5.0, 0.0, 5.0], [10.0, 5.0, 0.0]], [0, 1, 2])
+    save_distance_matrix(dist, tmp_path / "d")
+    [stab_report] = map(str, out.glob("stability/*.json"))
+    needs_no_scipy = [
+        ["run", "--config", str(cfg), "--out", str(out)],
+        ["report", str(out), "--out", str(tmp_path / "rep")],
+        ["lifetime-sum", str(tmp_path / "d")],
+        ["bound", "--theorem", "pmag", "--stability-report", stab_report, "--loss-bound", "1",
+         "--samples", "1.0"],
+    ]
+    assert _modules_loaded_by(cfg, needs_no_scipy) == []
+    fresh = [["run", "--config", str(cfg), "--out", str(tmp_path / "fresh")]]
+    assert any(m.startswith("scipy") for m in _modules_loaded_by(cfg, fresh))

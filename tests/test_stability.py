@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+import scipy.spatial.distance
 
 from oracles import blocked_max_min_estimate, stability_report_json
-from trajtopo import stability
 from trajtopo.artifacts import LossMatrix
 from trajtopo.errors import InvalidInputError
 from trajtopo.stability import (
@@ -168,15 +168,16 @@ class TestPrunedEstimator:
             assert_matches_oracle(a, b)
 
     def test_twin_like_pair_solves_few_rows_per_block(self, rng, monkeypatch):
+        # the estimator imports cdist when it runs, so it resolves this patch
         rows_seen = []
-        dense = stability.cdist
+        dense = scipy.spatial.distance.cdist
 
         def recording_cdist(x, y, metric):
             rows_seen.append(x.shape[0])
             assert y.shape[0] == 1001
             return dense(x, y, metric)
 
-        monkeypatch.setattr(stability, "cdist", recording_cdist)
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", recording_cdist)
         a, b = twin_like(rng, 1001, 50)
         value = estimate_stability(losses(a), losses(b))
         assert value == blocked_max_min_estimate(a, b)

@@ -217,6 +217,15 @@ class TestGradients:
         iterates = rng.standard_normal((20, task.param_dim))
         assert (task.loss_table(iterates, data.samples) >= 0.0).all()
 
+    def test_logistic_table_equals_plain_formula(self, rng):
+        """The in-place logistic table is bit-identical to log(1 + exp(-m))
+        computed from fresh arrays, a zero iterate (margins of 0) included."""
+        task, data, _ = make_task_and_data("logistic_regression", 30, 4, seed=4)
+        iterates = np.vstack([np.zeros(task.param_dim), rng.standard_normal((20, task.param_dim))])
+        x, y = data.samples[:, :4], data.samples[:, 4]
+        expected = np.logaddexp(0.0, -((iterates @ x.T) * y[None, :]))
+        np.testing.assert_array_equal(task.loss_table(iterates, data.samples), expected)
+
     def test_mean_gradient_averages(self, rng):
         task, data, _ = make_task_and_data("logistic_regression", 12, 5, seed=6)
         w = rng.standard_normal(task.param_dim)
