@@ -63,6 +63,7 @@ from .trainer import (
     make_task_and_data,
     perturb_dataset,
     projected_sgd,
+    projected_sgd_stack,
 )
 
 __version__ = "0.1.0"
@@ -110,6 +111,7 @@ __all__ = [
     "pmag_scale",
     "positive_magnitude",
     "projected_sgd",
+    "projected_sgd_stack",
     "read_artifact",
     "run_stability_experiment",
     "slope_vs_n",

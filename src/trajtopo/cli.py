@@ -116,9 +116,10 @@ def cmd_traj_gen(args: argparse.Namespace) -> int:
     out_dir = Path(_default_out(args.out))
     out_dir.mkdir(parents=True, exist_ok=True)
     n, eta, batch, seed = cfg.n_grid[0], cfg.eta_grid[0], cfg.batch_grid[0], cfg.seeds[0]
-    _, window, lm_train, lm_test = pipeline.train_cell(cfg, n, eta, batch, seed)
+    (cell,) = pipeline.train_cells(cfg, n, eta, batch, [seed])
+    lm_train, lm_test = cell.loss_matrices()
 
-    save_trajectory(window, out_dir / "trajectory")
+    save_trajectory(cell.window, out_dir / "trajectory")
     save_loss_matrix(lm_train, out_dir / "losses_train")
     save_loss_matrix(lm_test, out_dir / "losses_test")
     stub = {

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import DistanceMatrix
 
@@ -74,13 +75,16 @@ def _solve_direct(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     import scipy.linalg
 
     try:
-        factor = scipy.linalg.cho_factor(z)
-        gamma = scipy.linalg.cho_solve(factor, b)
-        r = b - z @ gamma
-        if np.abs(r).max() > RESIDUAL_TOL:
-            # one step of iterative refinement with the existing factorization
-            gamma = gamma + scipy.linalg.cho_solve(factor, r)
+        # a threaded factor changes with the thread count, so a pool worker
+        # factors at the main process's count, and `jobs` changes no byte
+        with blas.full_threads():
+            factor = scipy.linalg.cho_factor(z)
+            gamma = scipy.linalg.cho_solve(factor, b)
             r = b - z @ gamma
+            if np.abs(r).max() > RESIDUAL_TOL:
+                # one step of iterative refinement with the existing factorization
+                gamma = gamma + scipy.linalg.cho_solve(factor, r)
+                r = b - z @ gamma
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             "similarity matrix is not positive definite; this usually means "

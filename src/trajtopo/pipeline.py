@@ -2,10 +2,13 @@
 
 For every grid cell (n, eta, batch, seed): generate data, train projected
 SGD, window and subsample the trajectory, compute the distance matrix and
-both complexity statistics, and append a RunRecord. Optional stages add
-empirical stability estimates per sample size and evaluate both
-generalization bounds. Reports are assembled deterministically: two runs
-with the same config produce byte-identical CSV/JSON outputs.
+both complexity statistics, and append a RunRecord. The cells that share
+(n, eta, batch) train as one stack of their seeds, or with `jobs > 1` as
+up to `jobs` stacks, each cell bit-identical to one trained alone.
+Optional stages add empirical stability estimates per sample size and
+evaluate both generalization bounds. Reports are assembled
+deterministically: two runs with the same config produce byte-identical
+CSV/JSON outputs.
 
 A re-run into the same directory reuses what a config that shapes it the
 same way stored, and recomputes the rest:
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, bounds, geometry, lifetime, magnitude, stability, trainer
+from . import analysis, blas, bounds, geometry, lifetime, magnitude, stability, trainer
 from .analysis import THEOREM_KEY
 from .artifacts import (LossMatrix, RunRecord, Trajectory, load_trajectory, read_json_object,
                         save_trajectory)
@@ -230,42 +233,75 @@ class CellResult:
     skipped: bool
 
 
-def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int,
-                 out_dir: str, reuse_only: bool = False) -> CellResult:
-    """Train one grid cell and write its record, subsampled trajectory,
-    constants and fingerprint.
+@dataclass
+class TrainedCell:
+    """A trained grid cell: its seed, task and data, and the window of the
+    last `cfg.iterations + 1` iterates of its run."""
 
-    If the cell's record exists and its fingerprint matches the config's,
-    the record is loaded and returned unchanged, making re-runs cheap and
-    idempotent. Otherwise the cell is trained again and every file is
-    rewritten, the fingerprint last, so that an interrupted write is never
-    reused; with `reuse_only`, it is an InvalidInputError instead.
+    seed: int
+    task: trainer.SyntheticTask
+    data: trainer.Dataset
+    pool: trainer.Dataset
+    window: Trajectory
+
+    def loss_matrices(self) -> tuple[LossMatrix, LossMatrix]:
+        """The window's losses on up to 500 training samples and as many
+        held-out samples."""
+        m = min(self.data.n, 500)
+        picks = stream(self.seed, "train-probe").choice(self.data.n, size=m, replace=False)
+        return (trainer.loss_matrix(self.task, self.window, self.data.take(np.sort(picks)), "train"),
+                trainer.loss_matrix(self.task, self.window, self.pool.take(np.arange(m)), "test"))
+
+
+def train_cells(cfg: ExperimentConfig, n: int, eta: float, batch: int,
+                seeds: list[int]) -> list[TrainedCell]:
+    """Train the cells (n, eta, batch, seed) of `seeds` as one stack; each
+    is bit-identical to the cell trained alone. A numerical failure names
+    the index in `seeds` of the first failing seed as its `run`."""
+    task = trainer.make_task(cfg.task, cfg.input_dim, cfg.hidden)
+    datasets = [trainer.make_task_and_data(cfg.task, n, cfg.input_dim, seed, class_sep=cfg.class_sep,
+                                           noise=cfg.noise, hidden=cfg.hidden)[1:]
+                for seed in seeds]
+    windows = trainer.projected_sgd_stack(task, [data for data, _ in datasets],
+                                          [cfg.sgd_config(eta, batch, seed) for seed in seeds],
+                                          keep=cfg.iterations + 1)
+    return [TrainedCell(seed, task, data, pool, window)
+            for seed, (data, pool), window in zip(seeds, datasets, windows)]
+
+
+def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int, out_dir: str,
+                 fingerprint: str, trained: TrainedCell | None = None) -> CellResult:
+    """One grid cell under `fingerprint`, the SHA-256 of the config fields
+    that shape it.
+
+    Without `trained`, the record that `compute_cells` found stored under
+    the fingerprint is loaded and returned unchanged. Otherwise the trained
+    cell is finished: its window is subsampled, its complexity values,
+    constants and generalization gap computed, and its record, subsampled
+    trajectory, constants and fingerprint written, the fingerprint last, so
+    that an interrupted write is never reused.
     """
     cid = cell_id(cfg.task, n, eta, batch, seed)
     cell_dir = Path(out_dir) / "cells" / cid
     record_path = cell_dir / "record.json"
-    fingerprint_path = cell_dir / "fingerprint"
-    shaping = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in UNFINGERPRINTED}
-    fingerprint = _fingerprint(shaping | {"n": n, "eta": eta, "batch": batch, "seed": seed})
-    if record_path.exists() and _stored_fingerprint(fingerprint_path) == fingerprint:
+    if trained is None:
         record = from_json_object(RunRecord, read_json_object(record_path, "run record"),
                                   f"run record {record_path}")
         return CellResult(record=record, skipped=True)
-    if reuse_only:
-        raise _cache_miss(fingerprint_path if record_path.exists() else record_path)
     try:
-        task, window, lm_train, lm_test = train_cell(cfg, n, eta, batch, seed)
-        sub = geometry.subsample_uniform(window, cfg.subsample, seed)
+        lm_train, lm_test = trained.loss_matrices()
+        sub = geometry.subsample_uniform(trained.window, cfg.subsample, seed)
         dist = geometry.distance_matrix(sub)
         e_alpha = lifetime.alpha_weighted_lifetime_sum(dist, cfg.alpha)
         pmag = {scale_key(s): magnitude.positive_magnitude(dist, s) for s in cfg.pmag_scales}
-        consts = bounds.estimate_constants(task, window, lm_train)
+        consts = bounds.estimate_constants(trained.task, trained.window, lm_train)
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"cell {cid}: {exc}") from exc
     record = RunRecord(run_id=cid, n=n, eta=eta, batch=batch, seed=seed,
                        gen_gap=analysis.worst_case_gap(lm_train, lm_test), e_alpha=e_alpha,
                        pmag=pmag)
     cell_dir.mkdir(parents=True, exist_ok=True)
+    fingerprint_path = cell_dir / "fingerprint"
     for stale in (fingerprint_path, cell_dir / THEOREM_SCALE):
         stale.unlink(missing_ok=True)
     save_trajectory(sub, cell_dir / "trajectory")
@@ -275,33 +311,70 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     return CellResult(record=record, skipped=False)
 
 
-def train_cell(
-    cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int
-) -> tuple[trainer.SyntheticTask, Trajectory, LossMatrix, LossMatrix]:
-    """Train one grid cell and probe its tail window.
+def compute_cells(cfg: ExperimentConfig, n: int, eta: float, batch: int, seeds: list[int],
+                  out_dir: str, reuse_only: bool = False) -> list[tuple[CellResult, float]]:
+    """The cells (n, eta, batch, seed) of `seeds` in that order, each with
+    its seconds.
 
-    Returns the task, the window of the last `cfg.iterations + 1` iterates,
-    and its loss matrices on up to 500 training samples and as many
-    held-out samples.
+    A cell whose record exists under the fingerprint of the config is read
+    back, which makes re-runs cheap and idempotent. The others train as
+    one stack, and `compute_cell` finishes each; with `reuse_only`, such a
+    cell is an InvalidInputError instead. A numerical failure names the
+    first failing cell, after the cells before it are finished, as a run
+    of one cell at a time would. A trained cell's seconds include an equal
+    share of the stack's training time.
     """
-    task, data, pool = trainer.make_task_and_data(
-        cfg.task, n, cfg.input_dim, seed,
-        class_sep=cfg.class_sep, noise=cfg.noise, hidden=cfg.hidden,
-    )
-    full = trainer.projected_sgd(task, data, cfg.sgd_config(eta, batch, seed))
-    window = trainer.tail_window(full, cfg.iterations + 1)
+    shaping = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in UNFINGERPRINTED}
+    cell_dirs = {seed: Path(out_dir) / "cells" / cell_id(cfg.task, n, eta, batch, seed)
+                 for seed in seeds}
+    fingerprints = {seed: _fingerprint(shaping | {"n": n, "eta": eta, "batch": batch, "seed": seed})
+                    for seed in seeds}
+    stale = [seed for seed in seeds
+             if not ((cell_dirs[seed] / "record.json").exists()
+                     and _stored_fingerprint(cell_dirs[seed] / "fingerprint") == fingerprints[seed])]
 
-    m = min(n, 500)
-    train_idx = np.sort(stream(seed, "train-probe").choice(n, size=m, replace=False))
-    lm_train = trainer.loss_matrix(task, window, data.take(train_idx), "train")
-    lm_test = trainer.loss_matrix(task, window, pool.take(np.arange(m)), "test")
-    return task, window, lm_train, lm_test
+    trained, share = {}, 0.0
+    if stale and not reuse_only:
+        started = time.perf_counter()
+        try:
+            trained = dict(zip(stale, train_cells(cfg, n, eta, batch, stale)))
+        except NumericalFailureError as exc:
+            failed = stale[exc.run]
+            compute_cells(cfg, n, eta, batch, seeds[: seeds.index(failed)], out_dir)
+            raise NumericalFailureError(
+                f"cell {cell_id(cfg.task, n, eta, batch, failed)}: {exc}") from exc
+        share = (time.perf_counter() - started) / len(stale)
+
+    results = []
+    for seed in seeds:
+        started = time.perf_counter()
+        if reuse_only and seed in stale:
+            record_path = cell_dirs[seed] / "record.json"
+            raise _cache_miss(cell_dirs[seed] / "fingerprint" if record_path.exists()
+                              else record_path)
+        # popped, so that a finished cell's window is freed
+        result = compute_cell(cfg, n, eta, batch, seed, out_dir, fingerprints[seed],
+                              trained.pop(seed, None))
+        seconds = time.perf_counter() - started + (share if seed in stale else 0.0)
+        results.append((result, round(seconds, 3)))
+    return results
 
 
-def _timed_cell(args) -> tuple[CellResult, float]:
-    started = time.perf_counter()
-    result = compute_cell(*args)
-    return result, round(time.perf_counter() - started, 3)
+def _seed_stacks(seeds: list[int], jobs: int) -> list[list[int]]:
+    """`seeds` split into `min(jobs, len(seeds))` stacks of consecutive
+    seeds, as even as they come, so that `jobs` workers share a group."""
+    parts = min(jobs, len(seeds))
+    return [seeds[i * len(seeds) // parts : (i + 1) * len(seeds) // parts] for i in range(parts)]
+
+
+def worker_pool(jobs: int):
+    """The process pool of a run with `jobs` > 1 workers, each at one BLAS
+    thread but for its turns at the magnitude factorizations."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs, initializer=blas.one_per_worker,
+                               initargs=(multiprocessing.Lock(),))
 
 
 @dataclass
@@ -507,20 +580,20 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
             with log_path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps({"event": event, **fields}) + "\n")
 
-    cells = [
-        (cfg, n, eta, batch, seed, str(out_dir), reuse_only)
+    # the cells that share (n, eta, batch) train together
+    stacks = [
+        (cfg, n, eta, batch, seeds, str(out_dir), reuse_only)
         for n in cfg.n_grid
         for eta in cfg.eta_grid
         for batch in cfg.batch_grid
-        for seed in cfg.seeds
+        for seeds in _seed_stacks(cfg.seeds, cfg.jobs)
     ]
     results: list[CellResult] = []
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
-        for res, seconds in (map if pool is None else pool.map)(_timed_cell, cells):
-            log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)
-            results.append(res)
+    with worker_pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        for stack in (map if pool is None else pool.map)(compute_cells, *zip(*stacks)):
+            for res, seconds in stack:
+                log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)
+                results.append(res)
 
     records = sorted((r.record for r in results), key=lambda r: (r.n, r.eta, r.batch, r.seed))
     stab_reports = _stability_stage(cfg, out_dir, log, reuse_only)

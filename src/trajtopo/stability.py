@@ -15,18 +15,19 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .artifacts import LossMatrix
+from .artifacts import LossMatrix, Trajectory
 from .errors import InvalidInputError, check_fields
 from .rng import stream
 from .trainer import (
     Dataset,
     PerturbSpec,
     SGDConfig,
+    SyntheticTask,
     loss_matrix,
     make_task,
     make_task_and_data,
     perturb_dataset,
-    projected_sgd,
+    projected_sgd_stack,
 )
 
 INIT_MODES = ("random_init", "locally_converged")
@@ -58,8 +59,12 @@ def _directed_estimate(a: np.ndarray, b: np.ndarray) -> float:
     """
     from scipy.spatial.distance import cdist
 
-    twins = b[np.minimum(np.arange(a.shape[0]), b.shape[0] - 1)]
-    bounds = np.abs(a - twins).max(axis=1)
+    twin = np.minimum(np.arange(a.shape[0]), b.shape[0] - 1)
+    # in blocks of rows, so that no temporary is as large as a loss matrix
+    bounds = np.concatenate([
+        np.abs(a[start : start + _BLOCK_ROWS] - b[twin[start : start + _BLOCK_ROWS]]).max(axis=1)
+        for start in range(0, a.shape[0], _BLOCK_ROWS)
+    ])
     order = np.argsort(-bounds, kind="stable")
     best = 0.0
     for start in range(0, order.size, _BLOCK_ROWS):
@@ -237,33 +242,45 @@ def _probe_set(
     return pool.take(np.arange(start, start + m))
 
 
-def run_single_seed(cfg: StabilityConfig, seed: int) -> float:
-    """One Algorithm-style estimate: train twin runs differing only in J
-    injected samples, then compare their loss matrices."""
-    task, data, pool = make_task_and_data(
-        cfg.task, cfg.n, cfg.input_dim, seed,
-        class_sep=cfg.class_sep, noise=cfg.noise, hidden=cfg.hidden,
-    )
-    spec = PerturbSpec(J=cfg.J, pool=pool, seed=seed)
-    data_perturbed = perturb_dataset(data, spec)
-    injected = pool.ids[: cfg.J]
+def _twin_runs(cfg: StabilityConfig,
+               task: SyntheticTask) -> tuple[list[Trajectory], list[Dataset]]:
+    """Every seed's twin runs, in seed order, and its probe set. The
+    `locally_converged` warm-ups of all seeds train as one stack, and then
+    all twin runs as one; the training data is not kept."""
+    datasets, probes = [], []
+    for seed in cfg.seeds:
+        _, data, pool = make_task_and_data(
+            cfg.task, cfg.n, cfg.input_dim, seed,
+            class_sep=cfg.class_sep, noise=cfg.noise, hidden=cfg.hidden,
+        )
+        perturbed = perturb_dataset(data, PerturbSpec(J=cfg.J, pool=pool, seed=seed))
+        datasets += [data, perturbed]
+        probes.append(_probe_set(cfg, seed, perturbed, pool, pool.ids[: cfg.J]))
 
-    sgd = cfg.sgd_config(seed)
+    sgds = [cfg.sgd_config(seed) for seed in cfg.seeds]
     if cfg.init_mode == "locally_converged":
-        warm = cfg.sgd_config(seed, warmup=True)
-        sgd = replace(sgd, w0=projected_sgd(task, data, warm).points[-1])
-    traj_a = projected_sgd(task, data, sgd)
-    traj_b = projected_sgd(task, data_perturbed, sgd)
-
-    probes = _probe_set(cfg, seed, data_perturbed, pool, injected)
-    losses_a = loss_matrix(task, traj_a, probes, "probe")
-    losses_b = loss_matrix(task, traj_b, probes, "probe")
-    return estimate_stability(losses_a, losses_b, symmetrized=cfg.direction == "symmetrized")
+        warm = projected_sgd_stack(task, datasets[::2],
+                                   [cfg.sgd_config(seed, warmup=True) for seed in cfg.seeds], keep=1)
+        sgds = [replace(sgd, w0=run.points[0]) for sgd, run in zip(sgds, warm)]
+    return projected_sgd_stack(task, datasets, [sgd for sgd in sgds for _ in range(2)]), probes
 
 
 def run_stability_experiment(cfg: StabilityConfig) -> StabilityReport:
-    """Estimate stability across seeds and aggregate mean and stderr."""
-    raw = [run_single_seed(cfg, seed) for seed in cfg.seeds]
+    """Estimate stability across seeds and aggregate mean and stderr.
+
+    Each seed trains twin runs that differ only in J injected samples and
+    share their start point and batch indices (the coupled runs of Hardt,
+    Recht & Singer, ICML 2016), then compares their loss matrices on the
+    seed's probe set, seed by seed.
+    """
+    task = make_task(cfg.task, cfg.input_dim, cfg.hidden)
+    twins, probes = _twin_runs(cfg, task)
+    raw = []
+    for i, probe in enumerate(probes):
+        losses_a = loss_matrix(task, twins[2 * i], probe, "probe")
+        losses_b = loss_matrix(task, twins[2 * i + 1], probe, "probe")
+        raw.append(estimate_stability(losses_a, losses_b,
+                                      symmetrized=cfg.direction == "symmetrized"))
     betas = [r / cfg.J if cfg.J > 0 else r for r in raw]
     arr = np.array(betas)
     mean = float(arr.mean())

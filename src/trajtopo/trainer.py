@@ -5,12 +5,22 @@ dataset perturbation for stability experiments, and vectorized loss-matrix
 evaluation. Every stochastic choice draws from a stream derived from
 (seed, purpose tag), so runs are bit-reproducible across platforms and the
 batch-index stream can be shared between a run and its perturbed twin.
+
+`projected_sgd_stack` trains R lockstep runs of one task as one (R, p)
+array: runs that share the iteration count, step, step rule, radius and
+batch size, and may differ in dataset, seed, stream tag and start point,
+such as a run and its perturbed twin, or the seeds of one (n, eta, batch)
+group of grid cells. Each step is one numpy call per operation for all R
+runs instead of R calls. A run's rows are bit-identical whether it trains
+alone or in any stack: each operation on a row is elementwise, or a BLAS
+dot or matrix product over that run's own slices (a task's
+`stack_gradient`, `row_norms`), which numpy issues run by run with the
+arguments a run alone would pass. `projected_sgd` is the one-run view.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,16 @@ class SyntheticTask:
         return self.mean_gradient(w, z[None, :])
 
     def mean_gradient(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        """Mean gradient over the (B, input_dim + 1) `batch` at `w`: the
+        one-run view of `stack_gradient`."""
+        return self.stack_gradient(w[None, :], batch[None])[0]
+
+    def stack_gradient(self, w: np.ndarray, batches: np.ndarray) -> np.ndarray:
+        """Mean gradients of R runs, shape (R, p), at the rows of `w`, each
+        over its own (B, input_dim + 1) block of `batches`. Row r depends on
+        w[r] and batches[r] alone, through elementwise operations, sums over
+        that run's axes and stacked matrix products, which numpy computes
+        run by run; so it does not change with R."""
         raise NotImplementedError
 
     def loss_table(self, iterates: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -67,8 +87,8 @@ class QuadraticTask(SyntheticTask):
         self.input_dim = input_dim
         self.param_dim = input_dim
 
-    def mean_gradient(self, w, batch):
-        return w - batch[:, : self.input_dim].mean(axis=0)
+    def stack_gradient(self, w, batches):
+        return w - batches[:, :, : self.input_dim].mean(axis=1)
 
     def loss_table(self, iterates, samples):
         from scipy.spatial.distance import cdist
@@ -86,11 +106,13 @@ class LogisticTask(SyntheticTask):
         self.input_dim = input_dim
         self.param_dim = input_dim
 
-    def mean_gradient(self, w, batch):
-        x = batch[:, : self.input_dim]
-        y = batch[:, self.input_dim]
-        s = self._expit(-y * (x @ w))
-        return -(x.T @ (y * s)) / len(batch)
+    def stack_gradient(self, w, batches):
+        x = batches[:, :, : self.input_dim]
+        neg_y = -batches[:, :, self.input_dim :]
+        # (R, B, 1) margins, then (R, 1, d) sums weighted by -y s: the sum
+        # with -y is the negated sum with y, bit for bit
+        s = self._expit(neg_y * (x @ w[:, :, None]))
+        return ((neg_y * s).transpose(0, 2, 1) @ x)[:, 0] / batches.shape[1]
 
     def loss_table(self, iterates, samples):
         x = samples[:, : self.input_dim]
@@ -116,35 +138,44 @@ class SmallMLPTask(SyntheticTask):
         self.param_dim = hidden * input_dim + 2 * hidden + 1
 
     def _unpack(self, w: np.ndarray):
+        """Views of the layers of the rows of `w`, shape (R, p):
+        W1 (R, h, d), b1 (R, h), w2 (R, h) and b2 (R,)."""
         d, h = self.input_dim, self.hidden
-        w1 = w[: h * d].reshape(h, d)
-        b1 = w[h * d : h * d + h]
-        w2 = w[h * d + h : h * d + 2 * h]
-        b2 = w[-1]
+        w1 = w[:, : h * d].reshape(-1, h, d)
+        b1 = w[:, h * d : h * d + h]
+        w2 = w[:, h * d + h : h * d + 2 * h]
+        b2 = w[:, -1]
         return w1, b1, w2, b2
 
-    def mean_gradient(self, w, batch):
+    def stack_gradient(self, w, batches):
         w1, b1, w2, b2 = self._unpack(w)
-        x = batch[:, : self.input_dim]
-        y = batch[:, self.input_dim]
-        act = np.tanh(x @ w1.T + b1)
-        out = act @ w2 + b2
-        dout = -y * self._expit(-y * out) / len(batch)
-        dw2 = act.T @ dout
-        db2 = dout.sum()
-        dpre = (dout[:, None] * w2[None, :]) * (1.0 - act * act)
-        dw1 = dpre.T @ x
-        db1 = dpre.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+        x = batches[:, :, : self.input_dim]
+        y = batches[:, :, self.input_dim]
+        act = np.tanh(x @ w1.transpose(0, 2, 1) + b1[:, None, :])
+        out = (act @ w2[:, :, None])[:, :, 0] + b2[:, None]
+        dout = -y * self._expit(-y * out) / batches.shape[1]
+        dw2 = (act.transpose(0, 2, 1) @ dout[:, :, None])[:, :, 0]
+        db2 = dout.sum(axis=1)
+        dpre = (dout[:, :, None] * w2[:, None, :]) * (1.0 - act * act)
+        dw1 = dpre.transpose(0, 2, 1) @ x
+        db1 = dpre.sum(axis=1)
+        return np.concatenate([dw1.reshape(len(w), -1), db1, dw2, db2[:, None]], axis=1)
 
     def loss_table(self, iterates, samples):
+        """Losses in chunks of iterates, each chunk's hidden activations
+        (chunk, samples, h) held at once, so the peak stays near one table.
+        Each iterate's products are the same BLAS calls as one at a time."""
         x = samples[:, : self.input_dim]
         y = samples[:, self.input_dim]
-        out = np.empty((iterates.shape[0], samples.shape[0]))
-        for t, w in enumerate(iterates):
-            w1, b1, w2, b2 = self._unpack(w)
-            out[t] = np.tanh(x @ w1.T + b1) @ w2 + b2
-        return np.logaddexp(0.0, -out * y[None, :])
+        table = np.empty((iterates.shape[0], samples.shape[0]))
+        rows = max(1, _CHUNK_BYTES // (8 * samples.shape[0] * self.hidden))
+        for start in range(0, iterates.shape[0], rows):
+            w1, b1, w2, b2 = self._unpack(iterates[start : start + rows])
+            act = np.tanh(x @ w1.transpose(0, 2, 1) + b1[:, None, :])
+            table[start : start + rows] = (act @ w2[:, :, None])[:, :, 0] + b2[:, None]
+        # negated margins, then losses, in the one table
+        table *= -y
+        return np.logaddexp(0.0, table, out=table)
 
 
 @dataclass
@@ -220,57 +251,121 @@ def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndar
     return radius * rng.uniform() ** (1.0 / dim) * direction
 
 
+def row_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of `w`: one BLAS dot per row, the same
+    call as `math.sqrt(row @ row)`."""
+    return np.sqrt(np.vecdot(w, w))
+
+
+# bytes of each buffer that holds a chunk of steps (gathered samples,
+# iterates) or of loss-table rows (SmallMLPTask.loss_table)
+_CHUNK_BYTES = 1 << 19
+_SHARED_SETTINGS = ("iterations", "step", "step_rule", "radius", "batch")
+
+
+def _start_point(task: SyntheticTask, cfg: SGDConfig) -> np.ndarray:
+    if cfg.w0 is None:
+        return sample_in_ball(stream(cfg.seed, cfg.stream_tag, "init"), task.param_dim, cfg.radius)
+    w = np.asarray(cfg.w0, dtype=np.float64)
+    if w.shape != (task.param_dim,):
+        raise InvalidInputError(f"w0 has shape {w.shape}, task expects ({task.param_dim},)")
+    return w
+
+
+def projected_sgd_stack(
+    task: SyntheticTask, datasets: list[Dataset], cfgs: list[SGDConfig], keep: int | None = None
+) -> list[Trajectory]:
+    """Projected SGD runs of one task in lockstep, run r on `datasets[r]`
+    under `cfgs[r]`: each trajectory is bit-identical to the run trained
+    alone. The runs must share `_SHARED_SETTINGS`. Each trajectory holds
+    the last `keep` of its iterations + 1 iterates (all by default), with
+    their iteration ids.
+
+    Steps go in chunks: a chunk's batch indices are drawn and its samples
+    gathered at once, and its iterates checked and the kept ones copied
+    out, so that the buffers take at most about `_CHUNK_BYTES` each. A run
+    whose iterates turn non-finite raises NumericalFailureError for the
+    first such run in stack order, with the index of that run as the
+    error's `run`.
+    """
+    if not cfgs or len(datasets) != len(cfgs):
+        raise InvalidInputError("a stack needs one dataset per SGD config, and at least one run")
+    first = cfgs[0]
+    if any(getattr(c, k) != getattr(first, k) for c in cfgs for k in _SHARED_SETTINGS):
+        raise InvalidInputError(f"runs in one stack must share {', '.join(_SHARED_SETTINGS)}")
+    runs, steps, batch, radius = len(cfgs), first.iterations, first.batch, first.radius
+    keep = steps + 1 if keep is None else keep
+    if not 1 <= keep <= steps + 1:
+        raise InvalidInputError(f"cannot keep {keep} of {steps + 1} iterates")
+    skip = steps + 1 - keep  # iterates before the kept ones, the start point first
+    # one array per run, so that each can be freed on its own
+    points = [np.empty((keep, task.param_dim)) for _ in cfgs]
+    w = np.array([_start_point(task, cfg) for cfg in cfgs])
+    for r, out in enumerate(points):
+        out[0] = w[r]  # overwritten when the start point is not kept
+    draws = [stream(cfg.seed, cfg.stream_tag, "batch") for cfg in cfgs]
+    cols = datasets[0].samples.shape[1]
+    chunk = max(1, min(steps, _CHUNK_BYTES // (8 * runs * max(batch * cols, task.param_dim))))
+    batches = np.empty((chunk, runs, batch, cols))
+    iterates = np.empty((chunk, runs, task.param_dim))
+    delta = np.empty((runs, task.param_dim))
+    failed = np.zeros(runs, dtype=np.int64)  # each run's first non-finite iteration, or 0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for begin in range(0, steps, chunk):
+            size = min(chunk, steps - begin)
+            for r, (g, data) in enumerate(zip(draws, datasets)):
+                # drawing a run's batches in chunks gives the indices of one draw per step
+                np.take(data.samples, g.integers(0, data.n, size=(size, batch)), axis=0,
+                        out=batches[:size, r])
+            for j in range(size):
+                k = begin + j + 1
+                eta = first.step if first.step_rule == "constant" else first.step / k
+                np.multiply(eta, task.stack_gradient(w, batches[j]), out=delta)
+                w = np.subtract(w, delta, out=iterates[j])
+                for r, norm in enumerate(row_norms(w).tolist()):
+                    if norm > radius:
+                        w[r] *= radius / norm
+            # a non-finite gradient or an overflowing step makes its iterate
+            # non-finite, and every later one too (NaN passes the step and
+            # the projection), so one check per chunk finds where it began
+            bad = ~np.isfinite(iterates[:size]).all(axis=2)
+            new = bad.any(axis=0) & (failed == 0)
+            failed[new] = begin + 1 + bad[:, new].argmax(axis=0)
+            low = max(begin + 1, skip)  # the chunk's first kept iteration
+            if low <= begin + size:
+                for r, out in enumerate(points):
+                    out[low - skip : begin + size + 1 - skip] = iterates[low - begin - 1 : size, r]
+    if failed.any():
+        r = int(np.argmax(failed > 0))
+        exc = NumericalFailureError(f"non-finite gradient at iteration {failed[r]}")
+        exc.run = r
+        raise exc
+
+    return [
+        Trajectory(points=points[r], iteration_ids=np.arange(skip, steps + 1), meta={
+            "task": task.kind,
+            "n": str(data.n),
+            "eta": repr(float(cfg.step)),
+            "batch": str(cfg.batch),
+            "seed": str(cfg.seed),
+            "iterations": str(cfg.iterations),
+            "step_rule": cfg.step_rule,
+            "radius": repr(float(cfg.radius)),
+        })
+        for r, (data, cfg) in enumerate(zip(datasets, cfgs))
+    ]
+
+
 def projected_sgd(task: SyntheticTask, data: Dataset, cfg: SGDConfig) -> Trajectory:
     """Single-index (or mini-batch) SGD with projection onto the radius ball.
 
     Returns iterations + 1 rows including the starting point. Batch indices
     come from the (seed, stream_tag, "batch") stream, so two runs with the
     same config share their algorithmic randomness regardless of the data
-    they are trained on.
+    they are trained on. The one-run view of `projected_sgd_stack`.
     """
-    if cfg.w0 is not None:
-        w = np.asarray(cfg.w0, dtype=np.float64).copy()
-        if w.shape != (task.param_dim,):
-            raise InvalidInputError(
-                f"w0 has shape {w.shape}, task expects ({task.param_dim},)"
-            )
-    else:
-        w = sample_in_ball(stream(cfg.seed, cfg.stream_tag, "init"), task.param_dim, cfg.radius)
-
-    # one draw of every batch gives the same indices as a draw per step
-    batches = stream(cfg.seed, cfg.stream_tag, "batch").integers(
-        0, data.n, size=(cfg.iterations, cfg.batch)
-    )
-    points = np.empty((cfg.iterations + 1, task.param_dim))
-    points[0] = w
-    # a non-finite gradient or an overflowing step makes its row non-finite,
-    # and every later one too (NaN passes the step and the projection), so
-    # one check after the loop finds the iteration where it first appeared
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, idx in enumerate(batches, start=1):
-            grad = task.mean_gradient(w, data.samples[idx])
-            eta = cfg.step if cfg.step_rule == "constant" else cfg.step / k
-            w = w - eta * grad
-            norm = math.sqrt(w @ w)
-            if norm > cfg.radius:
-                w *= cfg.radius / norm
-            points[k] = w
-    finite = np.isfinite(points[1:]).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite)) + 1
-        raise NumericalFailureError(f"non-finite gradient at iteration {k}")
-
-    meta = {
-        "task": task.kind,
-        "n": str(data.n),
-        "eta": repr(float(cfg.step)),
-        "batch": str(cfg.batch),
-        "seed": str(cfg.seed),
-        "iterations": str(cfg.iterations),
-        "step_rule": cfg.step_rule,
-        "radius": repr(float(cfg.radius)),
-    }
-    return Trajectory(points=points, iteration_ids=np.arange(cfg.iterations + 1), meta=meta)
+    return projected_sgd_stack(task, [data], [cfg])[0]
 
 
 def tail_window(traj: Trajectory, rows: int) -> Trajectory:

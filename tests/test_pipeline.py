@@ -243,7 +243,8 @@ class TestCli:
             assert len(summary["runs"]) == 2 * len(n_grid.split(","))
 
             with monkeypatch.context() as patch:
-                for module, name in ((trainer, "projected_sgd"), (magnitude, "weighting"),
+                for module, name in ((trainer, "projected_sgd"), (trainer, "projected_sgd_stack"),
+                                     (magnitude, "weighting"),
                                      (stability, "run_stability_experiment")):
                     patch.setattr(module, name, lambda *args, _name=name, **kwargs:
                                   pytest.fail(f"report called {_name}"))
@@ -1014,3 +1015,137 @@ def test_commands_that_need_no_scipy_never_load_it(tmp_path):
     assert _modules_loaded_by(cfg, needs_no_scipy) == []
     fresh = [["run", "--config", str(cfg), "--out", str(tmp_path / "fresh")]]
     assert any(m.startswith("scipy") for m in _modules_loaded_by(cfg, fresh))
+
+
+def test_rerun_that_retrains_one_seed_of_a_group_matches_fresh_run(tmp_path):
+    """A re-run whose group (n, eta, batch) misses one seed trains that seed
+    alone, and every file it writes equals a fresh run's, also with the
+    group split into stacks by `jobs`."""
+    cfg = small_config(seeds=[0, 1, 2], batch_grid=[1, 3])
+    run_pipeline(cfg, output_dir=tmp_path / "fresh")
+    for jobs in (1, 2):
+        out = tmp_path / f"rerun-{jobs}"
+        run_pipeline(cfg, output_dir=out)
+        (out / "cells" / cell_id("quadratic", 40, 0.05, 3, 1) / "fingerprint").unlink()
+        result = run_pipeline(small_config(seeds=[0, 1, 2], batch_grid=[1, 3], jobs=jobs),
+                              output_dir=out)
+        assert (result.computed, result.skipped) == (1, 11)
+        assert tree_digest(out) == tree_digest(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("task, extra", [("small_mlp", {"hidden": 3, "batch_grid": [1, 2]}),
+                                         ("logistic_regression", {"step_rule": "decaying"})])
+def test_stacks_split_by_jobs_write_the_same_bytes(tmp_path, task, extra):
+    """jobs=1 trains each group's three seeds as one stack, jobs=2 as two
+    stacks and jobs=3 as three; every cell and report byte agrees."""
+    for jobs in (1, 2, 3):
+        run_pipeline(small_config(task=task, seeds=[0, 1, 2], jobs=jobs, **extra),
+                     output_dir=tmp_path / str(jobs))
+    assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "2") == tree_digest(tmp_path / "3")
+
+
+def _seed_marked_failures(monkeypatch, fail_at):
+    """Make the quadratic gradient of seed s turn NaN from step fail_at[s]
+    on; each seed's data carries its seed in the label column, which the
+    quadratic loss ignores."""
+    real_data = trainer.make_task_and_data
+    calls = []
+
+    def marked_data(kind, n, input_dim, seed, **kwargs):
+        task, data, pool = real_data(kind, n, input_dim, seed, **kwargs)
+        data.samples[:, input_dim] = seed
+        return task, data, pool
+
+    def gradient(self, w, batches):
+        calls.append(None)
+        grad = w - batches[:, :, : self.input_dim].mean(axis=1)
+        for row, seed in enumerate(batches[:, 0, self.input_dim]):
+            if len(calls) >= fail_at.get(int(seed), np.inf):
+                grad[row] = np.nan
+        return grad
+
+    monkeypatch.setattr(trainer, "make_task_and_data", marked_data)
+    monkeypatch.setattr(trainer.QuadraticTask, "stack_gradient", gradient)
+
+
+def test_stacked_failure_names_the_first_failing_cell(tmp_path, monkeypatch):
+    """Seeds 1 and 2 of one stack turn non-finite at steps 5 and 3. The run
+    fails for seed 1 at its own iteration, the first failing cell in grid
+    order, after writing seed 0 and not seed 2, as one cell at a time
+    would; seed 2 alone fails at iteration 3."""
+    from trajtopo.errors import NumericalFailureError
+
+    cfg = small_config(n_grid=[10], seeds=[0, 1, 2], stability=None)
+    _seed_marked_failures(monkeypatch, {1: 5, 2: 3})
+    with pytest.raises(NumericalFailureError,
+                       match=r"^cell quadratic-n10-eta0p05-b1-s1: non-finite gradient at "
+                             r"iteration 5$"):
+        run_pipeline(cfg, output_dir=tmp_path / "out")
+    written = sorted(p.parent.name for p in (tmp_path / "out" / "cells").glob("*/fingerprint"))
+    assert written == ["quadratic-n10-eta0p05-b1-s0"]
+
+    _seed_marked_failures(monkeypatch, {1: 5, 2: 3})
+    with pytest.raises(NumericalFailureError, match="b1-s2: non-finite gradient at iteration 3$"):
+        run_pipeline(small_config(n_grid=[10], seeds=[2], stability=None),
+                     output_dir=tmp_path / "alone")
+
+
+def _worker_blas_threads() -> dict[str, int]:
+    import scipy.linalg  # noqa: F401  (a worker's first solve loads scipy's OpenBLAS)
+
+    from trajtopo import blas
+
+    return blas.thread_counts()
+
+
+def test_pool_workers_run_one_blas_thread():
+    """Each worker of a `jobs > 1` run sees one thread in every OpenBLAS,
+    the ones loaded before the pool started and scipy's loaded after."""
+    with pipeline.worker_pool(2) as pool:
+        counts = pool.submit(_worker_blas_threads).result()
+    if not counts:
+        pytest.skip("no OpenBLAS is loaded")
+    assert set(counts.values()) == {1}, counts
+
+
+def test_jobs_split_each_group_into_at_most_jobs_stacks():
+    seeds = [4, 0, 9, 2, 7]
+    assert pipeline._seed_stacks(seeds, 1) == [seeds]
+    assert pipeline._seed_stacks(seeds, 2) == [[4, 0], [9, 2, 7]]
+    assert pipeline._seed_stacks(seeds, 3) == [[4], [0, 9], [2, 7]]
+    assert pipeline._seed_stacks(seeds, 8) == [[s] for s in seeds]
+
+
+def _worker_holds_the_solve_lock() -> bool | None:
+    from trajtopo import blas
+
+    if blas._worker is None:
+        return None  # no OpenBLAS is loaded
+    with blas.full_threads():
+        lock = blas._worker[1]
+        if lock.acquire(block=False):
+            lock.release()
+            return False
+        return True
+
+
+def _worker_weighting(points) -> bytes:
+    from conftest import distances_of
+
+    return magnitude.weighting(distances_of(points), 1.0).gamma.tobytes()
+
+
+def test_pool_workers_factor_at_the_main_process_thread_count():
+    """OpenBLAS splits a Cholesky factorization among its threads in a way
+    that changes the factor's last bits, here at m = 600; a worker at one
+    BLAS thread factors at the main process's count, so a cell's bytes
+    do not depend on `jobs`."""
+    walk = np.cumsum(np.random.default_rng(5).standard_normal((600, 8)), axis=0)
+    with pipeline.worker_pool(2) as pool:
+        in_worker = pool.submit(_worker_weighting, walk).result()
+        # the workers take turns, so that factorizations do not share the cores
+        holds_lock = pool.submit(_worker_holds_the_solve_lock).result()
+    assert in_worker == _worker_weighting(walk)
+    if holds_lock is None:
+        pytest.skip("no OpenBLAS is loaded")
+    assert holds_lock

@@ -278,6 +278,41 @@ class TestExperiment:
         )
         assert run_stability_experiment(cfg).beta_hats[0] >= 0.0
 
+    @pytest.mark.parametrize("task, init_mode, eval_split, direction", [
+        ("logistic_regression", "random_init", "train", "directed"),
+        ("small_mlp", "locally_converged", "validation", "symmetrized"),
+        ("quadratic", "locally_converged", "train", "directed"),
+    ])
+    def test_stacked_runs_give_the_estimates_of_each_seed_alone(self, task, init_mode,
+                                                                eval_split, direction):
+        """Training every seed's warm-up, and then every seed's twin runs,
+        as one stack gives each seed the deviation of its runs trained one
+        at a time, bit for bit."""
+        from dataclasses import replace
+
+        from trajtopo import stability
+        from trajtopo.trainer import (PerturbSpec, loss_matrix, make_task_and_data,
+                                      perturb_dataset, projected_sgd)
+
+        cfg = StabilityConfig(task=task, n=30, J=4, seeds=[2, 0, 5], input_dim=3, hidden=4,
+                              iterations=40, converge_iterations=25, step=0.2,
+                              init_mode=init_mode, eval_split=eval_split, direction=direction)
+        expected = []
+        for seed in cfg.seeds:
+            task_, data, pool = make_task_and_data(task, 30, 3, seed, hidden=4)
+            perturbed = perturb_dataset(data, PerturbSpec(J=4, pool=pool, seed=seed))
+            sgd = cfg.sgd_config(seed)
+            if init_mode == "locally_converged":
+                warm = projected_sgd(task_, data, cfg.sgd_config(seed, warmup=True))
+                sgd = replace(sgd, w0=warm.points[-1])
+            probes = stability._probe_set(cfg, seed, perturbed, pool, pool.ids[:4])
+            expected.append(estimate_stability(
+                loss_matrix(task_, projected_sgd(task_, data, sgd), probes, "probe"),
+                loss_matrix(task_, projected_sgd(task_, perturbed, sgd), probes, "probe"),
+                symmetrized=direction == "symmetrized"))
+        assert run_stability_experiment(cfg).raw_deviations == expected
+        assert all(v > 0 for v in expected)
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             StabilityConfig(task="quadratic", n=5, J=6, seeds=[0])

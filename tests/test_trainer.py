@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import per_step_sgd
+from trajtopo import trainer
 from trajtopo.errors import InvalidInputError
 from trajtopo.trainer import (
     Dataset,
@@ -12,6 +13,7 @@ from trajtopo.trainer import (
     make_task_and_data,
     perturb_dataset,
     projected_sgd,
+    projected_sgd_stack,
     tail_window,
 )
 
@@ -100,8 +102,8 @@ class TestProjectedSgd:
         from trajtopo.trainer import QuadraticTask
 
         class ExplodingTask(QuadraticTask):
-            def mean_gradient(self, w, batch):
-                return np.full(self.param_dim, np.inf)
+            def stack_gradient(self, w, batches):
+                return np.full(w.shape, np.inf)
 
         task = ExplodingTask(2)
         cfg = SGDConfig(radius=1.0, step=0.1, iterations=3, seed=0, w0=np.zeros(2))
@@ -115,11 +117,11 @@ class TestProjectedSgd:
         class LateExplodingTask(QuadraticTask):
             calls = 0
 
-            def mean_gradient(self, w, batch):
+            def stack_gradient(self, w, batches):
                 self.calls += 1
                 if self.calls == 3:
-                    return np.array([np.nan, np.inf])
-                return super().mean_gradient(w, batch)
+                    return np.array([[np.nan, np.inf]])
+                return super().stack_gradient(w, batches)
 
         task = LateExplodingTask(2)
         cfg = SGDConfig(radius=1.0, step=0.1, iterations=5, seed=0, w0=np.zeros(2))
@@ -133,8 +135,8 @@ class TestProjectedSgd:
         from trajtopo.trainer import QuadraticTask
 
         class SteepTask(QuadraticTask):
-            def mean_gradient(self, w, batch):
-                return np.full(self.param_dim, 1e308)
+            def stack_gradient(self, w, batches):
+                return np.full(w.shape, 1e308)
 
         task = SteepTask(2)
         cfg = SGDConfig(radius=1.0, step=10.0, iterations=5, seed=0, w0=np.zeros(2))
@@ -194,6 +196,105 @@ class TestProjectedSgd:
             tail_window(traj, 12)
 
 
+def _stack_runs(kind, rule, batch, runs):
+    """`runs` SGD runs of one task that share their step settings and
+    differ in everything else a stack allows: twin pairs on a dataset and
+    its perturbation, other sizes n, seeds, stream tags, and start points
+    given or drawn."""
+    task, data, pool = make_task_and_data(kind, 24, 3, seed=11)
+    twin = perturb_dataset(data, PerturbSpec(J=5, pool=pool, seed=11))
+    _, wide, _ = make_task_and_data(kind, 41, 3, seed=12)
+    datasets, cfgs = [], []
+    for r in range(runs):
+        w0 = np.linspace(-1.0, 1.0, task.param_dim) * (r + 1) if r % 3 == 2 else None
+        datasets.append((data, twin, wide)[r % 3])
+        cfgs.append(SGDConfig(radius=1.5, step=0.4, iterations=30, seed=(r + 1) // 2,
+                              step_rule=rule, batch=batch, w0=w0,
+                              stream_tag=("window", "warmup", "sgd")[r % 3]))
+    return task, datasets, cfgs
+
+
+class TestStackedSgd:
+    @pytest.mark.parametrize("chunk_bytes", [None, 2048], ids=["one-chunk", "chunks"])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("rule", ["constant", "decaying"])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic_regression", "small_mlp"])
+    def test_rows_equal_the_run_trained_alone(self, kind, rule, batch, chunk_bytes, monkeypatch):
+        """Each run of a stack of R = 1..8 runs is bit-identical to the same
+        run trained alone, twins on different datasets included; with
+        radius 1.5 the projection acts on some steps. With 2048-byte
+        buffers the 30 steps go in chunks of 1 to 16 steps, which vary
+        with R."""
+        if chunk_bytes is not None:
+            monkeypatch.setattr(trainer, "_CHUNK_BYTES", chunk_bytes)
+        for runs in range(1, 9):
+            task, datasets, cfgs = _stack_runs(kind, rule, batch, runs)
+            stacked = projected_sgd_stack(task, datasets, cfgs)
+            assert len(stacked) == runs
+            for traj, data, cfg in zip(stacked, datasets, cfgs):
+                alone = projected_sgd(task, data, cfg)
+                assert traj.points.tobytes() == alone.points.tobytes()
+                assert traj.meta == alone.meta
+                np.testing.assert_array_equal(traj.iteration_ids, alone.iteration_ids)
+
+    def test_kept_iterates_are_the_tail_of_the_run(self, monkeypatch):
+        """`keep` keeps the last iterates, bit for bit and with their ids,
+        also when the kept ones start inside a chunk (7 steps here)."""
+        task, datasets, cfgs = _stack_runs("logistic_regression", "constant", 1, 5)
+        full = projected_sgd_stack(task, datasets, cfgs)
+        monkeypatch.setattr(trainer, "_CHUNK_BYTES", 8 * 5 * 4 * 7)
+        for keep in (1, 6, 7, 8, 24, 30, 31):
+            for kept, run in zip(projected_sgd_stack(task, datasets, cfgs, keep=keep), full):
+                assert kept.points.tobytes() == run.points[-keep:].tobytes()
+                np.testing.assert_array_equal(kept.iteration_ids, run.iteration_ids[-keep:])
+        for keep in (0, 32):
+            with pytest.raises(InvalidInputError, match="cannot keep"):
+                projected_sgd_stack(task, datasets, cfgs, keep=keep)
+
+    def test_stack_needs_shared_step_settings(self):
+        task, data, _ = make_task_and_data("quadratic", 10, 2, seed=0)
+        base = SGDConfig(radius=1.0, step=0.1, iterations=5, seed=0)
+        for change in ({"radius": 2.0}, {"step": 0.2}, {"iterations": 6},
+                       {"step_rule": "decaying"}, {"batch": 2}):
+            other = SGDConfig(**{**vars(base), "seed": 1, **change})
+            with pytest.raises(InvalidInputError, match="must share"):
+                projected_sgd_stack(task, [data, data], [base, other])
+        with pytest.raises(InvalidInputError):
+            projected_sgd_stack(task, [data], [base, base])
+        with pytest.raises(InvalidInputError):
+            projected_sgd_stack(task, [], [])
+
+    def test_first_failing_run_raises_with_its_iteration(self, monkeypatch):
+        """Rows fail independently: the error names the first failing run
+        in stack order and the iteration where that run turned non-finite,
+        not the earliest iteration of any run."""
+        from trajtopo.errors import NumericalFailureError
+        from trajtopo.trainer import QuadraticTask
+
+        class RowExplodingTask(QuadraticTask):
+            def __init__(self, fail_at):
+                super().__init__(2)
+                self.fail_at, self.calls = fail_at, 0  # run -> first non-finite iteration
+
+            def stack_gradient(self, w, batches):
+                self.calls += 1
+                grad = super().stack_gradient(w, batches)
+                for run, k in self.fail_at.items():
+                    if self.calls >= k:
+                        grad[run] = np.nan
+                return grad
+
+        data = dataset([[0.5, 0.5, 0.0], [0.1, -0.2, 0.0]])
+        cfgs = [SGDConfig(radius=1.0, step=0.1, iterations=8, seed=s) for s in range(3)]
+        for fail_at, run, k in (({1: 5, 2: 3}, 1, 5), ({0: 8, 2: 1}, 0, 8), ({2: 2}, 2, 2)):
+            # in one chunk, in chunks of 3 steps, and with only the last iterate kept
+            for chunk_bytes, keep in ((1 << 19, None), (8 * 3 * 3 * 3, None), (1 << 19, 1)):
+                monkeypatch.setattr(trainer, "_CHUNK_BYTES", chunk_bytes)
+                with pytest.raises(NumericalFailureError, match=f"iteration {k}$") as failure:
+                    projected_sgd_stack(RowExplodingTask(fail_at), [data] * 3, cfgs, keep=keep)
+                assert failure.value.run == run
+
+
 class TestGradients:
     @pytest.mark.parametrize("kind,dim", [("quadratic", 4), ("logistic_regression", 6),
                                           ("small_mlp", 3)])
@@ -224,6 +325,20 @@ class TestGradients:
         iterates = np.vstack([np.zeros(task.param_dim), rng.standard_normal((20, task.param_dim))])
         x, y = data.samples[:, :4], data.samples[:, 4]
         expected = np.logaddexp(0.0, -((iterates @ x.T) * y[None, :]))
+        np.testing.assert_array_equal(task.loss_table(iterates, data.samples), expected)
+
+    def test_mlp_table_equals_one_iterate_at_a_time(self, rng):
+        """The chunked small-MLP table is bit-identical to the loop over
+        iterates it replaced, over several chunks and a partial last one."""
+        task, data, _ = make_task_and_data("small_mlp", 30, 4, seed=4, hidden=6)
+        iterates = rng.standard_normal((1000, task.param_dim))
+        d, h = 4, 6
+        x, y = data.samples[:, :d], data.samples[:, d]
+        out = np.empty((len(iterates), data.n))
+        for t, w in enumerate(iterates):
+            w1, b1 = w[: h * d].reshape(h, d), w[h * d : h * d + h]
+            out[t] = np.tanh(x @ w1.T + b1) @ w[h * d + h : h * d + 2 * h] + w[-1]
+        expected = np.logaddexp(0.0, -out * y[None, :])
         np.testing.assert_array_equal(task.loss_table(iterates, data.samples), expected)
 
     def test_mean_gradient_averages(self, rng):
