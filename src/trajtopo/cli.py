@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, bounds, geometry, lifetime, magnitude, pipeline, stability, trainer
+from . import analysis, blas, bounds, geometry, lifetime, magnitude, pipeline, stability, trainer
 from .artifacts import (
     load_loss_matrix,
     load_trajectory,
@@ -366,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # OpenBLAS at one thread but for the magnitude solves (see `blas`)
+        with blas.command_threads():
+            return args.func(args)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

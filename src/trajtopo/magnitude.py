@@ -75,16 +75,13 @@ def _solve_direct(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     import scipy.linalg
 
     try:
-        # a threaded factor changes with the thread count, so a pool worker
-        # factors at the main process's count, and `jobs` changes no byte
-        with blas.full_threads():
-            factor = scipy.linalg.cho_factor(z)
-            gamma = scipy.linalg.cho_solve(factor, b)
+        factor = scipy.linalg.cho_factor(z)
+        gamma = scipy.linalg.cho_solve(factor, b)
+        r = b - z @ gamma
+        if np.abs(r).max() > RESIDUAL_TOL:
+            # one step of iterative refinement with the existing factorization
+            gamma = gamma + scipy.linalg.cho_solve(factor, r)
             r = b - z @ gamma
-            if np.abs(r).max() > RESIDUAL_TOL:
-                # one step of iterative refinement with the existing factorization
-                gamma = gamma + scipy.linalg.cho_solve(factor, r)
-                r = b - z @ gamma
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             "similarity matrix is not positive definite; this usually means "
@@ -128,19 +125,25 @@ def weighting(dist: DistanceMatrix, s: float, solver: str = "direct") -> Weighti
     if solver not in SOLVERS:
         raise InvalidInputError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
     m = len(dist)
-    if (dist.values[~np.eye(m, dtype=bool)] <= 0).any():
+    # the diagonal is zero and no entry is negative, so more than m
+    # nonpositive entries means a zero off the diagonal
+    if np.count_nonzero(dist.values <= 0) > m:
         raise InvalidInputError("distance matrix contains coincident points; deduplicate first")
     z = similarity_matrix(dist, s)
     b = np.ones(m)
 
     iterations = 0
-    if solver == "conjugate_gradient":
-        gamma, iterations, converged = _solve_cg(z, b, CG_MAX_ITER_FACTOR * m)
-        # CG stops on its recursively updated residual; the true one decides
-        residual = float(np.abs(z @ gamma - b).max()) if converged else np.inf
-        if residual <= RESIDUAL_TOL:
-            return WeightingSolution(gamma, residual, solver, iterations)
-    gamma, residual = _solve_direct(z, b)
+    # a threaded factor or matrix-vector product changes with the thread
+    # count, so every process of a command solves at its start count, and
+    # `jobs` changes no byte
+    with blas.full_threads():
+        if solver == "conjugate_gradient":
+            gamma, iterations, converged = _solve_cg(z, b, CG_MAX_ITER_FACTOR * m)
+            # CG stops on its recursively updated residual; the true one decides
+            residual = float(np.abs(z @ gamma - b).max()) if converged else np.inf
+            if residual <= RESIDUAL_TOL:
+                return WeightingSolution(gamma, residual, solver, iterations)
+        gamma, residual = _solve_direct(z, b)
     if residual > RESIDUAL_TOL:
         raise NumericalFailureError(
             f"weighting residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "

@@ -369,12 +369,13 @@ def _seed_stacks(seeds: list[int], jobs: int) -> list[list[int]]:
 
 def worker_pool(jobs: int):
     """The process pool of a run with `jobs` > 1 workers, each at one BLAS
-    thread but for its turns at the magnitude factorizations."""
+    thread but for its turns at the magnitude solves, which run at this
+    process's start count."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=jobs, initializer=blas.one_per_worker,
-                               initargs=(multiprocessing.Lock(),))
+    return ProcessPoolExecutor(max_workers=jobs, initializer=blas.one_thread,
+                               initargs=(blas.start_threads(), multiprocessing.Lock()))
 
 
 @dataclass

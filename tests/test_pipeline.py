@@ -1119,10 +1119,10 @@ def test_jobs_split_each_group_into_at_most_jobs_stacks():
 def _worker_holds_the_solve_lock() -> bool | None:
     from trajtopo import blas
 
-    if blas._worker is None:
+    if not blas.thread_counts():
         return None  # no OpenBLAS is loaded
     with blas.full_threads():
-        lock = blas._worker[1]
+        lock = blas._rule.turn
         if lock.acquire(block=False):
             lock.release()
             return False
@@ -1149,3 +1149,132 @@ def test_pool_workers_factor_at_the_main_process_thread_count():
     if holds_lock is None:
         pytest.skip("no OpenBLAS is loaded")
     assert holds_lock
+
+
+# at m = 200 the factor's last bits differ between one thread and two
+_THREAD_SENSITIVE_RUN = {
+    "task": "logistic_regression", "input_dim": 8, "n_grid": [40], "eta_grid": [0.05],
+    "seeds": [0, 1, 2], "iterations": 200, "warmup": 50, "subsample": 200,
+    "pmag_scales": [100],
+    "stability": {"J": 2, "seeds": [0], "iterations": 20, "converge_iterations": 0},
+}
+
+
+def test_cli_runs_write_the_same_bytes_for_any_jobs(tmp_path, capsys):
+    """`trajtopo run --jobs 1, 2, 3` write the same cells, stability reports
+    and reports; only `jobs` in run.json, and the log, differ. Workers
+    forked while the CLI's process runs at one BLAS thread still factor at
+    the thread count the command started with."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_THREAD_SENSITIVE_RUN))
+    for jobs in (1, 2, 3):
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / str(jobs)), "--jobs", str(jobs)]
+        assert main(argv) == 0
+    digests = [tree_digest(tmp_path / str(jobs), ("cells", "stability", "report"))
+               for jobs in (1, 2, 3)]
+    assert digests[0] == digests[1] == digests[2]
+    manifests = [json.loads((tmp_path / str(jobs) / "run.json").read_text()) for jobs in (1, 2, 3)]
+    assert [m.pop("jobs") for m in manifests] == [1, 2, 3]
+    assert manifests[0] == manifests[1] == manifests[2]
+
+
+@pytest.fixture
+def blas_at_three_threads():
+    """Every OpenBLAS, scipy's included, at 3 threads, a count that is
+    neither one nor a default; the counts it found come back afterwards."""
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+
+    from trajtopo import blas
+
+    found = blas.thread_counts()
+    if not found:
+        pytest.skip("no OpenBLAS is loaded")
+    for path in found:
+        blas._controls(path)[1](3)
+    yield dict.fromkeys(found, 3)
+    for path, count in found.items():
+        blas._controls(path)[1](count)
+
+
+def _coincident_points(stem: Path) -> list[str]:
+    save_distance_matrix(DistanceMatrix([[0.0, 0.0], [0.0, 0.0]], [0, 1]), stem)
+    return ["pmag", str(stem), "--scales", "1"]
+
+
+def _near_duplicate_points(stem: Path) -> list[str]:
+    """Two points whose similarity matrix is singular at double precision."""
+    save_distance_matrix(DistanceMatrix([[0.0, 1e-18], [1e-18, 0.0]], [0, 1]), stem)
+    return ["pmag", str(stem), "--scales", "1"]
+
+
+def _logistic_run(stem: Path) -> list[str]:
+    doc = {**_TINY_RUN, "task": "logistic_regression", "iterations": 40, "subsample": 30}
+    stem.with_suffix(".json").write_text(json.dumps(doc))
+    return ["run", "--config", str(stem.with_suffix(".json")), "--out", str(stem)]
+
+
+@pytest.mark.parametrize("command, code", [(_logistic_run, 0), (_coincident_points, 2),
+                                           (_near_duplicate_points, 3)])
+def test_cli_runs_blas_at_one_thread_but_for_the_solves(tmp_path, monkeypatch, capsys,
+                                                         blas_at_three_threads, command, code):
+    """During a CLI command a matrix product sees one thread in every
+    OpenBLAS and a factorization the counts the command started with;
+    when `main` returns, on success or on an exit of 2 or 3, the counts are
+    back and the environment has gained no OPENBLAS_NUM_THREADS."""
+    import scipy.linalg
+
+    from trajtopo import blas
+
+    seen = {"product": [], "factor": []}
+    loss_table, cho_factor = trainer.LogisticTask.loss_table, scipy.linalg.cho_factor
+
+    def probed_table(self, iterates, samples):
+        seen["product"].append(blas.thread_counts())
+        return loss_table(self, iterates, samples)
+
+    def probed_factor(z):
+        seen["factor"].append(blas.thread_counts())
+        return cho_factor(z)
+
+    monkeypatch.setattr(trainer.LogisticTask, "loss_table", probed_table)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", probed_factor)
+    environ = dict(os.environ)
+    assert main(command(tmp_path / "in")) == code
+    assert blas.thread_counts() == blas_at_three_threads
+    assert dict(os.environ) == environ
+    one_thread = dict.fromkeys(blas_at_three_threads, 1)
+    assert seen["product"] == [one_thread] * len(seen["product"])
+    assert seen["factor"] == [blas_at_three_threads] * len(seen["factor"])
+    assert bool(seen["factor"]) == (code != 2)
+    assert bool(seen["product"]) == (code == 0)
+
+
+_LOADED_DURING_A_COMMAND = """
+import json
+from trajtopo import blas
+start = blas.thread_counts()
+with blas.command_threads():
+    import scipy.linalg
+    during = blas.thread_counts()
+    with blas.full_threads():
+        solving = blas.thread_counts()
+mapped = [path for path in blas._loaded_paths() if blas._controls(path)]
+print(json.dumps([start, during, solving, blas.thread_counts(), mapped]))
+"""
+
+
+def test_an_openblas_loaded_during_a_command_comes_under_its_rule():
+    """In a fresh process, scipy's OpenBLAS loads at the first scipy import,
+    inside the command: it runs at one thread, and at the start count in a
+    solve; the libraries loaded at the start get their counts back."""
+    src = Path(pipeline.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_DURING_A_COMMAND], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    start, during, solving, after, mapped = json.loads(proc.stdout)
+    if not mapped:
+        pytest.skip("no OpenBLAS is loaded")
+    assert sorted(during) == mapped
+    assert during == dict.fromkeys(during, 1)
+    assert solving == dict.fromkeys(during, max(start.values(), default=1))
+    assert {path: after[path] for path in start} == start
