@@ -51,12 +51,17 @@ class ArtifactManifest:
             raise InvalidInputError(f"shape must be two positive integers, got {self.shape!r}")
 
 
-def read_json_object(path: str | Path, what: str = "config") -> dict:
-    """Read a JSON file that must hold one object."""
+def read_json(path: str | Path, what: str):
+    """Read a UTF-8 JSON file; text that is not such JSON is invalid input."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"malformed {what} {path}: {exc}") from exc
+
+
+def read_json_object(path: str | Path, what: str = "config") -> dict:
+    """Read a JSON file that must hold one object."""
+    doc = read_json(path, what)
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} {path} must be a JSON object")
     return doc

@@ -21,6 +21,7 @@ from . import analysis, blas, bounds, geometry, lifetime, magnitude, pipeline, s
 from .artifacts import (
     load_loss_matrix,
     load_trajectory,
+    read_json,
     read_json_object,
     save_loss_matrix,
     save_trajectory,
@@ -221,11 +222,12 @@ def _load_samples(args: argparse.Namespace) -> list[float]:
     if args.samples:
         return _parse_list(args.samples)
     if args.samples_file:
-        doc = json.loads(Path(args.samples_file).read_text(encoding="utf-8"))
+        doc = read_json(args.samples_file, "samples file")
         if isinstance(doc, dict):
             doc = doc.get("samples")
         if not fits(doc, list[float]):
-            raise InvalidInputError("samples file must be a list of numbers or {'samples': [...]}")
+            raise InvalidInputError(f"samples file {args.samples_file} must be a list of numbers"
+                                    " or {'samples': [...]}")
         return [float(v) for v in doc]
     raise InvalidInputError("pass --samples or --samples-file")
 
@@ -372,7 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (TrajtopoError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (TrajtopoError, OSError) as exc:
+        # an OSError names its path: a missing file, a directory given for a
+        # file, an output path taken by a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,6 +43,9 @@ def default_injection_count(n: int) -> int:
 
 
 _BLOCK_ROWS = 64
+# half-widths of the rings of twin rows that a row compares, outward from its
+# twin step, before it compares the rest of the twin
+_RINGS = (8, 64, 256)
 
 
 def _directed_estimate(a: np.ndarray, b: np.ndarray) -> float:
@@ -52,28 +55,43 @@ def _directed_estimate(a: np.ndarray, b: np.ndarray) -> float:
     The distance from row i to row min(i, T'b - 1) of `b`, the twin run's
     iterate at the same step, bounds row i's minimum from above and is the
     very value `cdist` gives for that pair. Rows are visited by decreasing
-    bound, in blocks; a row whose bound is at most the running max cannot
-    raise it and is skipped, and the first block left empty ends the scan
-    (early break as in Taha & Hanbury, TPAMI 2015). The result equals the
-    dense `cdist(a, b).min(axis=1).max()` bit for bit.
+    bound; the first whose bound is at most the running max ends the scan,
+    since neither it nor any later row can raise the max. A visited row
+    compares the twin's rows in rings of growing width around its twin step,
+    each twin row once, and stops as soon as its running minimum is at most
+    the running max: its true minimum is no larger, so it cannot raise the
+    max either (the early breaks of Taha & Hanbury, TPAMI 2015). A row that
+    compares the whole twin has its exact minimum, above the running max,
+    which it becomes. Each distance is a max of |a - b| terms, and max and
+    min involve no rounding, so the result equals the dense
+    `cdist(a, b).min(axis=1).max()` bit for bit.
     """
     from scipy.spatial.distance import cdist
 
-    twin = np.minimum(np.arange(a.shape[0]), b.shape[0] - 1)
+    last = b.shape[0] - 1
+    twin = np.minimum(np.arange(a.shape[0]), last)
     # in blocks of rows, so that no temporary is as large as a loss matrix
     bounds = np.concatenate([
         np.abs(a[start : start + _BLOCK_ROWS] - b[twin[start : start + _BLOCK_ROWS]]).max(axis=1)
         for start in range(0, a.shape[0], _BLOCK_ROWS)
     ])
-    order = np.argsort(-bounds, kind="stable")
     best = 0.0
-    for start in range(0, order.size, _BLOCK_ROWS):
-        block = order[start : start + _BLOCK_ROWS]
-        rows = block[bounds[block] > best]
-        if rows.size == 0:
+    for i in np.argsort(-bounds, kind="stable"):
+        nearest = bounds[i]
+        if nearest <= best:
             break
-        best = max(best, float(cdist(a[rows], b, "chebyshev").min(axis=1).max()))
-    return best
+        lo = hi = twin[i]  # rows lo..hi of b are compared
+        for width in _RINGS + (last,):
+            ring_lo, ring_hi = max(twin[i] - width, 0), min(twin[i] + width, last)
+            for ring in (b[ring_lo:lo], b[hi + 1 : ring_hi + 1]):
+                if ring.shape[0]:
+                    nearest = min(nearest, cdist(a[i : i + 1], ring, "chebyshev").min())
+            lo, hi = ring_lo, ring_hi
+            if nearest <= best:
+                break
+        else:
+            best = nearest
+    return float(best)
 
 
 def estimate_stability(

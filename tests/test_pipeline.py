@@ -414,6 +414,20 @@ def _json_file(name: str, doc):
     return prepare
 
 
+def _raw_file(name: str, data: bytes):
+    def prepare(out: Path) -> None:
+        (out / name).write_bytes(data)
+
+    return prepare
+
+
+def _directory(name: str):
+    def prepare(out: Path) -> None:
+        (out / name).mkdir()
+
+    return prepare
+
+
 # a grid that trains in well under a second, should a check ever let it through;
 # its stability estimate is positive, so it has a bound row
 _TINY_RUN = {
@@ -481,6 +495,8 @@ _TINY_CELL = "{out}/cells/quadratic-n8-eta0p1-b1-s0"
 _TINY_STABILITY = "{out}/stability/" + pipeline._fingerprint(
     asdict(config_from_dict(_TINY_RUN).stability_configs()[0])) + ".json"
 _TRAJ_GEN = ["traj-gen", "--n", "5", "--eta", "0.1", "--out", "{out}/tg"]
+_BOUND_SAMPLES_FILE = ["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1",
+                       "--samples-file", "{out}/samples.json"]
 _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iterations": 5}
 
 
@@ -602,6 +618,17 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "artifact {out}/t: iteration_ids length must equal the number of rows"),
         (["stability", "{out}/a", "{out}/b"], _loss_matrices(lambda d: d["metadata"].pop("split")),
          "artifact {out}/a: unknown split None"),
+        (_BOUND_SAMPLES_FILE, _raw_file("samples.json", b"\xff[1]"),
+         "malformed samples file {out}/samples.json: 'utf-8' codec can't decode"),
+        (_BOUND_SAMPLES_FILE, _raw_file("samples.json", b"[1,"),
+         "malformed samples file {out}/samples.json: Expecting value"),
+        (["run", "--config", "{out}/cfg", "--out", "{out}/run"], _directory("cfg"),
+         "Is a directory: '{out}/cfg'"),
+        (_BOUND_SAMPLES_FILE, _directory("samples.json"),
+         "Is a directory: '{out}/samples.json'"),
+        (["run", "--config", "{out}/cfg.json", "--out", "{out}/taken"],
+         lambda out: (_json_file("cfg.json", _TINY_RUN)(out), (out / "taken").write_text("")),
+         "File exists: '{out}/taken'"),
     ],
     ids=["bound-without-samples", "report-without-records", "report-without-run-json",
          "run-n-grid-repeated", "run-eta-grid-repeated",
@@ -625,7 +652,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "distmat-ids-not-integers",
          "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
          "pmag-ids-not-integers", "distmat-wrong-role", "distmat-schema-version-2",
-         "distmat-ids-wrong-length", "stability-losses-without-split"],
+         "distmat-ids-wrong-length", "stability-losses-without-split",
+         "bound-samples-file-not-utf8", "bound-samples-file-not-json", "run-config-directory",
+         "bound-samples-file-directory", "run-out-existing-file"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -637,6 +666,74 @@ def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, messa
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert message.format(out=out) in err
+    assert "Traceback" not in err
+
+
+# every argument the CLI reads a file through; {p} is the file, {out} holds
+# the other inputs
+_READ_PATHS = {
+    "run-config": (["run", "--config", "{p}", "--out", "{out}/run"], "cfg.json"),
+    "stability-config": (["stability", "--config", "{p}"], "stab.json"),
+    "bound-samples-file": (_BOUND_SAMPLES_FILE, "samples.json"),
+    "bound-stability-report": (["bound", "--theorem", "pmag", "--stability-report", "{p}",
+                                "--loss-bound", "1", "--samples", "1"], "report.json"),
+    "distmat-trajectory": (["distmat", "{out}/t", "--out", "{out}/d"], "t.json"),
+    "lifetime-sum-distmat": (["lifetime-sum", "{out}/t"], "t.json"),
+    "pmag-distmat": (["pmag", "{out}/t", "--scales", "1"], "t.json"),
+    "stability-losses": (["stability", "{out}/t", "{out}/t"], "t.json"),
+    "report-runs-dir": (["report", "{p}"], "runs"),
+}
+_BAD_FILES = {
+    "missing": lambda p: None,
+    "directory": lambda p: p.mkdir(),
+    "not-utf8": lambda p: p.write_bytes(b"\xff{"),
+    "not-json": lambda p: p.write_text("{x"),
+}
+# every argument the CLI writes a directory or a file to
+_WRITE_PATHS = {
+    "run-out": ["run", "--config", "{out}/cfg.json", "--out", "{p}"],
+    "traj-gen-out": _TRAJ_GEN[:-1] + ["{p}"],
+    "distmat-out": ["distmat", "{out}/t", "--out", "{p}"],
+    "stability-csv": ["stability", "--config", "{out}/stab.json", "--csv", "{p}"],
+    "report-out": ["report", "{out}", "--out", "{p}"],
+}
+
+
+def _path_misuse_cases():
+    for name, (argv, file_name) in _READ_PATHS.items():
+        for kind, make in _BAD_FILES.items():
+            yield pytest.param(argv, file_name, make, id=f"{name}-{kind}")
+    for name, argv in _WRITE_PATHS.items():
+        yield pytest.param(argv, "taken/x", lambda p: p.parent.write_text(""),
+                           id=f"{name}-below-a-file")
+    for name in ("run-out", "traj-gen-out", "report-out"):
+        yield pytest.param(_WRITE_PATHS[name], "x", lambda p: p.write_text(""),
+                           id=f"{name}-a-file")
+    yield pytest.param(_WRITE_PATHS["stability-csv"], "x", lambda p: p.mkdir(),
+                       id="stability-csv-a-directory")
+    yield pytest.param(_WRITE_PATHS["distmat-out"], "x", lambda p: p.with_suffix(".json").mkdir(),
+                       id="distmat-out-manifest-a-directory")
+
+
+@pytest.mark.parametrize("argv, file_name, make", _path_misuse_cases())
+def test_cli_path_misuse_exits_2_naming_the_path(tmp_path, capsys, argv, file_name, make):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stab.json").write_text(json.dumps({"n": 8, **_STABILITY_REST}))
+    save_trajectory(Trajectory(points=np.arange(8.0).reshape(4, 2), iteration_ids=[0, 1, 2, 3]),
+                    out / "t")
+    if argv[:2] == ["report", "{out}"]:
+        _finished_run("run.json", lambda doc: doc)(out)
+    else:
+        (out / "cfg.json").write_text(json.dumps(_TINY_RUN))
+    path = out / file_name
+    path.unlink(missing_ok=True)
+    make(path)
+    capsys.readouterr()
+    assert main([a.format(out=out, p=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert str(path) in err
     assert "Traceback" not in err
 
 

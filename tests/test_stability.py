@@ -167,22 +167,104 @@ class TestPrunedEstimator:
             b = rng.exponential(size=(rows + 3, 6))
             assert_matches_oracle(a, b)
 
-    def test_twin_like_pair_solves_few_rows_per_block(self, rng, monkeypatch):
-        # the estimator imports cdist when it runs, so it resolves this patch
-        rows_seen = []
-        dense = scipy.spatial.distance.cdist
-
-        def recording_cdist(x, y, metric):
-            rows_seen.append(x.shape[0])
-            assert y.shape[0] == 1001
-            return dense(x, y, metric)
-
-        monkeypatch.setattr(scipy.spatial.distance, "cdist", recording_cdist)
+    def test_twin_like_pair_computes_few_distances(self, rng, monkeypatch):
         a, b = twin_like(rng, 1001, 50)
-        value = estimate_stability(losses(a), losses(b))
+        value, pairs = estimate_counting_pairs(monkeypatch, a, b)
         assert value == blocked_max_min_estimate(a, b)
-        assert 0 < sum(rows_seen) < 1001
-        assert max(rows_seen) <= 64
+        assert pairs <= 1001**2 // 20
+
+    def test_each_pair_computed_at_most_once(self, rng, monkeypatch):
+        # the input of test_reversed_twin_defeats_pruning
+        a, _ = twin_like(rng, 200, 10)
+        b = a[::-1].copy()
+        value, pairs = estimate_counting_pairs(monkeypatch, a, b)
+        assert value == blocked_max_min_estimate(a, b)
+        assert pairs <= a.shape[0] * b.shape[0]
+
+
+def estimate_counting_pairs(monkeypatch, a, b):
+    """The directed estimate of `a` against `b` and the number of row pairs
+    whose distance it computed: the twin pair of every row of `a`, plus every
+    pair passed to `cdist`."""
+    pairs = [a.shape[0]]
+    dense = scipy.spatial.distance.cdist
+
+    def recording_cdist(x, y, metric):
+        pairs.append(x.shape[0] * y.shape[0])
+        return dense(x, y, metric)
+
+    # the estimator imports cdist when it runs, so it resolves this patch
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.spatial.distance, "cdist", recording_cdist)
+        value = estimate_stability(losses(a), losses(b))
+    return value, sum(pairs)
+
+
+def line_path(rows):
+    """Twin rows (j + 1, 0): the distance between rows j and k is |j - k|."""
+    return np.stack([np.arange(1.0, rows + 1), np.zeros(rows)], axis=1)
+
+
+class TestRingScan:
+    """A visited row compares the twin in rings around its twin step: the
+    edges of those rings against the dense max-min oracle."""
+
+    def test_twin_shorter_than_first_ring(self, rng):
+        a, b = twin_like(rng, 40, 3)
+        for rows_b in (1, 2, 5, 8, 9, 16, 17):
+            assert_matches_oracle(a, b[:rows_b])
+
+    def test_twin_step_clamped_to_last_twin_row(self, rng):
+        a, b = twin_like(rng, 700, 4)
+        for rows_b in (9, 65, 100, 257, 300, 513):
+            assert_matches_oracle(a, b[:rows_b])
+
+    def test_argmin_on_each_side_of_each_ring_edge(self, rng):
+        # row i lies 0.1-0.4 from twin row i + offset and at least 0.6 from
+        # every other, so its minimum sits at that offset
+        b = line_path(600)
+        offsets = np.array([0, 1, 8, 9, 64, 65, 256, 257, 599])
+        offsets = rng.choice(np.concatenate([offsets, -offsets]), size=600)
+        a = b[np.clip(np.arange(600) + offsets, 0, 599)].copy()
+        a[:, 0] += rng.uniform(0.1, 0.4, size=600) * rng.choice([-1.0, 1.0], size=600)
+        assert_matches_oracle(a, b)
+
+    def test_argmin_at_far_end_of_twin(self, monkeypatch):
+        b = line_path(600)
+        a = b.copy()
+        a[0, 0] = 600.25  # nearest: the last twin row, 599 rows from its twin
+        a[599, 0] = 0.5  # nearest: the first twin row
+        assert_matches_oracle(a, b)
+        value, pairs = estimate_counting_pairs(monkeypatch, a, b)
+        assert value == 0.5
+        # both rows compare the whole twin; every other row's bound is 0
+        assert pairs == 600 + 2 * 599
+
+    def test_rows_at_the_max_stop(self, monkeypatch):
+        b = line_path(100)
+        a = b.copy()
+        a[0, 0] = 100.5  # compares the whole twin, and sets the max to 0.5
+        a[1, 0] = 4.5  # bound 2.5, but 0.5 from twin rows 3 and 4 of its first ring
+        a[2, 0] = 3.5  # bound 0.5, the max: it ends the scan
+        assert_matches_oracle(a, b)
+        value, pairs = estimate_counting_pairs(monkeypatch, a, b)
+        assert value == 0.5
+        # row 1 stops after its first ring, twin rows 0 and 2..9; row 2 compares none
+        assert pairs == 100 + 99 + 9
+
+    def test_single_sample(self, rng):
+        for rows_a, rows_b in ((1, 1), (9, 1), (1, 9), (300, 600), (600, 300)):
+            a, b = twin_like(rng, max(rows_a, rows_b), 1)
+            assert_matches_oracle(a[:rows_a], b[:rows_b])
+            assert_matches_oracle(rng.exponential(size=(rows_a, 1)),
+                                  rng.exponential(size=(rows_b, 1)))
+
+    def test_symmetrized_across_ring_widths(self, rng):
+        # assert_matches_oracle checks the symmetrized estimate too
+        for rows_a, rows_b in ((9, 17), (65, 64), (129, 257), (513, 258), (600, 600)):
+            a, b = twin_like(rng, max(rows_a, rows_b), 6)
+            assert_matches_oracle(a[:rows_a], b[:rows_b])
+            assert_matches_oracle(b[:rows_a], a[:rows_b])
 
 
 class TestClosedForm:
