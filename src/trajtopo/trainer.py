@@ -6,21 +6,31 @@ evaluation. Every stochastic choice draws from a stream derived from
 (seed, purpose tag), so runs are bit-reproducible across platforms and the
 batch-index stream can be shared between a run and its perturbed twin.
 
-`projected_sgd_stack` trains R lockstep runs of one task as one (R, p)
-array: runs that share the iteration count, step, step rule, radius and
-batch size, and may differ in dataset, seed, stream tag and start point,
-such as a run and its perturbed twin, or the seeds of one (n, eta, batch)
-group of grid cells. Each step is one numpy call per operation for all R
-runs instead of R calls. A run's rows are bit-identical whether it trains
-alone or in any stack: each operation on a row is elementwise, or a BLAS
-dot or matrix product over that run's own slices (a task's
-`stack_gradient`, `row_norms`), which numpy issues run by run with the
-arguments a run alone would pass. `projected_sgd` is the one-run view.
+`projected_sgd_stack` trains R lockstep runs of one task: runs that share
+the iteration count, step, step rule, radius and batch size, and may
+differ in dataset, seed, stream tag and start point, such as a run and its
+perturbed twin, or the seeds of one (n, eta, batch) group of grid cells.
+
+There are two step paths, picked by R, because each is the faster one
+where it runs. A stack of R >= 2 runs steps as one (R, p) array, one
+numpy call per operation for all R runs instead of R calls. A lone run
+(`projected_sgd`, and any stack of one run) steps on 1-D rows: the task's
+one-run kernel `mean_gradient`, the step scaled and subtracted in place,
+and a norm from one BLAS dot; the logistic kernel of a one-sample batch
+takes its margin by one BLAS dot and its sigmoid in Python floats. Both
+paths share the chunked batch draws, the kept window and the non-finite
+check. A run's rows are bit-identical whether it trains alone or in any
+stack: each operation on a row is elementwise, or a BLAS dot or matrix
+product over that run's own slices (a task's `stack_gradient`,
+`row_norms`), which numpy issues run by run with the arguments a run
+alone would pass, and the lone path makes the same dots and rounds each
+scalar as the stacked arrays do.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +62,9 @@ class SyntheticTask:
         return self.mean_gradient(w, z[None, :])
 
     def mean_gradient(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        """Mean gradient over the (B, input_dim + 1) `batch` at `w`: the
-        one-run view of `stack_gradient`."""
+        """Mean gradient over the (B, input_dim + 1) `batch` at `w`, the
+        kernel of a lone run's step: the one-run view of `stack_gradient`,
+        unless a task overrides it with a kernel that gives the same bits."""
         return self.stack_gradient(w[None, :], batch[None])[0]
 
     def stack_gradient(self, w: np.ndarray, batches: np.ndarray) -> np.ndarray:
@@ -113,6 +124,26 @@ class LogisticTask(SyntheticTask):
         # with -y is the negated sum with y, bit for bit
         s = self._expit(neg_y * (x @ w[:, :, None]))
         return ((neg_y * s).transpose(0, 2, 1) @ x)[:, 0] / batches.shape[1]
+
+    def mean_gradient(self, w, batch):
+        """For one sample, the stacked kernel's operations on Python floats
+        and 1-D arrays, bit for bit: a BLAS dot for the margin, scipy's
+        `expit` as 1 / (1 + exp(-z)), which is 0.0 where exp overflows, and
+        the sample scaled by -y s (a mean over one sample divides by 1).
+        Adding 0.0 turns a -0.0 product into the +0.0 that the stacked
+        matrix product's sum gives."""
+        if len(batch) != 1:
+            return super().mean_gradient(w, batch)
+        x = batch[0, : self.input_dim]
+        neg_y = -float(batch[0, self.input_dim])
+        z = neg_y * float(x.dot(w))
+        try:
+            s = 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:
+            s = 0.0
+        grad = x * (neg_y * s)
+        grad += 0.0
+        return grad
 
     def loss_table(self, iterates, samples):
         x = samples[:, : self.input_dim]
@@ -272,28 +303,56 @@ def _start_point(task: SyntheticTask, cfg: SGDConfig) -> np.ndarray:
     return w
 
 
-def projected_sgd_stack(
-    task: SyntheticTask, datasets: list[Dataset], cfgs: list[SGDConfig], keep: int | None = None
-) -> list[Trajectory]:
-    """Projected SGD runs of one task in lockstep, run r on `datasets[r]`
-    under `cfgs[r]`: each trajectory is bit-identical to the run trained
-    alone. The runs must share `_SHARED_SETTINGS`. Each trajectory holds
-    the last `keep` of its iterations + 1 iterates (all by default), with
-    their iteration ids.
+def _shrink(radius: float, norm: float) -> float:
+    """The factor that projects an iterate of norm `norm` > `radius` onto
+    the ball. A finite iterate above about 1.3e154 has an infinite squared
+    norm, and radius / inf would zero it: NaN makes it non-finite instead,
+    so the chunk's check names that iteration as a numerical failure."""
+    return radius / norm if norm < math.inf else math.nan
 
-    Steps go in chunks: a chunk's batch indices are drawn and its samples
-    gathered at once, and its iterates checked and the kept ones copied
-    out, so that the buffers take at most about `_CHUNK_BYTES` each. A run
-    whose iterates turn non-finite raises NumericalFailureError for the
-    first such run in stack order, with the index of that run as the
-    error's `run`.
+
+def _stacked_steps(task: SyntheticTask, w: np.ndarray, batches: np.ndarray,
+                   iterates: np.ndarray, etas: list[float], radius: float) -> None:
+    """Steps of R >= 2 runs, one numpy call per operation for all runs:
+    from the (R, p) iterate `w`, step j writes iterates[j]."""
+    delta = np.empty_like(w)
+    for j, eta in enumerate(etas):
+        np.multiply(eta, task.stack_gradient(w, batches[j]), out=delta)
+        w = np.subtract(w, delta, out=iterates[j])
+        for r, norm in enumerate(row_norms(w).tolist()):
+            if norm > radius:
+                w[r] *= _shrink(radius, norm)
+
+
+def _lone_steps(task: SyntheticTask, w: np.ndarray, batches: np.ndarray,
+                iterates: np.ndarray, etas: list[float], radius: float) -> None:
+    """Steps of one run, on 1-D rows: the task's one-run kernel, the step
+    scaled and subtracted in place, and one BLAS dot for the norm. Each
+    operation rounds as its stacked counterpart does."""
+    w, batches, iterates = w[0], batches[:, 0], iterates[:, 0]
+    gradient = task.mean_gradient
+    for j, eta in enumerate(etas):
+        grad = gradient(w, batches[j])
+        grad *= eta
+        w = np.subtract(w, grad, out=iterates[j])
+        norm = math.sqrt(w.dot(w))
+        if norm > radius:
+            w *= _shrink(radius, norm)
+
+
+def _chunked_sgd(task: SyntheticTask, datasets: list[Dataset], cfgs: list[SGDConfig],
+                 keep: int | None, steps_of_chunk) -> list[Trajectory]:
+    """Projected SGD runs that share `_SHARED_SETTINGS`, stepped chunk by
+    chunk by `steps_of_chunk` (`_stacked_steps` or `_lone_steps`).
+
+    A chunk's batch indices are drawn and its samples gathered at once,
+    and its iterates checked and the kept ones copied out, so that the
+    buffers take at most about `_CHUNK_BYTES` each. A run whose iterates
+    turn non-finite raises NumericalFailureError for the first such run in
+    stack order, with the index of that run as the error's `run`.
     """
-    if not cfgs or len(datasets) != len(cfgs):
-        raise InvalidInputError("a stack needs one dataset per SGD config, and at least one run")
     first = cfgs[0]
-    if any(getattr(c, k) != getattr(first, k) for c in cfgs for k in _SHARED_SETTINGS):
-        raise InvalidInputError(f"runs in one stack must share {', '.join(_SHARED_SETTINGS)}")
-    runs, steps, batch, radius = len(cfgs), first.iterations, first.batch, first.radius
+    runs, steps, batch = len(cfgs), first.iterations, first.batch
     keep = steps + 1 if keep is None else keep
     if not 1 <= keep <= steps + 1:
         raise InvalidInputError(f"cannot keep {keep} of {steps + 1} iterates")
@@ -308,7 +367,6 @@ def projected_sgd_stack(
     chunk = max(1, min(steps, _CHUNK_BYTES // (8 * runs * max(batch * cols, task.param_dim))))
     batches = np.empty((chunk, runs, batch, cols))
     iterates = np.empty((chunk, runs, task.param_dim))
-    delta = np.empty((runs, task.param_dim))
     failed = np.zeros(runs, dtype=np.int64)  # each run's first non-finite iteration, or 0
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,17 +376,14 @@ def projected_sgd_stack(
                 # drawing a run's batches in chunks gives the indices of one draw per step
                 np.take(data.samples, g.integers(0, data.n, size=(size, batch)), axis=0,
                         out=batches[:size, r])
-            for j in range(size):
-                k = begin + j + 1
-                eta = first.step if first.step_rule == "constant" else first.step / k
-                np.multiply(eta, task.stack_gradient(w, batches[j]), out=delta)
-                w = np.subtract(w, delta, out=iterates[j])
-                for r, norm in enumerate(row_norms(w).tolist()):
-                    if norm > radius:
-                        w[r] *= radius / norm
-            # a non-finite gradient or an overflowing step makes its iterate
-            # non-finite, and every later one too (NaN passes the step and
-            # the projection), so one check per chunk finds where it began
+            etas = ([first.step] * size if first.step_rule == "constant"
+                    else [first.step / k for k in range(begin + 1, begin + size + 1)])
+            steps_of_chunk(task, w, batches, iterates, etas, first.radius)
+            w = iterates[size - 1]
+            # a non-finite gradient, an overflowing step or an overflowing
+            # squared norm (`_shrink`) makes its iterate non-finite, and every
+            # later one too (NaN passes the step and the projection), so one
+            # check per chunk finds where it began
             bad = ~np.isfinite(iterates[:size]).all(axis=2)
             new = bad.any(axis=0) & (failed == 0)
             failed[new] = begin + 1 + bad[:, new].argmax(axis=0)
@@ -357,15 +412,42 @@ def projected_sgd_stack(
     ]
 
 
-def projected_sgd(task: SyntheticTask, data: Dataset, cfg: SGDConfig) -> Trajectory:
+def projected_sgd_stack(
+    task: SyntheticTask, datasets: list[Dataset], cfgs: list[SGDConfig], keep: int | None = None
+) -> list[Trajectory]:
+    """Projected SGD runs of one task in lockstep, run r on `datasets[r]`
+    under `cfgs[r]`: each trajectory is bit-identical to the run trained
+    alone. The runs must share `_SHARED_SETTINGS`. Each trajectory holds
+    the last `keep` of its iterations + 1 iterates (all by default), with
+    their iteration ids. A run whose iterates turn non-finite raises
+    NumericalFailureError for the first such run in stack order, with the
+    index of that run as the error's `run`.
+
+    A stack of one run is `projected_sgd`'s lone run; larger stacks step
+    as one (R, p) array.
+    """
+    if not cfgs or len(datasets) != len(cfgs):
+        raise InvalidInputError("a stack needs one dataset per SGD config, and at least one run")
+    if len(cfgs) == 1:
+        return [projected_sgd(task, datasets[0], cfgs[0], keep=keep)]
+    first = cfgs[0]
+    if any(getattr(c, k) != getattr(first, k) for c in cfgs for k in _SHARED_SETTINGS):
+        raise InvalidInputError(f"runs in one stack must share {', '.join(_SHARED_SETTINGS)}")
+    return _chunked_sgd(task, datasets, cfgs, keep, _stacked_steps)
+
+
+def projected_sgd(task: SyntheticTask, data: Dataset, cfg: SGDConfig,
+                  keep: int | None = None) -> Trajectory:
     """Single-index (or mini-batch) SGD with projection onto the radius ball.
 
-    Returns iterations + 1 rows including the starting point. Batch indices
+    Returns the last `keep` of the iterations + 1 iterates (all by default,
+    the starting point first), with their iteration ids. Batch indices
     come from the (seed, stream_tag, "batch") stream, so two runs with the
     same config share their algorithmic randomness regardless of the data
-    they are trained on. The one-run view of `projected_sgd_stack`.
+    they are trained on. A non-finite iterate raises NumericalFailureError
+    naming its iteration.
     """
-    return projected_sgd_stack(task, [data], [cfg])[0]
+    return _chunked_sgd(task, [data], [cfg], keep, _lone_steps)[0]
 
 
 def tail_window(traj: Trajectory, rows: int) -> Trajectory:

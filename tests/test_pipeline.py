@@ -363,6 +363,16 @@ class TestCli:
         save_distance_matrix(dist, tmp_path / "dist")
         assert self.run_cli("pmag", tmp_path / "dist", "--scales", "1.0") == 3
 
+    def test_overflowing_iterate_exit_code(self, tmp_path, capsys):
+        """A step so large that an iterate's squared norm overflows exits 3
+        instead of writing a trajectory projected to zero."""
+        assert self.run_cli(
+            "traj-gen", "--task", "logistic_regression", "--n", 5, "--eta", 1e160,
+            "--iterations", 3, "--input-dim", 2, "--out", tmp_path / "tg",
+        ) == 3
+        assert "iteration 1" in capsys.readouterr().err
+        assert not (tmp_path / "tg" / "trajectory.bin").exists()
+
     def test_structured_log_records_cells(self, tmp_path):
         out = tmp_path / "out"
         run_pipeline(small_config(n_grid=[15], seeds=[0], stability=None), output_dir=out)
@@ -1091,8 +1101,9 @@ def _modules_loaded_by(config: Path, argvs: list[list[str]]) -> list[str]:
 
 def test_commands_that_need_no_scipy_never_load_it(tmp_path):
     """Importing the CLI, loading a config, a re-run whose caches all hit,
-    `report`, `lifetime-sum` and `bound` load no scipy module and no process
-    pool; a fresh run of the same config does load scipy."""
+    `report`, `lifetime-sum`, `bound` and a logistic `traj-gen` of batch 1
+    load no scipy module and no process pool; a fresh run of the same
+    config does load scipy."""
     # the logistic task, whose gradient needs scipy, checks that building
     # a task for the config check does not load it
     doc = {**_TINY_RUN, "task": "logistic_regression"}
@@ -1108,6 +1119,9 @@ def test_commands_that_need_no_scipy_never_load_it(tmp_path):
         ["lifetime-sum", str(tmp_path / "d")],
         ["bound", "--theorem", "pmag", "--stability-report", stab_report, "--loss-bound", "1",
          "--samples", "1.0"],
+        # a lone run's one-sample logistic gradient takes its sigmoid in Python floats
+        ["traj-gen", "--task", "logistic_regression", "--n", "8", "--eta", "0.1",
+         "--iterations", "5", "--input-dim", "2", "--out", str(tmp_path / "tg")],
     ]
     assert _modules_loaded_by(cfg, needs_no_scipy) == []
     fresh = [["run", "--config", str(cfg), "--out", str(tmp_path / "fresh")]]

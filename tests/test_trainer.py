@@ -143,6 +143,20 @@ class TestProjectedSgd:
         with pytest.raises(NumericalFailureError, match="iteration 1$"):
             projected_sgd(task, dataset([[0.0, 0.0, 0.0]]), cfg)
 
+    @pytest.mark.parametrize("kind,step", [("logistic_regression", 1e160), ("quadratic", 1e200)])
+    def test_squared_norm_overflow_is_a_numerical_failure(self, kind, step):
+        """An iterate above about 1.3e154 in norm is finite, but its squared
+        norm overflows: that is a numerical failure at its iteration, not an
+        iterate projected to zero; a smaller one still projects."""
+        from trajtopo.errors import NumericalFailureError
+
+        task, data, _ = make_task_and_data(kind, 5, 2, seed=0)
+        cfg = SGDConfig(radius=1.0, step=step, iterations=3, seed=0)
+        with pytest.raises(NumericalFailureError, match="iteration 1$"):
+            projected_sgd(task, data, cfg)
+        tame = projected_sgd(task, data, SGDConfig(**{**vars(cfg), "step": 1e150}))
+        np.testing.assert_allclose(np.linalg.norm(tame.points[1:], axis=1), 1.0, rtol=1e-15)
+
     def test_w0_shape_checked(self):
         task = make_task("quadratic", 3)
         cfg = SGDConfig(radius=1.0, step=0.1, iterations=1, seed=0, w0=np.zeros(2))
@@ -295,6 +309,19 @@ class TestStackedSgd:
                 assert failure.value.run == run
 
 
+    def test_squared_norm_overflow_names_its_run(self):
+        """In a stack, the run whose squared norm overflows fails at its own
+        iteration, named by its index; the other runs project as before."""
+        from trajtopo.errors import NumericalFailureError
+
+        task, data, _ = make_task_and_data("logistic_regression", 5, 2, seed=0)
+        _, big, _ = make_task_and_data("logistic_regression", 5, 2, seed=0, class_sep=1e10)
+        cfgs = [SGDConfig(radius=1.0, step=1e150, iterations=3, seed=s) for s in range(3)]
+        with pytest.raises(NumericalFailureError, match="iteration 1$") as failure:
+            projected_sgd_stack(task, [data, big, data], cfgs)
+        assert failure.value.run == 1
+
+
 class TestGradients:
     @pytest.mark.parametrize("kind,dim", [("quadratic", 4), ("logistic_regression", 6),
                                           ("small_mlp", 3)])
@@ -340,6 +367,39 @@ class TestGradients:
             out[t] = np.tanh(x @ w1.T + b1) @ w[h * d + h : h * d + 2 * h] + w[-1]
         expected = np.logaddexp(0.0, -out * y[None, :])
         np.testing.assert_array_equal(task.loss_table(iterates, data.samples), expected)
+
+    def test_one_sample_logistic_kernel_equals_the_stacked_kernel(self, rng):
+        """The one-run logistic kernel of a one-sample batch gives the bits
+        of the stacked kernel's row: margins past +-709.78, where the
+        sigmoid saturates, signed zeros, and parameters with +-inf and NaN
+        included (NaN in the same places)."""
+        task = make_task("logistic_regression", 8)
+        for trial in range(2000):
+            w = rng.standard_normal(8) * 10.0 ** rng.uniform(-2, 3)
+            x = np.append(rng.standard_normal(8), rng.choice([-1.0, 1.0]))
+            if trial % 5 == 0:
+                x[rng.integers(8)] = 0.0
+            if trial % 7 == 0:
+                w[rng.integers(8)] = rng.choice([np.inf, -np.inf, np.nan])
+            with np.errstate(invalid="ignore", over="ignore"):
+                one = task.mean_gradient(w, x[None])
+                stacked = task.stack_gradient(w[None], x[None, None])[0]
+            nan = np.isnan(stacked)
+            assert np.array_equal(np.isnan(one), nan)
+            assert one[~nan].tobytes() == stacked[~nan].tobytes()
+
+    @pytest.mark.parametrize("rule", ["constant", "decaying"])
+    def test_saturated_lone_logistic_run_equals_its_stacked_row(self, rule):
+        """A lone logistic run whose margins pass -710, where the sigmoid is
+        0.0, is bit-identical to its row in a stack of two runs."""
+        task, data, _ = make_task_and_data("logistic_regression", 20, 3, seed=8, class_sep=6.0)
+        cfgs = [SGDConfig(radius=1e3, step=50.0, iterations=60, seed=s, step_rule=rule)
+                for s in (8, 9)]
+        alone = projected_sgd(task, data, cfgs[0])
+        margins = alone.points @ data.samples[:, :3].T * data.samples[:, 3]
+        assert margins.max() > 710.0
+        stacked = projected_sgd_stack(task, [data, data], cfgs)[0]
+        assert alone.points.tobytes() == stacked.points.tobytes()
 
     def test_mean_gradient_averages(self, rng):
         task, data, _ = make_task_and_data("logistic_regression", 12, 5, seed=6)
