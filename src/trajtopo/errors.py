@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import functools
 import numbers
+import sys
 import types
 import typing
 
@@ -37,7 +38,8 @@ def fits(value, hint) -> bool:
     """Whether a decoded JSON value fits the annotation `hint`, a class, a
     union, `list[...]` or `dict[..., ...]`. An integer also fits `float`,
     since configs say `100` for `100.0`; a bool fits neither `int` nor
-    `float`."""
+    `float`. A value that fills a `float` must be finite as a float: JSON
+    also reads NaN, Infinity, 1e400 and integers beyond the float range."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union or origin is types.UnionType:
         return any(fits(value, h) for h in args)
@@ -49,7 +51,9 @@ def fits(value, hint) -> bool:
         )
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
+    if hint is float:
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Integral if hint is int else hint)
 
 
 def _as_declared(value, hint):

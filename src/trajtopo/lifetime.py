@@ -69,8 +69,8 @@ def minimum_spanning_tree(dist: DistanceMatrix) -> EdgeList:
 
 def alpha_weighted_lifetime_sum(dist: DistanceMatrix, alpha: float) -> float:
     """Sum over MST edges of length**alpha; zero for a single point."""
-    if alpha < 0:
-        raise InvalidInputError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise InvalidInputError(f"alpha must be finite and >= 0, got {alpha}")
     if alpha > 1:
         warnings.warn(
             "alpha > 1 is outside the range covered by the lifetime-sum "

@@ -38,8 +38,8 @@ class ScaleGrid:
         self.scales = tuple(float(s) for s in self.scales)
         if not self.scales:
             raise InvalidInputError("scale grid must be nonempty")
-        if any(s <= 0 for s in self.scales):
-            raise InvalidInputError("scales must be strictly positive")
+        if not all(0 < s < np.inf for s in self.scales):
+            raise InvalidInputError(f"scales must be finite and positive, got {self.scales}")
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise InvalidInputError("scales must be strictly increasing")
 

@@ -17,11 +17,13 @@ same way stored, and recomputes the rest:
   (n, eta, batch, seed);
 - a stability report, stored as `stability/<SHA-256 of its
   StabilityConfig>.json`;
-- a cell's PMag at the theorem scale, when `cells/<id>/theorem_scale.json`
-  holds the scale of the bound that is due.
+- a cell's PMag at the theorem scale, when `cells/<id>/theorem_pmag.json`
+  holds it at the scale of the bound that is due.
 
-Each run then writes its config to `run.json`. `trajtopo report` runs the
-pipeline again from it with every one of these reuses required to hit.
+The cell stage writes each cell's record, constants, trajectory and
+fingerprint once; the bounds stage alone writes `theorem_pmag.json`. Each
+run then writes `run.json`, from which `trajtopo report` runs the pipeline
+again with every one of these reuses required to hit.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def scale_key(s: float) -> str:
 # stability and bounds stages alone; and where and how the run executes.
 UNFINGERPRINTED = ("n_grid", "eta_grid", "batch_grid", "seeds", "stability", "theorem_lambda",
                    "lipschitz", "loss_bound", "output_dir", "jobs")
-THEOREM_SCALE = "theorem_scale.json"
+THEOREM_PMAG = "theorem_pmag.json"
 RUN_MANIFEST = "run.json"
 
 
@@ -212,19 +214,11 @@ def _stored_fingerprint(path: Path) -> str | None:
 
 
 @dataclass
-class TheoremScale:
-    """`cells/<id>/theorem_scale.json`: the scale of the PMag value that the
-    cell's record stores under `THEOREM_KEY`."""
+class TheoremPMag:
+    """`cells/<id>/theorem_pmag.json`: the cell's PMag at the theorem scale."""
 
     scale: float
-
-
-def _stored_theorem_scale(path: Path) -> str | None:
-    """The `scale_key` of the scale stored at `path`; None if there is none."""
-    if not path.exists():
-        return None
-    doc = read_json_object(path, "theorem scale")
-    return scale_key(from_json_object(TheoremScale, doc, f"theorem scale {path}").scale)
+    pmag: float
 
 
 @dataclass
@@ -275,11 +269,12 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     that shape it.
 
     Without `trained`, the record that `compute_cells` found stored under
-    the fingerprint is loaded and returned unchanged. Otherwise the trained
-    cell is finished: its window is subsampled, its complexity values,
-    constants and generalization gap computed, and its record, subsampled
-    trajectory, constants and fingerprint written, the fingerprint last, so
-    that an interrupted write is never reused.
+    the fingerprint is loaded and returned, less any theorem-scale value
+    that an older version stored in it. Otherwise the trained cell is
+    finished: its window is subsampled, its complexity values, constants
+    and generalization gap computed, and its record, subsampled trajectory,
+    constants and fingerprint written, the fingerprint last, so that an
+    interrupted write is never reused.
     """
     cid = cell_id(cfg.task, n, eta, batch, seed)
     cell_dir = Path(out_dir) / "cells" / cid
@@ -287,6 +282,7 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     if trained is None:
         record = from_json_object(RunRecord, read_json_object(record_path, "run record"),
                                   f"run record {record_path}")
+        record.pmag.pop(THEOREM_KEY, None)
         return CellResult(record=record, skipped=True)
     try:
         lm_train, lm_test = trained.loss_matrices()
@@ -302,7 +298,7 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
                        pmag=pmag)
     cell_dir.mkdir(parents=True, exist_ok=True)
     fingerprint_path = cell_dir / "fingerprint"
-    for stale in (fingerprint_path, cell_dir / THEOREM_SCALE):
+    for stale in (fingerprint_path, cell_dir / THEOREM_PMAG):
         stale.unlink(missing_ok=True)
     save_trajectory(sub, cell_dir / "trajectory")
     (cell_dir / "constants.json").write_text(json.dumps(asdict(consts), indent=2) + "\n")
@@ -420,21 +416,22 @@ def _stability_stage(cfg: ExperimentConfig, out_dir: Path, log,
     return reports
 
 
-def _theorem_pmag(cell_dir: Path, record: RunRecord, s_theorem: float, reuse_only: bool) -> float:
-    """The cell's PMag at the theorem scale `s_theorem`: the stored value
-    if its last bound had this scale, else (unless `reuse_only`) solved
-    from the stored trajectory and stored in the record."""
-    scale_path = cell_dir / THEOREM_SCALE
-    if THEOREM_KEY not in record.pmag or _stored_theorem_scale(scale_path) != scale_key(s_theorem):
-        if reuse_only:
-            raise _cache_miss(scale_path)
-        scale_path.unlink(missing_ok=True)
-        traj = load_trajectory(cell_dir / "trajectory")
-        dist = geometry.distance_matrix(traj)
-        record.pmag[THEOREM_KEY] = magnitude.positive_magnitude(dist, s_theorem)
-        (cell_dir / "record.json").write_text(record.to_json())
-        scale_path.write_text(json.dumps(asdict(TheoremScale(s_theorem))) + "\n")
-    return record.pmag[THEOREM_KEY]
+def _theorem_pmag(cell_dir: Path, s_theorem: float, reuse_only: bool) -> float:
+    """The cell's PMag at the theorem scale `s_theorem`: the value stored in
+    its `THEOREM_PMAG` if solved at this scale, else (unless `reuse_only`)
+    solved from the stored trajectory and stored there."""
+    path = cell_dir / THEOREM_PMAG
+    if path.exists():
+        stored = from_json_object(TheoremPMag, read_json_object(path, "theorem PMag"),
+                                  f"theorem PMag {path}")
+        if scale_key(stored.scale) == scale_key(s_theorem):
+            return stored.pmag
+    if reuse_only:
+        raise _cache_miss(path)
+    dist = geometry.distance_matrix(load_trajectory(cell_dir / "trajectory"))
+    solved = TheoremPMag(s_theorem, magnitude.positive_magnitude(dist, s_theorem))
+    path.write_text(json.dumps(asdict(solved)) + "\n")
+    return solved.pmag
 
 
 def _bounds_stage(
@@ -446,8 +443,8 @@ def _bounds_stage(
 ) -> list[dict]:
     """Evaluate both bounds per sample size, one per stability report,
     reusing stored trajectories for the theorem-schedule magnitude scale.
-    A record whose sample size gets no bound row keeps no theorem-scale
-    value, or with `reuse_only` is an InvalidInputError."""
+    Each bounded record gets its theorem-scale PMag in memory, for the
+    reports; a run removes the stored value of every other record."""
     rows: list[dict] = []
     for report in stab_reports:
         n, beta = report.n, report.mean
@@ -467,8 +464,9 @@ def _bounds_stage(
         res_e = bounds.ealpha_bound(beta, loss_bound, k_const, ealpha_samples)
 
         s_theorem = magnitude.pmag_scale(cfg.theorem_lambda, lipschitz, loss_bound, beta)
-        pmag_samples = [_theorem_pmag(out_dir / "cells" / r.run_id, r, s_theorem, reuse_only)
-                        for r in group]
+        for r in group:
+            r.pmag[THEOREM_KEY] = _theorem_pmag(out_dir / "cells" / r.run_id, s_theorem, reuse_only)
+        pmag_samples = [r.pmag[THEOREM_KEY] for r in group]
         res_p = bounds.pmag_bound(beta, loss_bound, cfg.theorem_lambda, pmag_samples)
 
         # the closed form needs every cell's smoothness G and a first step below 1/G
@@ -505,13 +503,8 @@ def _bounds_stage(
 
     bounded = {row["n"] for row in rows}
     for r in records:
-        if r.n not in bounded and THEOREM_KEY in r.pmag:
-            cell_dir = out_dir / "cells" / r.run_id
-            if reuse_only:
-                raise _cache_miss(cell_dir / "record.json")
-            (cell_dir / THEOREM_SCALE).unlink(missing_ok=True)
-            del r.pmag[THEOREM_KEY]
-            (cell_dir / "record.json").write_text(r.to_json())
+        if r.n not in bounded and not reuse_only:
+            (out_dir / "cells" / r.run_id / THEOREM_PMAG).unlink(missing_ok=True)
     return rows
 
 

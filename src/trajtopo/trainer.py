@@ -263,9 +263,9 @@ class SGDConfig:
     stream_tag: str = "sgd"
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise InvalidInputError(f"projection radius must be positive, got {self.radius}")
-        if self.step < 0:
+        if not self.step >= 0:
             raise InvalidInputError(f"step constant must be nonnegative, got {self.step}")
         if self.step_rule not in STEP_RULES:
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")

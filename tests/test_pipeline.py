@@ -3,8 +3,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -115,6 +117,26 @@ class TestPipeline:
         run_pipeline(small_config(stability=section), output_dir=tmp_path / "rerun")
         run_pipeline(small_config(stability=section), output_dir=tmp_path / "fresh")
         assert tree_digest(tmp_path / "rerun") == tree_digest(tmp_path / "fresh")
+
+    def test_rerun_with_another_lambda_rewrites_only_theorem_pmag(self, tmp_path):
+        """Each file under `cells/` has one writer: a re-run that changes only
+        `theorem_lambda` leaves every record, constants file, trajectory and
+        fingerprint as the cell stage wrote it, and rewrites every
+        `theorem_pmag.json` at the new scale."""
+        out = tmp_path / "out"
+
+        def cell_files():
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.glob("cells/*/*")}
+
+        run_pipeline(small_config(), output_dir=out)
+        before = cell_files()
+        run_pipeline(small_config(theorem_lambda=2.0), output_dir=out)
+        after = cell_files()
+        assert {p.name for p in before} == {"record.json", "constants.json", "trajectory.json",
+                                            "trajectory.bin", "fingerprint", pipeline.THEOREM_PMAG}
+        assert after.keys() == before.keys()
+        assert sorted(p for p in before if after[p] != before[p]) == sorted(
+            out.glob(f"cells/*/{pipeline.THEOREM_PMAG}"))
 
     def test_fresh_runs_byte_identical(self, tmp_path):
         run_pipeline(small_config(), output_dir=tmp_path / "a")
@@ -591,20 +613,20 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          f"cell fingerprint {_TINY_CELL}/fingerprint must hold one SHA-256 hex digest"),
         (_RERUN, _finished_run("cells/*/fingerprint", lambda text: b"\xff" * 64 + b"\n"),
          f"cell fingerprint {_TINY_CELL}/fingerprint must hold one SHA-256 hex digest"),
-        (_RERUN, _finished_run("cells/*/theorem_scale.json", lambda d: "[1.0"),
-         f"malformed theorem scale {_TINY_CELL}/theorem_scale.json: Expecting"),
-        (_RERUN, _finished_run("cells/*/theorem_scale.json", lambda d: d.update(scale="x")),
-         f"theorem scale {_TINY_CELL}/theorem_scale.json 'scale' must be float, got 'x'"),
-        (_RERUN, _finished_run("cells/*/theorem_scale.json", lambda d: d.pop("scale")),
-         f"theorem scale {_TINY_CELL}/theorem_scale.json lacks ['scale']"),
+        (_RERUN, _finished_run("cells/*/theorem_pmag.json", lambda d: "[1.0"),
+         f"malformed theorem PMag {_TINY_CELL}/theorem_pmag.json: Expecting"),
+        (_RERUN, _finished_run("cells/*/theorem_pmag.json", lambda d: d.update(scale="x")),
+         f"theorem PMag {_TINY_CELL}/theorem_pmag.json 'scale' must be float, got 'x'"),
+        (_RERUN, _finished_run("cells/*/theorem_pmag.json", lambda d: d.pop("scale")),
+         f"theorem PMag {_TINY_CELL}/theorem_pmag.json lacks ['scale']"),
+        (_RERUN, _finished_run("cells/*/theorem_pmag.json", lambda d: d.pop("pmag")),
+         f"theorem PMag {_TINY_CELL}/theorem_pmag.json lacks ['pmag']"),
         (["report", "{out}"], _finished_run("stability/*.json", None),
          f"{_TINY_STABILITY} is missing or from another config"),
         (["report", "{out}"], _finished_run("cells/*/fingerprint", lambda text: "0" * 64 + "\n"),
          f"{_TINY_CELL}/fingerprint is missing or from another config"),
-        (["report", "{out}"], _finished_run("cells/*/theorem_scale.json", None),
-         f"{_TINY_CELL}/theorem_scale.json is missing or from another config"),
-        (["report", "{out}"], _finished_run("run.json", lambda d: d.update(stability=None)),
-         f"{_TINY_CELL}/record.json is missing or from another config"),
+        (["report", "{out}"], _finished_run("cells/*/theorem_pmag.json", None),
+         f"{_TINY_CELL}/theorem_pmag.json is missing or from another config"),
         (["distmat", "{out}/t", "--out", "{out}/d2"],
          _artifacts({"t": lambda d: d["metadata"].update(iteration_ids="a,b")}),
          "t metadata 'iteration_ids' must be comma-separated integers, got 'a,b'"),
@@ -620,6 +642,17 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "d metadata 'point_ids' must be comma-separated integers"),
         (["distmat", "{out}/d", "--out", "{out}/d2"], _artifacts(),
          "has role 'distance_matrix', not trajectory"),
+        (["pmag", "{out}/d", "--scales", "nan"], _artifacts(), "scales must be finite"),
+        (["pmag", "{out}/d", "--scales", "1,inf"], _artifacts(), "scales must be finite"),
+        (["pmag", "{out}/d", "--scales", "1e400"], _artifacts(), "scales must be finite"),
+        (["pmag", "{out}/d", "--theorem-scale", "1,nan,1,0.5"], _artifacts(),
+         "scales must be finite"),
+        (["distmat", "{out}/t", "--out", "{out}/d2", "--dedup-eps", "nan"], _artifacts(),
+         "eps must be >= 0, got nan"),
+        (["lifetime-sum", "{out}/d", "--alpha", "nan"], _artifacts(),
+         "alpha must be finite and >= 0, got nan"),
+        (["lifetime-sum", "{out}/d", "--alpha", "inf"], _artifacts(),
+         "alpha must be finite and >= 0, got inf"),
         (["distmat", "{out}/t", "--out", "{out}/d2"],
          _artifacts({"t": lambda d: d.update(schema_version=2)}),
          "manifest {out}/t.json: unsupported schema_version 2, expected 1"),
@@ -655,13 +688,16 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "report-record-not-json", "report-record-not-utf8", "rerun-stability-cache-not-json",
          "rerun-stability-cache-not-utf8", "rerun-stability-cache-mean-string",
          "rerun-stability-cache-without-beta-hats", "rerun-fingerprint-truncated",
-         "rerun-fingerprint-not-utf8", "rerun-theorem-scale-not-json",
-         "rerun-theorem-scale-string", "rerun-theorem-scale-without-scale",
+         "rerun-fingerprint-not-utf8", "rerun-theorem-pmag-not-json",
+         "rerun-theorem-pmag-string", "rerun-theorem-pmag-without-scale",
+         "rerun-theorem-pmag-without-pmag",
          "report-stability-cache-deleted", "report-fingerprint-mismatch",
-         "report-theorem-scale-deleted", "report-record-keeps-theorem-value",
+         "report-theorem-pmag-deleted",
          "distmat-ids-not-integers",
          "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
-         "pmag-ids-not-integers", "distmat-wrong-role", "distmat-schema-version-2",
+         "pmag-ids-not-integers", "distmat-wrong-role", "pmag-scale-nan", "pmag-scale-inf",
+         "pmag-scale-1e400", "pmag-theorem-scale-nan", "distmat-dedup-eps-nan",
+         "lifetime-sum-alpha-nan", "lifetime-sum-alpha-inf", "distmat-schema-version-2",
          "distmat-ids-wrong-length", "stability-losses-without-split",
          "bound-samples-file-not-utf8", "bound-samples-file-not-json", "run-config-directory",
          "bound-samples-file-directory", "run-out-existing-file"],
@@ -677,6 +713,60 @@ def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, messa
     assert len(err.splitlines()) == 1
     assert message.format(out=out) in err
     assert "Traceback" not in err
+
+
+def test_report_after_run_json_drops_stability_matches_a_run(tmp_path, capsys):
+    """`report` on a finished run whose `run.json` then drops its stability
+    section writes only its `report/`, the same one that a `run` of that
+    config writes into a copy of the directory."""
+    out, copy = tmp_path / "out", tmp_path / "copy"
+    out.mkdir()
+    _finished_run("run.json", lambda d: d.update(stability=None))(out)
+    shutil.copytree(out, copy)
+    kept = tree_digest(out, ("cells", "stability"))
+    assert main(["report", str(out)]) == 0
+    assert tree_digest(out, ("cells", "stability")) == kept
+    assert main(["run", "--config", str(copy / "run.json"), "--out", str(copy)]) == 0
+    assert tree_digest(out, ("report",)) == tree_digest(copy, ("report",))
+    assert not (out / "report" / "grid_pmag_theorem_scale.csv").exists()
+
+
+def _as_older_directory(out: Path) -> None:
+    """Give a finished run's cells the layout of earlier versions, which kept
+    the theorem-scale PMag in `record.json` under `THEOREM_KEY` and its scale
+    in `theorem_scale.json`."""
+    for path in out.glob(f"cells/*/{pipeline.THEOREM_PMAG}"):
+        theorem = json.loads(path.read_text())
+        record_path = path.parent / "record.json"
+        record = from_json_object(RunRecord, json.loads(record_path.read_text()), "run record")
+        record.pmag[THEOREM_KEY] = theorem["pmag"]
+        record_path.write_text(record.to_json())
+        scale = json.dumps({"scale": theorem["scale"]}) + "\n"
+        (path.parent / "theorem_scale.json").write_text(scale)
+        path.unlink()
+    shutil.rmtree(out / "report")
+
+
+@pytest.mark.parametrize("section", [SMALL["stability"], None],
+                         ids=["with-stability", "without-stability"])
+def test_directory_of_an_older_version_migrates_on_its_next_run(tmp_path, capsys, section):
+    """An older directory misses once in `report`, which names the new file.
+    A `run` then trains nothing and writes the `report/` of a fresh run, and
+    `report` hits again. A theorem-scale value stored in a record never
+    reaches a report: without a stability section no theorem CSV appears."""
+    cfg, old = small_config(stability=section), tmp_path / "old"
+    run_pipeline(cfg, output_dir=tmp_path / "fresh")
+    run_pipeline(small_config(), output_dir=old)
+    _as_older_directory(old)
+    capsys.readouterr()
+    assert main(["report", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"{pipeline.THEOREM_PMAG} is missing or from another config" in err
+    assert run_pipeline(cfg, output_dir=old).computed == 0
+    assert tree_digest(old, ("report",)) == tree_digest(tmp_path / "fresh", ("report",))
+    assert main(["report", str(old), "--out", str(tmp_path / "again")]) == 0
+    assert (old / "report" / "grid_pmag_theorem_scale.csv").exists() == (section is not None)
 
 
 # every argument the CLI reads a file through; {p} is the file, {out} holds
@@ -779,17 +869,27 @@ def _misuse_cases():
     for key, value in (("input_dim", 0), ("hidden", 0), ("lipschitz", -1), ("loss_bound", 0),
                        ("alpha", 2), ("alpha", 0), ("eta_grid", [0.1, -1]), ("batch_grid", [1, 0]),
                        ("n_grid", [0]), ("step_rule", "x"), ("subsample", 0), ("alpha", -1),
-                       ("theorem_lambda", 0)):
+                       ("theorem_lambda", 0),
+                       # JSON reads NaN and Infinity, which no range check may let through
+                       ("pmag_scales", [math.inf]), ("theorem_lambda", math.inf),
+                       ("loss_bound", math.inf), ("lipschitz", math.nan), ("radius", math.nan),
+                       ("alpha", math.nan)):
         name = f"{key}-{value}".replace(" ", "")
         yield pytest.param(_RUN, {**_TINY_RUN, key: value}, id=f"file-{name}")
         yield pytest.param(_RUN + ["--set", f"{key}={json.dumps(value)}"], _TINY_RUN,
                            id=f"set-{name}")
-    for key, value in (("step", -1), ("J", -1), ("eval_split", "x"), ("direction", "x")):
+    for key, value in (("step", -1), ("J", -1), ("eval_split", "x"), ("direction", "x"),
+                       ("step", math.nan)):
         section = {**_TINY_RUN["stability"], key: value}
         yield pytest.param(_RUN, {**_TINY_RUN, "stability": section},
                            id=f"file-stability.{key}-{value}")
         yield pytest.param(_RUN + ["--set", f"stability.{key}={json.dumps(value)}"], _TINY_RUN,
                            id=f"set-stability.{key}-{value}")
+    # 1e400 overflows to infinity as a JSON number, 1 followed by 400 zeros does not
+    yield pytest.param(_RUN + ["--set", "theorem_lambda=1e400"], _TINY_RUN,
+                       id="set-theorem_lambda-1e400")
+    yield pytest.param(_RUN + ["--set", "theorem_lambda=1" + "0" * 400], _TINY_RUN,
+                       id="set-theorem_lambda-int-above-float-range")
     yield pytest.param(_RUN + ["--set", "validate=1"], _TINY_RUN, id="set-validate")
     yield pytest.param(_RUN + ["--set", 'stability={"J":"x"}'], _TINY_RUN,
                        id="set-stability-J-string")
@@ -953,9 +1053,10 @@ def test_help_prints_usage_and_exits_0(capsys):
 
 
 def test_cell_and_summary_files_roundtrip_byte_identical(tmp_path):
-    """Every record, constants file and summary stability entry that a run
-    with stability writes reads back through its typed reader and writes
-    the same bytes again."""
+    """Every record, constants file, theorem-scale PMag and summary stability
+    entry that a run with stability writes reads back through its typed
+    reader and writes the same bytes again. The theorem-scale value lives
+    in its own file, not in the record."""
     out = tmp_path / "out"
     run_pipeline(small_config(), output_dir=out)
     records = sorted(out.glob("cells/*/record.json"))
@@ -963,11 +1064,15 @@ def test_cell_and_summary_files_roundtrip_byte_identical(tmp_path):
     for path in records:
         text = path.read_text()
         record = from_json_object(RunRecord, json.loads(text), "run record")
-        assert THEOREM_KEY in record.pmag
+        assert THEOREM_KEY not in record.pmag
         assert record.to_json() == text
         constants_path = path.parent / "constants.json"
         constants = _load_constants(out, path.parent.name)
         assert json.dumps(asdict(constants), indent=2) + "\n" == constants_path.read_text()
+        theorem_path = path.parent / pipeline.THEOREM_PMAG
+        theorem = from_json_object(pipeline.TheoremPMag, json.loads(theorem_path.read_text()),
+                                   "theorem PMag")
+        assert json.dumps(asdict(theorem)) + "\n" == theorem_path.read_text()
     summary = json.loads((out / "report" / "summary.json").read_text())
     assert summary["stability"]
     for doc in summary["stability"]:
