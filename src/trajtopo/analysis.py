@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import LossMatrix, RunRecord
+from .artifacts import LossMatrix, RunRecord, csv_text
 from .errors import InvalidInputError, UndefinedStatisticError
 
 COMPLEXITY_KINDS = ("e_alpha", "pmag_fixed_scale", "pmag_theorem_scale")
@@ -101,19 +101,15 @@ class GridReport:
     per_n_stats_log: dict[int, GroupStats] = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = [GRID_CSV_HEADER]
-        for measure, stats in (
-            (self.complexity_kind, self.per_n_stats),
-            (f"log_{self.complexity_kind}", self.per_n_stats_log),
-        ):
-            for n in sorted(stats):
-                g = stats[n]
-                cells = [str(n), measure] + [
-                    "" if v is None else repr(float(v)) for v in (g.tau, g.r, g.slope)
-                ]
-                cells.append(str(g.count))
-                lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        rows = [
+            [n, measure, g.tau, g.r, g.slope, g.count]
+            for measure, stats in (
+                (self.complexity_kind, self.per_n_stats),
+                (f"log_{self.complexity_kind}", self.per_n_stats_log),
+            )
+            for n, g in sorted(stats.items())
+        ]
+        return csv_text(GRID_CSV_HEADER, rows)
 
 
 def _complexity_value(record: RunRecord, kind: str, scale_key: str | None) -> float:

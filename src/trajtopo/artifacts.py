@@ -5,12 +5,17 @@ An artifact is a pair of files ``<stem>.json`` (manifest) and ``<stem>.bin``
 across platforms; the manifest carries interpretation. Non-finite payloads
 are rejected on read and write because every downstream solver assumes
 finite inputs.
+
+A record is a dataclass stored as one JSON file (`record_json`), a report
+table one CSV file (`csv_text`). Every file goes to disk through
+`write_file`, which replaces it whole.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +56,47 @@ class ArtifactManifest:
             raise InvalidInputError(f"shape must be two positive integers, got {self.shape!r}")
 
 
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Replace `path` whole with `data`, text as UTF-8: written to
+    `<path>.partial`, then renamed onto `path`, so that an interrupted write
+    leaves the old file or none, never a cut one."""
+    partial = Path(f"{path}.partial")
+    if isinstance(data, str):
+        partial.write_text(data, encoding="utf-8")
+    else:
+        partial.write_bytes(data)
+    os.replace(partial, path)
+
+
+def record_json(record) -> str:
+    """The stored text of dataclass `record`: its fields in declaration
+    order, the keys of each dict-valued field sorted, indent 2."""
+    doc = asdict(record)
+    for f in fields(record):
+        if isinstance(getattr(record, f.name), dict):
+            doc[f.name] = dict(sorted(doc[f.name].items()))
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_record(record, path: str | Path) -> None:
+    write_file(path, record_json(record))
+
+
+def read_record(cls, path: str | Path, what: str):
+    """Inverse of :func:`write_record`: dataclass `cls` from the JSON object
+    stored at `path`, checked by `from_json_object`; errors name `what`."""
+    return from_json_object(cls, read_json_object(path, what), f"{what} {path}")
+
+
+def csv_text(header: str, rows: list[list]) -> str:
+    """A CSV table: the `header` line, then one line per row, in which None
+    is an empty cell and a float is spelled by `repr`."""
+    def cell(v) -> str:
+        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+    return "\n".join([header, *(",".join(cell(v) for v in row) for row in rows)]) + "\n"
+
+
 def read_json(path: str | Path, what: str):
     """Read a UTF-8 JSON file; text that is not such JSON is invalid input."""
     try:
@@ -76,18 +122,14 @@ def write_artifact(manifest: ArtifactManifest, matrix: np.ndarray, path: str | P
         )
     if not np.isfinite(matrix).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    doc = asdict(manifest) | {"metadata": dict(sorted(manifest.metadata.items()))}
-    Path(f"{path}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    Path(f"{path}.bin").write_bytes(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    write_record(manifest, f"{path}.json")
+    write_file(f"{path}.bin", np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
 def read_artifact(path: str | Path, role: str) -> tuple[ArtifactManifest, np.ndarray]:
     """Inverse of :func:`write_artifact`; the manifest must declare `role`."""
-    json_path = Path(f"{path}.json")
     bin_path = Path(f"{path}.bin")
-    manifest = from_json_object(
-        ArtifactManifest, read_json_object(json_path, "manifest"), f"manifest {json_path}"
-    )
+    manifest = read_record(ArtifactManifest, Path(f"{path}.json"), "manifest")
     if manifest.role != role:
         raise InvalidInputError(f"artifact {path} has role {manifest.role!r}, not {role}")
     rows, cols = manifest.shape
@@ -172,10 +214,6 @@ class RunRecord:
         check_fields(type(self), vars(self), "run record")
         if self.e_alpha < 0 or any(v < 0 for v in self.pmag.values()):
             raise InvalidInputError("complexity statistics must be nonnegative")
-
-    def to_json(self) -> str:
-        doc = asdict(self) | {"pmag": dict(sorted(self.pmag.items()))}
-        return json.dumps(doc, indent=2) + "\n"
 
 
 def join_ids(ids: np.ndarray) -> str:

@@ -9,8 +9,7 @@ means over the supplied complexity samples.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +54,6 @@ class BoundResult:
     def __post_init__(self) -> None:
         if not np.isfinite(self.value) or self.value < 0:
             raise InvalidInputError("bound value must be finite and nonnegative")
-
-    def to_json(self) -> str:
-        doc = asdict(self) | {"inputs": dict(sorted(self.inputs.items()))}
-        return json.dumps(doc, indent=2) + "\n"
 
 
 def kn_alpha(n: int, lipschitz: float, loss_bound: float, alpha: float) -> float:

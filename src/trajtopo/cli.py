@@ -23,8 +23,10 @@ from .artifacts import (
     load_trajectory,
     read_json,
     read_json_object,
+    record_json,
     save_loss_matrix,
     save_trajectory,
+    write_file,
 )
 from .errors import InvalidInputError, NumericalFailureError, TrajtopoError, fits, from_json_object
 from .geometry import load_distance_matrix, save_distance_matrix
@@ -123,18 +125,8 @@ def cmd_traj_gen(args: argparse.Namespace) -> int:
     save_trajectory(cell.window, out_dir / "trajectory")
     save_loss_matrix(lm_train, out_dir / "losses_train")
     save_loss_matrix(lm_test, out_dir / "losses_test")
-    stub = {
-        "run_id": pipeline.cell_id(cfg.task, n, eta, batch, seed),
-        "n": n,
-        "eta": eta,
-        "batch": batch,
-        "seed": seed,
-        "gen_gap": analysis.worst_case_gap(lm_train, lm_test),
-        "e_alpha": None,
-        "pmag": {},
-    }
-    (out_dir / "record_stub.json").write_text(json.dumps(stub, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({"output_dir": str(out_dir), "gen_gap": stub["gen_gap"]}, sort_keys=True))
+    gen_gap = analysis.worst_case_gap(lm_train, lm_test)
+    print(json.dumps({"output_dir": str(out_dir), "gen_gap": gen_gap}, sort_keys=True))
     return 0
 
 
@@ -163,15 +155,13 @@ def cmd_lifetime_sum(args: argparse.Namespace) -> int:
 
 def cmd_pmag(args: argparse.Namespace) -> int:
     dist = load_distance_matrix(args.distmat)
-    if args.theorem_scale:
+    if args.theorem_scale is not None:
         parts = _parse_list(args.theorem_scale)
         if len(parts) != 4:
             raise InvalidInputError("--theorem-scale expects lambda,L,B,beta")
         scales = [magnitude.pmag_scale(*parts)]
-    elif args.scales:
-        scales = _parse_list(args.scales)
     else:
-        raise InvalidInputError("pass --scales or --theorem-scale")
+        scales = _parse_list(args.scales)
     grid = magnitude.ScaleGrid(tuple(sorted(set(scales))))
     profile = magnitude.magnitude_profile(dist, grid, solver=args.solver)
     doc = {
@@ -212,36 +202,32 @@ def cmd_stability(args: argparse.Namespace) -> int:
     ]
     reports = [stability.run_stability_experiment(cfg) for cfg in configs]
     for report in reports:
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(record_json(report))
     if args.csv:
-        Path(args.csv).write_text(stability.stability_csv(reports))
+        write_file(args.csv, stability.stability_csv(reports))
     return 0
 
 
 def _load_samples(args: argparse.Namespace) -> list[float]:
-    if args.samples:
+    if args.samples is not None:
         return _parse_list(args.samples)
-    if args.samples_file:
-        doc = read_json(args.samples_file, "samples file")
-        if isinstance(doc, dict):
-            doc = doc.get("samples")
-        if not fits(doc, list[float]):
-            raise InvalidInputError(f"samples file {args.samples_file} must be a list of numbers"
-                                    " or {'samples': [...]}")
-        return [float(v) for v in doc]
-    raise InvalidInputError("pass --samples or --samples-file")
+    doc = read_json(args.samples_file, "samples file")
+    if isinstance(doc, dict):
+        doc = doc.get("samples")
+    if not fits(doc, list[float]):
+        raise InvalidInputError(f"samples file {args.samples_file} must be a list of numbers"
+                                " or {'samples': [...]}")
+    return [float(v) for v in doc]
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     if args.beta is not None:
         beta = args.beta
-    elif args.stability_report:
+    else:
         mean = read_json_object(args.stability_report, "stability report").get("mean")
         if not fits(mean, float):
             raise InvalidInputError(f"stability report needs a number 'mean', got {mean!r}")
         beta = float(mean)
-    else:
-        raise InvalidInputError("pass --beta or --stability-report")
     samples = _load_samples(args)
     if args.theorem == "ealpha":
         if args.k_const is not None:
@@ -253,7 +239,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         result = bounds.ealpha_bound(beta, args.loss_bound, k_const, samples)
     else:
         result = bounds.pmag_bound(beta, args.loss_bound, args.lam, samples)
-    sys.stdout.write(result.to_json())
+    sys.stdout.write(record_json(result))
     return 0
 
 
@@ -331,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pmag", help="positive magnitude over a scale grid")
     p.add_argument("distmat", help="distance-matrix artifact stem")
-    p.add_argument("--scales", help="comma-separated scales")
-    p.add_argument("--theorem-scale", help="lambda,L,B,beta for the schedule scale")
+    scales = p.add_mutually_exclusive_group(required=True)
+    scales.add_argument("--scales", help="comma-separated scales")
+    scales.add_argument("--theorem-scale", help="lambda,L,B,beta for the schedule scale")
     p.add_argument("--solver", default="direct", choices=list(magnitude.SOLVERS))
     p.set_defaults(func=cmd_pmag)
 
@@ -345,16 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate a generalization bound")
     p.add_argument("--theorem", required=True, choices=["ealpha", "pmag"])
-    p.add_argument("--beta", type=float, help="stability coefficient")
-    p.add_argument("--stability-report", help="JSON stability report (uses its mean)")
+    beta = p.add_mutually_exclusive_group(required=True)
+    beta.add_argument("--beta", type=float, help="stability coefficient")
+    beta.add_argument("--stability-report", help="JSON stability report (uses its mean)")
     p.add_argument("--loss-bound", type=float, required=True, help="loss bound B")
     p.add_argument("--lipschitz", type=float, help="Lipschitz constant L")
     p.add_argument("--n", type=int, help="sample count (for the lifetime-sum constant)")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--k-const", type=float, help="lifetime-sum constant, overrides --lipschitz/--n")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--samples", help="comma-separated complexity samples")
-    p.add_argument("--samples-file", help="JSON file with complexity samples")
+    samples = p.add_mutually_exclusive_group(required=True)
+    samples.add_argument("--samples", help="comma-separated complexity samples")
+    samples.add_argument("--samples-file", help="JSON file with complexity samples")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("report", help="rewrite the reports of a finished run; computes nothing")

@@ -23,7 +23,10 @@ same way stored, and recomputes the rest:
 The cell stage writes each cell's record, constants, trajectory and
 fingerprint once; the bounds stage alone writes `theorem_pmag.json`. Each
 run then writes `run.json`, from which `trajtopo report` runs the pipeline
-again with every one of these reuses required to hit.
+again with every one of these reuses required to hit. Every file goes
+through `artifacts.write_file`, which replaces it whole, so an interrupted
+run leaves no stored file cut short. The report stage removes a report
+file only under a name that some run writes and this config does not.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from . import analysis, blas, bounds, geometry, lifetime, magnitude, stability, trainer
 from .analysis import THEOREM_KEY
 from .artifacts import (LossMatrix, RunRecord, Trajectory, load_trajectory, read_json_object,
-                        save_trajectory)
+                        read_record, save_trajectory, write_file, write_record)
 from .errors import (InvalidInputError, NumericalFailureError, check_fields, from_json_object,
                      naming)
 from .rng import stream
@@ -128,9 +131,6 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise InvalidInputError("jobs must be >= 1")
         self.stability_configs()
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
 
     def sgd_config(self, eta: float, batch: int, seed: int) -> trainer.SGDConfig:
         """The SGD settings of the cell (eta, batch, seed): the warm-up and
@@ -280,8 +280,7 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     cell_dir = Path(out_dir) / "cells" / cid
     record_path = cell_dir / "record.json"
     if trained is None:
-        record = from_json_object(RunRecord, read_json_object(record_path, "run record"),
-                                  f"run record {record_path}")
+        record = read_record(RunRecord, record_path, "run record")
         record.pmag.pop(THEOREM_KEY, None)
         return CellResult(record=record, skipped=True)
     try:
@@ -301,9 +300,9 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     for stale in (fingerprint_path, cell_dir / THEOREM_PMAG):
         stale.unlink(missing_ok=True)
     save_trajectory(sub, cell_dir / "trajectory")
-    (cell_dir / "constants.json").write_text(json.dumps(asdict(consts), indent=2) + "\n")
-    record_path.write_text(record.to_json())
-    fingerprint_path.write_text(fingerprint + "\n")
+    write_record(consts, cell_dir / "constants.json")
+    write_record(record, record_path)
+    write_file(fingerprint_path, fingerprint + "\n")
     return CellResult(record=record, skipped=False)
 
 
@@ -384,12 +383,6 @@ class PipelineResult:
     output_dir: str
 
 
-def _load_constants(out_dir: Path, cid: str) -> bounds.ConstantsEstimate:
-    path = out_dir / "cells" / cid / "constants.json"
-    return from_json_object(bounds.ConstantsEstimate, read_json_object(path, "constants"),
-                            f"constants {path}")
-
-
 def _stability_stage(cfg: ExperimentConfig, out_dir: Path, log,
                      reuse_only: bool) -> list[stability.StabilityReport]:
     """One report per stability config: read from `stability/` if an
@@ -401,15 +394,13 @@ def _stability_stage(cfg: ExperimentConfig, out_dir: Path, log,
         path = out_dir / "stability" / f"{_fingerprint(asdict(scfg))}.json"
         skipped = path.exists()
         if skipped:
-            report = from_json_object(stability.StabilityReport,
-                                      read_json_object(path, "stability report"),
-                                      f"stability report {path}")
+            report = read_record(stability.StabilityReport, path, "stability report")
         elif reuse_only:
             raise _cache_miss(path)
         else:
             report = stability.run_stability_experiment(scfg)
             path.parent.mkdir(exist_ok=True)
-            path.write_text(report.to_json())
+            write_record(report, path)
         log("stability", n=scfg.n, J=scfg.J, skipped=skipped,
             seconds=round(time.perf_counter() - started, 3))
         reports.append(report)
@@ -422,15 +413,14 @@ def _theorem_pmag(cell_dir: Path, s_theorem: float, reuse_only: bool) -> float:
     solved from the stored trajectory and stored there."""
     path = cell_dir / THEOREM_PMAG
     if path.exists():
-        stored = from_json_object(TheoremPMag, read_json_object(path, "theorem PMag"),
-                                  f"theorem PMag {path}")
+        stored = read_record(TheoremPMag, path, "theorem PMag")
         if scale_key(stored.scale) == scale_key(s_theorem):
             return stored.pmag
     if reuse_only:
         raise _cache_miss(path)
     dist = geometry.distance_matrix(load_trajectory(cell_dir / "trajectory"))
     solved = TheoremPMag(s_theorem, magnitude.positive_magnitude(dist, s_theorem))
-    path.write_text(json.dumps(asdict(solved)) + "\n")
+    write_record(solved, path)
     return solved.pmag
 
 
@@ -449,7 +439,9 @@ def _bounds_stage(
     for report in stab_reports:
         n, beta = report.n, report.mean
         group = [r for r in records if r.n == n]
-        consts = [_load_constants(out_dir, r.run_id) for r in group]
+        consts = [read_record(bounds.ConstantsEstimate,
+                              out_dir / "cells" / r.run_id / "constants.json", "constants")
+                  for r in group]
         lipschitz = cfg.lipschitz if cfg.lipschitz is not None else max(
             c.lipschitz for c in consts
         )
@@ -516,8 +508,9 @@ def _write_reports(
     bound_rows: list[dict],
 ) -> None:
     """Write the grid CSVs, `stability.csv` and `summary.json`, and remove
-    any grid CSV or `stability.csv` that an earlier run wrote and this one
-    does not. The first configured scale is the fixed scale."""
+    any grid CSV (one per `analysis.COMPLEXITY_KINDS`) or `stability.csv`
+    that an earlier run wrote and this one does not; no other file. The
+    first configured scale is the fixed scale."""
     report_dir.mkdir(parents=True, exist_ok=True)
 
     kinds = [("e_alpha", None), ("pmag_fixed_scale", scale_key(cfg.pmag_scales[0]))]
@@ -536,15 +529,16 @@ def _write_reports(
     if stab_reports:
         texts[report_dir / "stability.csv"] = stability.stability_csv(stab_reports)
     for path, text in texts.items():
-        path.write_text(text)
-    for stale in {*report_dir.glob("grid_*.csv"), report_dir / "stability.csv"} - set(texts):
+        write_file(path, text)
+    owned = {report_dir / f"grid_{kind}.csv" for kind in analysis.COMPLEXITY_KINDS}
+    for stale in (owned | {report_dir / "stability.csv"}) - set(texts):
         stale.unlink(missing_ok=True)
 
     summary = {
         "task": cfg.task,
         "alpha": cfg.alpha,
         "pmag_scales": cfg.pmag_scales,
-        "runs": [json.loads(r.to_json()) for r in records],
+        "runs": [asdict(r) for r in records],
         "per_n_stats": {
             kind: {
                 str(n): asdict(g) for n, g in rep.per_n_stats.items()
@@ -554,9 +548,7 @@ def _write_reports(
         "stability": [asdict(r) for r in stab_reports],
         "bounds": bound_rows,
     }
-    (report_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    write_file(report_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
@@ -594,7 +586,7 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
     bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports, reuse_only)
     _write_reports(cfg, Path(report_dir or out_dir / "report"), records, stab_reports, bound_rows)
     if not reuse_only:
-        (out_dir / RUN_MANIFEST).write_text(cfg.to_json())
+        write_record(cfg, out_dir / RUN_MANIFEST)
 
     return PipelineResult(
         records=records,

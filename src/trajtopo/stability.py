@@ -10,12 +10,11 @@ smooth Lipschitz losses.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import LossMatrix, Trajectory
+from .artifacts import LossMatrix, Trajectory, csv_text
 from .errors import InvalidInputError, check_fields
 from .rng import stream
 from .trainer import (
@@ -199,7 +198,8 @@ class StabilityReport:
     `beta_hats` divides it by the replacement count J, giving the
     per-replacement stability coefficient that the deviation is assumed to
     scale with (for J = 0 the two coincide at zero). Mean and stderr refer
-    to `beta_hats`. The field order is the key order of `to_json`.
+    to `beta_hats`. The field order is the key order of its stored JSON
+    (`artifacts.record_json`).
     """
 
     n: int
@@ -216,29 +216,15 @@ class StabilityReport:
     def __post_init__(self) -> None:
         check_fields(type(self), vars(self), "stability report")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.init_mode,
-                self.eval_split,
-                str(self.n),
-                str(self.J),
-                repr(self.mean),
-                repr(self.stderr),
-                str(len(self.seeds)),
-            ]
-        )
-
 
 STABILITY_CSV_HEADER = "init_mode,eval_split,n,J,mean,stderr,seeds"
 
 
 def stability_csv(reports: list[StabilityReport]) -> str:
     """The text of `stability.csv`: the header, then one row per report."""
-    return "\n".join([STABILITY_CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
+    return csv_text(STABILITY_CSV_HEADER,
+                    [[r.init_mode, r.eval_split, r.n, r.J, r.mean, r.stderr, len(r.seeds)]
+                     for r in reports])
 
 
 def _probe_set(

@@ -1,24 +1,34 @@
 import json
 import re
 import struct
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import bound_result_json, stability_report_json
 from trajtopo.artifacts import (
     ArtifactManifest,
     LossMatrix,
     RunRecord,
     Trajectory,
+    csv_text,
     load_loss_matrix,
     load_trajectory,
     read_artifact,
+    read_record,
+    record_json,
     save_loss_matrix,
     save_trajectory,
     write_artifact,
+    write_record,
 )
+from trajtopo.bounds import BoundResult, ConstantsEstimate
 from trajtopo.errors import InvalidInputError, UnsupportedVersionError, from_json_object
 from trajtopo.geometry import DistanceMatrix, load_distance_matrix, save_distance_matrix
+from trajtopo.pipeline import ExperimentConfig, StabilitySettings, TheoremPMag, load_config
+from trajtopo.stability import StabilityReport
 
 
 def manifest_for(matrix, role="trajectory", **meta):
@@ -150,14 +160,14 @@ class TestDomainTypes:
             run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.25,
             e_alpha=1.5, pmag={"100.0": 7.0},
         )
-        back = from_json_object(RunRecord, json.loads(record.to_json()), "run record")
+        back = from_json_object(RunRecord, json.loads(record_json(record)), "run record")
         assert back == record
 
     def test_run_record_from_json_checks_types(self):
-        good = json.loads(RunRecord(
+        good = json.loads(record_json(RunRecord(
             run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.25,
             e_alpha=1.5, pmag={"100.0": 7.0},
-        ).to_json())
+        )))
         for bad in ({"pmag": {"100.0": "x"}}, {"pmag": [7.0]}, {"n": 2.5}, {"gen_gap": None}):
             with pytest.raises(InvalidInputError):
                 from_json_object(RunRecord, {**good, **bad}, "run record")
@@ -279,3 +289,77 @@ class TestManifestChecks:
         for suffix in (".json", ".bin"):
             assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"a{suffix}").read_bytes()
         load(tmp_path / "b")
+
+
+def _layout(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_REPORT = StabilityReport(n=400, J=2, direction="directed", eval_split="validation",
+                          init_mode="locally_converged", seeds=[3, 9], beta_hats=[0.125, 1e-17],
+                          raw_deviations=[0.25, 2e-17], mean=0.0625, stderr=0.0625)
+_BOUND = BoundResult(theorem="pmag", beta=0.5, value=2.0, inputs={"z": 1.0, "a": 2})
+_CONFIG = ExperimentConfig(n_grid=[8], pmag_scales=[100.0, 1.0], lipschitz=2.0,
+                           stability=StabilitySettings(J=2, seeds=[0], step=0.1))
+
+# each record kind with its stored text, keys listed by hand: fields in
+# declaration order, the keys of a dict-valued field sorted
+_STORED = {
+    "run-record": (
+        RunRecord(run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=-0.25, e_alpha=1.5,
+                  pmag={"100.0": 7.0, "1.0": 2.0, "theorem": 3.0}),
+        _layout({"run_id": "r", "n": 10, "eta": 0.1, "batch": 1, "seed": 3, "gen_gap": -0.25,
+                 "e_alpha": 1.5, "pmag": {"1.0": 2.0, "100.0": 7.0, "theorem": 3.0}})),
+    "constants": (
+        ConstantsEstimate(lipschitz=2.0, loss_bound=1.5, smoothness=None, source="empirical",
+                          probes=4),
+        _layout({"lipschitz": 2.0, "loss_bound": 1.5, "smoothness": None, "source": "empirical",
+                 "probes": 4})),
+    "stability-report": (_REPORT, stability_report_json(_REPORT)),
+    "bound-result": (_BOUND, bound_result_json(_BOUND)),
+    "theorem-pmag": (TheoremPMag(scale=2.5, pmag=1.25), _layout({"scale": 2.5, "pmag": 1.25})),
+    "manifest": (
+        ArtifactManifest(role="loss_matrix", shape=[2, 3],
+                         metadata={"split": "train", "iteration_ids": "0,1"}),
+        _layout({"schema_version": 1, "role": "loss_matrix", "dtype": "f64le", "shape": [2, 3],
+                 "metadata": {"iteration_ids": "0,1", "split": "train"}})),
+    # the stability section is a dataclass: it keeps its field order
+    "run-config": (_CONFIG, _layout(asdict(_CONFIG))),
+}
+
+
+@pytest.mark.parametrize("record, text", _STORED.values(), ids=list(_STORED))
+def test_every_record_kind_stores_its_layout_and_reads_back_equal(tmp_path, record, text):
+    """`write_record` stores each record kind in its layout, leaving no
+    `.partial` file, and the typed reader gives back an equal record, also
+    from the compact spelling in which older versions wrote
+    `theorem_pmag.json`."""
+    def read(path: Path):
+        if isinstance(record, ExperimentConfig):
+            return load_config(path)
+        return read_record(type(record), path, "record")
+
+    write_record(record, tmp_path / "r.json")
+    assert record_json(record) == (tmp_path / "r.json").read_text() == text
+    assert read(tmp_path / "r.json") == record
+    (tmp_path / "compact.json").write_text(json.dumps(json.loads(text)) + "\n")
+    assert read(tmp_path / "compact.json") == record
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["compact.json", "r.json"]
+
+
+def test_csv_text_spells_none_empty_and_floats_by_repr():
+    rows = [[8, "e_alpha", np.float64(0.1), None, 1e-17, 3], ["a", 2.0, -0.5, 0, None, None]]
+    assert csv_text("h", rows) == "h\n8,e_alpha,0.1,,1e-17,3\na,2.0,-0.5,0,,\n"
+    assert csv_text("h", []) == "h\n"
+
+
+def test_no_module_but_artifacts_writes_a_file():
+    """Every file a run stores goes through `artifacts.write_file`, which
+    replaces it whole, and every record is spelled by `record_json`; only
+    `artifacts` writes or spells one itself."""
+    src = Path(__file__).resolve().parents[1] / "src" / "trajtopo"
+    banned = ("write_text(", "write_bytes(", ".to_json(", "json.dumps(asdict(")
+    found = [f"{path.name}: {needle}" for path in sorted(src.glob("*.py"))
+             if path.name != "artifacts.py"
+             for needle in banned if needle in path.read_text(encoding="utf-8")]
+    assert found == []

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import distances_of, make_trajectory
 from oracles import bound_result_json, brute_rademacher
-from trajtopo.artifacts import LossMatrix
+from trajtopo.artifacts import LossMatrix, record_json
 from trajtopo.bounds import (
     BoundResult,
     ConstantsEstimate,
@@ -119,7 +119,7 @@ class TestBoundResultJson:
             BoundResult(theorem="ealpha", beta=1e-9, value=0.0),
         ]
         for result in results:
-            assert result.to_json() == bound_result_json(result)
+            assert record_json(result) == bound_result_json(result)
 
 
 class TestRademacher:

@@ -15,16 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajtopo import magnitude, pipeline, stability, trainer
+from trajtopo import bounds, magnitude, pipeline, stability, trainer
 from trajtopo.analysis import THEOREM_KEY
-from trajtopo.artifacts import LossMatrix, RunRecord, Trajectory, save_loss_matrix, save_trajectory
+from trajtopo.artifacts import (LossMatrix, RunRecord, Trajectory, read_record, record_json,
+                                save_loss_matrix, save_trajectory)
 from trajtopo.cli import main
 from trajtopo.errors import InvalidInputError, from_json_object
 from trajtopo.geometry import DistanceMatrix, save_distance_matrix
 from trajtopo.pipeline import (
     ExperimentConfig,
     StabilitySettings,
-    _load_constants,
     cell_id,
     config_from_dict,
     load_config,
@@ -536,7 +536,18 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
     "argv, prepare, message",
     [
         (["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1"], None,
-         "pass --samples or --samples-file"),
+         "one of the arguments --samples --samples-file is required"),
+        (_BOUND_SAMPLES_FILE + ["--samples", "3"], _json_file("samples.json", [1.0]),
+         "argument --samples: not allowed with argument --samples-file"),
+        (["bound", "--theorem", "pmag", "--loss-bound", "1", "--samples", "1"], None,
+         "one of the arguments --beta --stability-report is required"),
+        (["bound", "--theorem", "pmag", "--beta", "0.1", "--stability-report", "{out}/report.json",
+          "--loss-bound", "1", "--samples", "1"], _json_file("report.json", {"mean": 0.2}),
+         "argument --stability-report: not allowed with argument --beta"),
+        (["pmag", "{out}/d"], _artifacts(),
+         "one of the arguments --scales --theorem-scale is required"),
+        (["pmag", "{out}/d", "--scales", "100", "--theorem-scale", "1,1,1,0.001"], _artifacts(),
+         "argument --theorem-scale: not allowed with argument --scales"),
         (["report", "{out}"], None, "no {out}/run.json; re-run `trajtopo run`"),
         (["report", "{out}"], _finished_run("run.json", None),
          "no {out}/run.json; re-run `trajtopo run`"),
@@ -673,7 +684,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          lambda out: (_json_file("cfg.json", _TINY_RUN)(out), (out / "taken").write_text("")),
          "File exists: '{out}/taken'"),
     ],
-    ids=["bound-without-samples", "report-without-records", "report-without-run-json",
+    ids=["bound-without-samples", "bound-samples-and-samples-file", "bound-without-beta",
+         "bound-beta-and-stability-report", "pmag-without-scales", "pmag-scales-and-theorem-scale",
+         "report-without-records", "report-without-run-json",
          "run-n-grid-repeated", "run-eta-grid-repeated",
          "stability-n-string", "stability-n-float", "stability-n-null-list",
          "stability-n-empty-list", "bound-samples-not-numbers", "bound-report-without-mean",
@@ -731,6 +744,50 @@ def test_report_after_run_json_drops_stability_matches_a_run(tmp_path, capsys):
     assert not (out / "report" / "grid_pmag_theorem_scale.csv").exists()
 
 
+def test_reports_remove_only_the_names_a_run_owns(tmp_path):
+    """`run` and `report --out` remove a report file only under a name that
+    a run writes: an unrelated `grid_*.csv` beside the reports survives."""
+    out, mine = tmp_path / "out", tmp_path / "mine"
+    for report_dir in (out / "report", mine):
+        report_dir.mkdir(parents=True)
+        (report_dir / "grid_notes.csv").write_text("notes\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(_TINY_RUN))
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    assert main(["report", str(out), "--out", str(mine)]) == 0
+    for report_dir in (out / "report", mine):
+        assert (report_dir / "grid_notes.csv").read_text() == "notes\n"
+        assert (report_dir / "grid_e_alpha.csv").exists()
+
+
+@pytest.mark.parametrize("cut", [
+    lambda path: path.parent.name == "stability",
+    lambda path: path.name.startswith(pipeline.THEOREM_PMAG),
+], ids=["stability-report", "theorem-pmag"])
+def test_a_stored_file_cut_short_does_not_wedge_the_next_run(tmp_path, capsys, monkeypatch, cut):
+    """A run interrupted halfway through writing a stored stability report
+    or theorem-scale PMag leaves no cut file under the stored name: the
+    next run exits 0 and writes the `report/` of a fresh run."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cfg.json").write_text(json.dumps(_TINY_RUN))
+    argv = [a.format(out=out) for a in _RERUN]
+    write_text = Path.write_text
+
+    def interrupted(self, data, *args, **kwargs):
+        if cut(self):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+        return write_text(self, data, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "write_text", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert main(argv) == 0
+    run_pipeline(config_from_dict(_TINY_RUN), output_dir=tmp_path / "fresh")
+    assert tree_digest(out, ("report",)) == tree_digest(tmp_path / "fresh", ("report",))
+
+
 def _as_older_directory(out: Path) -> None:
     """Give a finished run's cells the layout of earlier versions, which kept
     the theorem-scale PMag in `record.json` under `THEOREM_KEY` and its scale
@@ -740,7 +797,7 @@ def _as_older_directory(out: Path) -> None:
         record_path = path.parent / "record.json"
         record = from_json_object(RunRecord, json.loads(record_path.read_text()), "run record")
         record.pmag[THEOREM_KEY] = theorem["pmag"]
-        record_path.write_text(record.to_json())
+        record_path.write_text(record_json(record))
         scale = json.dumps({"scale": theorem["scale"]}) + "\n"
         (path.parent / "theorem_scale.json").write_text(scale)
         path.unlink()
@@ -1065,19 +1122,19 @@ def test_cell_and_summary_files_roundtrip_byte_identical(tmp_path):
         text = path.read_text()
         record = from_json_object(RunRecord, json.loads(text), "run record")
         assert THEOREM_KEY not in record.pmag
-        assert record.to_json() == text
+        assert record_json(record) == text
         constants_path = path.parent / "constants.json"
-        constants = _load_constants(out, path.parent.name)
+        constants = read_record(bounds.ConstantsEstimate, constants_path, "constants")
         assert json.dumps(asdict(constants), indent=2) + "\n" == constants_path.read_text()
         theorem_path = path.parent / pipeline.THEOREM_PMAG
         theorem = from_json_object(pipeline.TheoremPMag, json.loads(theorem_path.read_text()),
                                    "theorem PMag")
-        assert json.dumps(asdict(theorem)) + "\n" == theorem_path.read_text()
+        assert json.dumps(asdict(theorem), indent=2) + "\n" == theorem_path.read_text()
     summary = json.loads((out / "report" / "summary.json").read_text())
     assert summary["stability"]
     for doc in summary["stability"]:
         report = from_json_object(StabilityReport, doc, "stability report")
-        assert json.loads(report.to_json()) == doc
+        assert json.loads(record_json(report)) == doc
 
 
 def test_run_json_loads_back_to_the_same_config(tmp_path):
@@ -1087,14 +1144,14 @@ def test_run_json_loads_back_to_the_same_config(tmp_path):
     sample = load_config(Path(__file__).resolve().parents[1] / "sample_config.json")
     tiny = config_from_dict(_TINY_RUN)
     run_pipeline(tiny, output_dir=tmp_path)
-    assert (tmp_path / "run.json").read_text() == tiny.to_json()
+    assert (tmp_path / "run.json").read_text() == record_json(tiny)
     for cfg in (sample, tiny):
-        text = cfg.to_json()
+        text = record_json(cfg)
         again = config_from_dict(json.loads(text))
-        assert again == cfg and again.to_json() == text
+        assert again == cfg and record_json(again) == text
     as_ints = config_from_dict({**_TINY_RUN, "radius": 10, "pmag_scales": [100], "lipschitz": 2})
-    assert as_ints.to_json() == config_from_dict(
-        {**_TINY_RUN, "radius": 10.0, "pmag_scales": [100.0], "lipschitz": 2.0}).to_json()
+    assert record_json(as_ints) == record_json(config_from_dict(
+        {**_TINY_RUN, "radius": 10.0, "pmag_scales": [100.0], "lipschitz": 2.0}))
 
 
 def test_readme_config_table_matches_dataclasses():

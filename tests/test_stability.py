@@ -3,7 +3,7 @@ import pytest
 import scipy.spatial.distance
 
 from oracles import blocked_max_min_estimate, stability_report_json
-from trajtopo.artifacts import LossMatrix
+from trajtopo.artifacts import LossMatrix, record_json
 from trajtopo.errors import InvalidInputError
 from trajtopo.stability import (
     StabilityConfig,
@@ -12,6 +12,7 @@ from trajtopo.stability import (
     default_injection_count,
     estimate_stability,
     run_stability_experiment,
+    stability_csv,
 )
 
 
@@ -419,7 +420,7 @@ class TestExperiment:
             iterations=10, step=0.2,
         )
         report = run_stability_experiment(cfg)
-        row = report.csv_row().split(",")
+        row = stability_csv([report]).splitlines()[1].split(",")
         assert row[0] == "random_init" and row[1] == "train"
         assert row[2] == "12" and row[3] == "2"
 
@@ -443,4 +444,4 @@ class TestExperiment:
             ),
         ]
         for report in reports:
-            assert report.to_json() == stability_report_json(report)
+            assert record_json(report) == stability_report_json(report)
