@@ -56,16 +56,21 @@ class ArtifactManifest:
             raise InvalidInputError(f"shape must be two positive integers, got {self.shape!r}")
 
 
-def write_file(path: str | Path, data: str | bytes) -> None:
+def write_file(path: str | Path, data: str | bytes | memoryview) -> None:
     """Replace `path` whole with `data`, text as UTF-8: written to
     `<path>.partial`, then renamed onto `path`, so that an interrupted write
-    leaves the old file or none, never a cut one."""
+    leaves the old file or none, never a cut one. A failed write or rename
+    removes `<path>.partial` before it raises."""
     partial = Path(f"{path}.partial")
-    if isinstance(data, str):
-        partial.write_text(data, encoding="utf-8")
-    else:
-        partial.write_bytes(data)
-    os.replace(partial, path)
+    try:
+        if isinstance(data, str):
+            partial.write_text(data, encoding="utf-8")
+        else:
+            partial.write_bytes(data)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def record_json(record) -> str:
@@ -123,7 +128,7 @@ def write_artifact(manifest: ArtifactManifest, matrix: np.ndarray, path: str | P
     if not np.isfinite(matrix).all():
         raise InvalidInputError("matrix contains non-finite entries")
     write_record(manifest, f"{path}.json")
-    write_file(f"{path}.bin", np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    write_file(f"{path}.bin", memoryview(np.ascontiguousarray(matrix, dtype="<f8")))
 
 
 def read_artifact(path: str | Path, role: str) -> tuple[ArtifactManifest, np.ndarray]:
@@ -133,13 +138,13 @@ def read_artifact(path: str | Path, role: str) -> tuple[ArtifactManifest, np.nda
     if manifest.role != role:
         raise InvalidInputError(f"artifact {path} has role {manifest.role!r}, not {role}")
     rows, cols = manifest.shape
-    payload = bin_path.read_bytes()
     expected = 8 * rows * cols
-    if len(payload) != expected:
-        raise InvalidInputError(
-            f"payload {bin_path} has {len(payload)} bytes, expected {expected}"
-        )
-    matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    matrix = np.empty((rows, cols), dtype="<f8")
+    with open(bin_path, "rb") as payload:
+        size = os.fstat(payload.fileno()).st_size
+        if size != expected or payload.readinto(matrix) != expected:
+            raise InvalidInputError(f"payload {bin_path} has {size} bytes, expected {expected}")
+    matrix = matrix.astype(np.float64, copy=False)  # a no-op on a little-endian machine
     if not np.isfinite(matrix).all():
         raise InvalidInputError(f"payload {bin_path} contains non-finite entries")
     return manifest, matrix

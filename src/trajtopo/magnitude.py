@@ -26,6 +26,8 @@ CG_MAX_ITER_FACTOR = 10
 # entries below the smallest positive normal double are flushed to zero,
 # which preserves SPD structure and avoids denormal slowdowns
 _UNDERFLOW = np.finfo(np.float64).tiny
+# exp(x) < tiny / e for x below this cut, so similarity_matrix skips exp there
+_EXP_CUT = float(np.log(_UNDERFLOW)) - 1.0
 
 
 @dataclass
@@ -63,30 +65,36 @@ class WeightingSolution:
 
 
 def similarity_matrix(dist: DistanceMatrix, s: float) -> np.ndarray:
-    if s <= 0:
-        raise InvalidInputError(f"scale must be > 0, got {s}")
-    z = np.exp(-s * dist.values)
+    if not 0 < s < np.inf:
+        raise InvalidInputError(f"scale must be finite and > 0, got {s}")
+    # exp in the same buffer, skipped below the cut, where numpy's exp is
+    # slow; the flush zeroes a skipped entry as it would its exp
+    z = np.multiply(dist.values, -s)
+    np.exp(z, out=z, where=z >= _EXP_CUT)
     z[z < _UNDERFLOW] = 0.0
     return z
 
 
 def _solve_direct(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky solve; returns gamma and its residual ||Z gamma - b||_inf."""
-    import scipy.linalg
+    """Cholesky solve; returns gamma and its residual ||Z gamma - b||_inf.
 
-    try:
-        factor = scipy.linalg.cho_factor(z)
-        gamma = scipy.linalg.cho_solve(factor, b)
-        r = b - z @ gamma
-        if np.abs(r).max() > RESIDUAL_TOL:
-            # one step of iterative refinement with the existing factorization
-            gamma = gamma + scipy.linalg.cho_solve(factor, r)
-            r = b - z @ gamma
-    except scipy.linalg.LinAlgError as exc:
+    Z is finite, and exactly symmetric because its distances are, so LAPACK
+    factors z.T, its Fortran-ordered view, with no finiteness checks and no
+    transposing copy; the factor is the one of `scipy.linalg.cho_factor`."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    factor, info = dpotrf(z.T, lower=0, clean=0)
+    if info > 0:
         raise NumericalFailureError(
             "similarity matrix is not positive definite; this usually means "
-            "duplicate points survived deduplication or the input is non-finite"
-        ) from exc
+            "duplicate points survived deduplication or the distances are not Euclidean"
+        )
+    gamma = dpotrs(factor, b)[0]
+    r = b - z @ gamma
+    if np.abs(r).max() > RESIDUAL_TOL:
+        # one step of iterative refinement with the existing factorization
+        gamma = gamma + dpotrs(factor, r)[0]
+        r = b - z @ gamma
     return gamma, float(np.abs(r).max())
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 from dataclasses import asdict
@@ -22,6 +23,7 @@ from trajtopo.artifacts import (
     save_loss_matrix,
     save_trajectory,
     write_artifact,
+    write_file,
     write_record,
 )
 from trajtopo.bounds import BoundResult, ConstantsEstimate
@@ -70,6 +72,14 @@ class TestWriteRead:
         payload = (tmp_path / "a.bin").read_bytes()
         (tmp_path / "a.bin").write_bytes(payload[:-8])
         with pytest.raises(InvalidInputError, match="bytes"):
+            read_artifact(tmp_path / "a", "trajectory")
+
+    def test_oversized_payload_rejected_naming_its_size(self, tmp_path):
+        matrix = np.ones((2, 2))
+        write_artifact(manifest_for(matrix), matrix, tmp_path / "a")
+        with open(tmp_path / "a.bin", "ab") as payload:
+            payload.write(struct.pack("<d", 1.0))
+        with pytest.raises(InvalidInputError, match="has 40 bytes, expected 32"):
             read_artifact(tmp_path / "a", "trajectory")
 
     def test_future_schema_version_rejected(self, tmp_path):
@@ -285,6 +295,8 @@ class TestManifestChecks:
     def test_loader_roundtrip_rewrites_same_bytes(self, tmp_path, role):
         load = _saved(role, tmp_path / "a")
         manifest, matrix = read_artifact(tmp_path / "a", role)
+        assert matrix.dtype == np.float64
+        assert matrix.flags.c_contiguous and matrix.flags.writeable
         write_artifact(manifest, matrix, tmp_path / "b")
         for suffix in (".json", ".bin"):
             assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"a{suffix}").read_bytes()
@@ -345,6 +357,28 @@ def test_every_record_kind_stores_its_layout_and_reads_back_equal(tmp_path, reco
     (tmp_path / "compact.json").write_text(json.dumps(json.loads(text)) + "\n")
     assert read(tmp_path / "compact.json") == record
     assert sorted(p.name for p in tmp_path.iterdir()) == ["compact.json", "r.json"]
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_failed_write_file_leaves_no_partial_file(tmp_path, monkeypatch, fail):
+    """A write or rename that fails raises, and takes its `<path>.partial`
+    with it; the file it was to replace stays as it was."""
+    (tmp_path / "r.txt").write_text("old")
+    if fail == "write":
+        def write_bytes(self, data):
+            self.open("wb").close()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    else:
+        def replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError):
+        write_file(tmp_path / "r.txt", b"new")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt"]
+    assert (tmp_path / "r.txt").read_text() == "old"
 
 
 def test_csv_text_spells_none_empty_and_floats_by_repr():

@@ -1,12 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import distances_of
+from oracles import reference_similarity_matrix, reference_solve_direct
+from trajtopo import magnitude
+from trajtopo.cli import main
 from trajtopo.errors import InvalidInputError, NumericalFailureError
+from trajtopo.geometry import (DistanceMatrix, distance_matrix, save_distance_matrix,
+                               subsample_uniform)
 from trajtopo.magnitude import (
     RESIDUAL_TOL,
+    SOLVERS,
     ScaleGrid,
     magnitude_profile,
     pmag_scale,
@@ -14,6 +21,7 @@ from trajtopo.magnitude import (
     similarity_matrix,
     weighting,
 )
+from trajtopo.trainer import SGDConfig, make_task_and_data, projected_sgd
 
 
 def two_point_pmag(d: float, s: float) -> float:
@@ -73,6 +81,31 @@ class TestWeighting:
             weighting(dist, s=0.0)
         with pytest.raises(InvalidInputError):
             weighting(dist, s=1.0, solver="lu")
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan, -1.0])
+    def test_non_finite_scale_rejected(self, s, solver):
+        with pytest.raises(InvalidInputError, match="scale"):
+            weighting(distances_of([[0.0], [1.0]]), s=s, solver=solver)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_not_positive_definite_similarity_fails_numerically(self, solver):
+        with pytest.raises(NumericalFailureError, match="not positive definite"):
+            weighting(_NON_EUCLIDEAN, s=1.0, solver=solver)
+
+    def test_cli_pmag_of_a_not_positive_definite_matrix_exits_3(self, tmp_path, capsys):
+        save_distance_matrix(_NON_EUCLIDEAN, tmp_path / "d")
+        assert main(["pmag", str(tmp_path / "d"), "--scales", "1"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "not positive definite" in err
+
+
+# Three points that pass every check of a distance matrix but embed in no
+# Euclidean space: their similarity matrix at scale 1 has a negative
+# eigenvalue (-0.397).
+_NON_EUCLIDEAN = DistanceMatrix(
+    values=[[0.0, 0.01, 0.01], [0.01, 0.0, 5.0], [0.01, 5.0, 0.0]], point_ids=[0, 1, 2])
 
 
 class TestPositiveMagnitude:
@@ -138,3 +171,77 @@ class TestScaleSchedule:
         dist = distances_of(rng.standard_normal((6, 2)))
         profile = magnitude_profile(dist, ScaleGrid((1.0, 100.0)))
         assert sorted(profile) == [1.0, 100.0]
+
+
+# log of the smallest normal double, below which Z's entries are flushed to
+# zero, and the cut one below it, under which exp need not be evaluated
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+_CUT = _LOG_TINY - 1.0
+
+
+def _straddling_distances(rng) -> DistanceMatrix:
+    """Distances whose -D entries alternate between runs at or above the
+    cut and runs below it, of every length from 1 to 17, and include values
+    within a few ulps of the cut and of log(tiny). The matrix is a Hankel
+    matrix, D[i, j] = g[i + j], so each row meets the runs at another
+    offset."""
+    near = [np.nextafter(v, direction) for v in (-_CUT, -_LOG_TINY)
+            for direction in (0.0, np.inf)] + [-_CUT, -_LOG_TINY]
+    # runs where exp is evaluated, then as many where it is skipped
+    g = np.concatenate([rng.uniform(low, high, size=length) for length in range(1, 18)
+                        for low, high in ((0.0, -_CUT), (-_CUT, 800.0))])
+    g[::7] = np.resize(near, g[::7].size)
+    m = (len(g) + 1) // 2
+    values = g[np.add.outer(np.arange(m), np.arange(m))]
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix(values=values, point_ids=np.arange(m))
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, 3.0])
+def test_similarity_matrix_is_bit_identical_across_the_cut(rng, s):
+    dist = _straddling_distances(rng)
+    dist = DistanceMatrix(values=dist.values / s, point_ids=dist.point_ids)
+    z = similarity_matrix(dist, s)
+    reference = reference_similarity_matrix(dist, s)
+    assert z.tobytes() == reference.tobytes()
+    assert 0.2 < np.count_nonzero(z == 0.0) / z.size < 0.8
+
+
+@functools.cache
+def _task_distances(kind: str) -> DistanceMatrix:
+    task, data, _ = make_task_and_data(kind, 40, 4, seed=1, hidden=3)
+    traj = projected_sgd(task, data, SGDConfig(radius=10.0, step=0.05, iterations=600, seed=1))
+    return distance_matrix(subsample_uniform(traj, 160, seed=1))
+
+
+# a scale as a multiple of 1 / (a quantile of the off-diagonal distances),
+# and the share of Z's entries that then underflow to zero
+_UNDERFLOW_CASES = {
+    "none": (700.0, 1.0, (0.0, 0.0)),
+    "some": (745.0, 0.5, (0.2, 0.8)),
+    "nearly_all": (745.0, 0.01, (0.95, 1.0)),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("case", sorted(_UNDERFLOW_CASES))
+@pytest.mark.parametrize("kind", ["quadratic", "logistic_regression", "small_mlp"])
+def test_weighting_is_bit_identical_to_the_checked_cholesky_solve(monkeypatch, kind, case,
+                                                                   solver):
+    """The same gamma, residual, pmag and magnitude, to the last bit, as
+    exp at every entry and scipy's checked `cho_factor`/`cho_solve`."""
+    dist = _task_distances(kind)
+    factor, q, (low, high) = _UNDERFLOW_CASES[case]
+    off_diagonal = dist.values[~np.eye(len(dist), dtype=bool)]
+    s = factor / float(np.quantile(off_diagonal, q))
+    zeros = np.count_nonzero(similarity_matrix(dist, s) == 0.0) / off_diagonal.size
+    assert low <= zeros <= high
+    with monkeypatch.context() as patch:
+        patch.setattr(magnitude, "similarity_matrix", reference_similarity_matrix)
+        patch.setattr(magnitude, "_solve_direct", reference_solve_direct)
+        reference = weighting(dist, s, solver=solver)
+    sol = weighting(dist, s, solver=solver)
+    assert sol.gamma.tobytes() == reference.gamma.tobytes()
+    assert (sol.residual, sol.solver, sol.iterations) == (
+        reference.residual, reference.solver, reference.iterations)
+    assert (sol.pmag, sol.magnitude) == (reference.pmag, reference.magnitude)

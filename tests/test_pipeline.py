@@ -892,6 +892,8 @@ def test_cli_path_misuse_exits_2_naming_the_path(tmp_path, capsys, argv, file_na
     assert len(err.splitlines()) == 1
     assert str(path) in err
     assert "Traceback" not in err
+    # a write that fails takes its `<path>.partial` with it
+    assert not list(out.rglob("*.partial"))
 
 
 # One wrong-typed value per config field; a field added without an entry
@@ -1494,23 +1496,23 @@ def test_cli_runs_blas_at_one_thread_but_for_the_solves(tmp_path, monkeypatch, c
     OpenBLAS and a factorization the counts the command started with;
     when `main` returns, on success or on an exit of 2 or 3, the counts are
     back and the environment has gained no OPENBLAS_NUM_THREADS."""
-    import scipy.linalg
+    import scipy.linalg.lapack
 
     from trajtopo import blas
 
     seen = {"product": [], "factor": []}
-    loss_table, cho_factor = trainer.LogisticTask.loss_table, scipy.linalg.cho_factor
+    loss_table, dpotrf = trainer.LogisticTask.loss_table, scipy.linalg.lapack.dpotrf
 
     def probed_table(self, iterates, samples):
         seen["product"].append(blas.thread_counts())
         return loss_table(self, iterates, samples)
 
-    def probed_factor(z):
+    def probed_factor(z, **options):
         seen["factor"].append(blas.thread_counts())
-        return cho_factor(z)
+        return dpotrf(z, **options)
 
     monkeypatch.setattr(trainer.LogisticTask, "loss_table", probed_table)
-    monkeypatch.setattr(scipy.linalg, "cho_factor", probed_factor)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", probed_factor)
     environ = dict(os.environ)
     assert main(command(tmp_path / "in")) == code
     assert blas.thread_counts() == blas_at_three_threads
