@@ -118,8 +118,8 @@ def cmd_traj_gen(args: argparse.Namespace) -> int:
     cfg = pipeline.config_from_dict(doc)
     out_dir = Path(_default_out(args.out))
     out_dir.mkdir(parents=True, exist_ok=True)
-    n, eta, batch, seed = cfg.n_grid[0], cfg.eta_grid[0], cfg.batch_grid[0], cfg.seeds[0]
-    (cell,) = pipeline.train_cells(cfg, n, eta, batch, [seed])
+    (cell,) = pipeline.train_cells(cfg, cfg.eta_grid[0], cfg.batch_grid[0],
+                                   [(cfg.n_grid[0], cfg.seeds[0])])
     lm_train, lm_test = cell.loss_matrices()
 
     save_trajectory(cell.window, out_dir / "trajectory")

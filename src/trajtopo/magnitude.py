@@ -68,8 +68,10 @@ def similarity_matrix(dist: DistanceMatrix, s: float) -> np.ndarray:
     if not 0 < s < np.inf:
         raise InvalidInputError(f"scale must be finite and > 0, got {s}")
     # exp in the same buffer, skipped below the cut, where numpy's exp is
-    # slow; the flush zeroes a skipped entry as it would its exp
-    z = np.multiply(dist.values, -s)
+    # slow; the flush zeroes a skipped entry as it would its exp, an
+    # overflowing -s*d (-inf) included
+    with np.errstate(over="ignore"):
+        z = np.multiply(dist.values, -s)
     np.exp(z, out=z, where=z >= _EXP_CUT)
     z[z < _UNDERFLOW] = 0.0
     return z

@@ -3,8 +3,9 @@
 For every grid cell (n, eta, batch, seed): generate data, train projected
 SGD, window and subsample the trajectory, compute the distance matrix and
 both complexity statistics, and append a RunRecord. The cells that share
-(n, eta, batch) train as one stack of their seeds, or with `jobs > 1` as
-up to `jobs` stacks, each cell bit-identical to one trained alone.
+(eta, batch) train as one stack of every (n, seed), or with `jobs > 1` as
+up to `jobs` stacks of consecutive cells, each cell bit-identical to one
+trained alone. Cells run in the order (eta, batch, n, seed).
 Optional stages add empirical stability estimates per sample size and
 evaluate both generalization bounds. Reports are assembled
 deterministically: two runs with the same config produce byte-identical
@@ -25,8 +26,9 @@ fingerprint once; the bounds stage alone writes `theorem_pmag.json`. Each
 run then writes `run.json`, from which `trajtopo report` runs the pipeline
 again with every one of these reuses required to hit. Every file goes
 through `artifacts.write_file`, which replaces it whole, so an interrupted
-run leaves no stored file cut short. The report stage removes a report
-file only under a name that some run writes and this config does not.
+run leaves no stored file cut short, and a `run` removes the `*.partial`
+files that one left where runs write. The report stage removes a report file only
+under a name that some run writes and this config does not.
 """
 
 from __future__ import annotations
@@ -191,6 +193,9 @@ UNFINGERPRINTED = ("n_grid", "eta_grid", "batch_grid", "seeds", "stability", "th
                    "lipschitz", "loss_bound", "output_dir", "jobs")
 THEOREM_PMAG = "theorem_pmag.json"
 RUN_MANIFEST = "run.json"
+# where a run writes, so where an interrupted one may leave `*.partial` files
+PARTIAL_FILES = ("cells/*/*.partial", "stability/*.partial", "report/*.partial",
+                 f"{RUN_MANIFEST}.partial")
 
 
 def _fingerprint(doc: dict) -> str:
@@ -247,20 +252,21 @@ class TrainedCell:
                 trainer.loss_matrix(self.task, self.window, self.pool.take(np.arange(m)), "test"))
 
 
-def train_cells(cfg: ExperimentConfig, n: int, eta: float, batch: int,
-                seeds: list[int]) -> list[TrainedCell]:
-    """Train the cells (n, eta, batch, seed) of `seeds` as one stack; each
-    is bit-identical to the cell trained alone. A numerical failure names
-    the index in `seeds` of the first failing seed as its `run`."""
+def train_cells(cfg: ExperimentConfig, eta: float, batch: int,
+                cells: list[tuple[int, int]]) -> list[TrainedCell]:
+    """Train the cells (n, eta, batch, seed) of the (n, seed) pairs `cells`
+    as one stack, in that order; each is bit-identical to the cell trained
+    alone. A numerical failure names the index in `cells` of the first
+    failing cell as its `run`."""
     task = trainer.make_task(cfg.task, cfg.input_dim, cfg.hidden)
     datasets = [trainer.make_task_and_data(cfg.task, n, cfg.input_dim, seed, class_sep=cfg.class_sep,
                                            noise=cfg.noise, hidden=cfg.hidden)[1:]
-                for seed in seeds]
+                for n, seed in cells]
     windows = trainer.projected_sgd_stack(task, [data for data, _ in datasets],
-                                          [cfg.sgd_config(eta, batch, seed) for seed in seeds],
+                                          [cfg.sgd_config(eta, batch, seed) for _, seed in cells],
                                           keep=cfg.iterations + 1)
     return [TrainedCell(seed, task, data, pool, window)
-            for seed, (data, pool), window in zip(seeds, datasets, windows)]
+            for (_, seed), (data, pool), window in zip(cells, datasets, windows)]
 
 
 def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int, out_dir: str,
@@ -306,60 +312,63 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     return CellResult(record=record, skipped=False)
 
 
-def compute_cells(cfg: ExperimentConfig, n: int, eta: float, batch: int, seeds: list[int],
+def compute_cells(cfg: ExperimentConfig, eta: float, batch: int, cells: list[tuple[int, int]],
                   out_dir: str, reuse_only: bool = False) -> list[tuple[CellResult, float]]:
-    """The cells (n, eta, batch, seed) of `seeds` in that order, each with
-    its seconds.
+    """The cells (n, eta, batch, seed) of the (n, seed) pairs `cells` in
+    that order, each with its seconds.
 
     A cell whose record exists under the fingerprint of the config is read
-    back, which makes re-runs cheap and idempotent. The others train as
-    one stack, and `compute_cell` finishes each; with `reuse_only`, such a
-    cell is an InvalidInputError instead. A numerical failure names the
-    first failing cell, after the cells before it are finished, as a run
-    of one cell at a time would. A trained cell's seconds include an equal
-    share of the stack's training time.
+    back, which makes re-runs cheap and idempotent. The others, whatever
+    their n, train as one stack, and `compute_cell` finishes each; with
+    `reuse_only`, such a cell is an InvalidInputError instead. A numerical
+    failure names the first failing cell in the order of `cells`, after the
+    cells before it are finished, as a run of one cell at a time would. A
+    trained cell's seconds include an equal share of the stack's training
+    time.
     """
     shaping = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in UNFINGERPRINTED}
-    cell_dirs = {seed: Path(out_dir) / "cells" / cell_id(cfg.task, n, eta, batch, seed)
-                 for seed in seeds}
-    fingerprints = {seed: _fingerprint(shaping | {"n": n, "eta": eta, "batch": batch, "seed": seed})
-                    for seed in seeds}
-    stale = [seed for seed in seeds
-             if not ((cell_dirs[seed] / "record.json").exists()
-                     and _stored_fingerprint(cell_dirs[seed] / "fingerprint") == fingerprints[seed])]
+    cell_dirs = {(n, seed): Path(out_dir) / "cells" / cell_id(cfg.task, n, eta, batch, seed)
+                 for n, seed in cells}
+    fingerprints = {(n, seed): _fingerprint(shaping | {"n": n, "eta": eta, "batch": batch,
+                                                       "seed": seed})
+                    for n, seed in cells}
+    stale = [c for c in cells
+             if not ((cell_dirs[c] / "record.json").exists()
+                     and _stored_fingerprint(cell_dirs[c] / "fingerprint") == fingerprints[c])]
 
     trained, share = {}, 0.0
     if stale and not reuse_only:
         started = time.perf_counter()
         try:
-            trained = dict(zip(stale, train_cells(cfg, n, eta, batch, stale)))
+            trained = dict(zip(stale, train_cells(cfg, eta, batch, stale)))
         except NumericalFailureError as exc:
-            failed = stale[exc.run]
-            compute_cells(cfg, n, eta, batch, seeds[: seeds.index(failed)], out_dir)
+            n, seed = stale[exc.run]
+            compute_cells(cfg, eta, batch, cells[: cells.index((n, seed))], out_dir)
             raise NumericalFailureError(
-                f"cell {cell_id(cfg.task, n, eta, batch, failed)}: {exc}") from exc
+                f"cell {cell_id(cfg.task, n, eta, batch, seed)}: {exc}") from exc
         share = (time.perf_counter() - started) / len(stale)
 
     results = []
-    for seed in seeds:
+    for n, seed in cells:
         started = time.perf_counter()
-        if reuse_only and seed in stale:
-            record_path = cell_dirs[seed] / "record.json"
-            raise _cache_miss(cell_dirs[seed] / "fingerprint" if record_path.exists()
+        if reuse_only and (n, seed) in stale:
+            record_path = cell_dirs[n, seed] / "record.json"
+            raise _cache_miss(cell_dirs[n, seed] / "fingerprint" if record_path.exists()
                               else record_path)
         # popped, so that a finished cell's window is freed
-        result = compute_cell(cfg, n, eta, batch, seed, out_dir, fingerprints[seed],
-                              trained.pop(seed, None))
-        seconds = time.perf_counter() - started + (share if seed in stale else 0.0)
+        result = compute_cell(cfg, n, eta, batch, seed, out_dir, fingerprints[n, seed],
+                              trained.pop((n, seed), None))
+        seconds = time.perf_counter() - started + (share if (n, seed) in stale else 0.0)
         results.append((result, round(seconds, 3)))
     return results
 
 
-def _seed_stacks(seeds: list[int], jobs: int) -> list[list[int]]:
-    """`seeds` split into `min(jobs, len(seeds))` stacks of consecutive
-    seeds, as even as they come, so that `jobs` workers share a group."""
-    parts = min(jobs, len(seeds))
-    return [seeds[i * len(seeds) // parts : (i + 1) * len(seeds) // parts] for i in range(parts)]
+def _split_stacks(cells: list[tuple[int, int]], jobs: int) -> list[list[tuple[int, int]]]:
+    """The (n, seed) pairs `cells` split into `min(jobs, len(cells))`
+    stacks of consecutive cells, as even as they come, so that `jobs`
+    workers share a group."""
+    parts = min(jobs, len(cells))
+    return [cells[i * len(cells) // parts : (i + 1) * len(cells) // parts] for i in range(parts)]
 
 
 def worker_pool(jobs: int):
@@ -566,13 +575,18 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
             with log_path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps({"event": event, **fields}) + "\n")
 
-    # the cells that share (n, eta, batch) train together
+    if not reuse_only:
+        for pattern in PARTIAL_FILES:
+            for partial in out_dir.glob(pattern):
+                if partial.is_file():
+                    partial.unlink()
+    # the cells that share (eta, batch) train together, ordered by n, then seed
+    group = [(n, seed) for n in cfg.n_grid for seed in cfg.seeds]
     stacks = [
-        (cfg, n, eta, batch, seeds, str(out_dir), reuse_only)
-        for n in cfg.n_grid
+        (cfg, eta, batch, cells, str(out_dir), reuse_only)
         for eta in cfg.eta_grid
         for batch in cfg.batch_grid
-        for seeds in _seed_stacks(cfg.seeds, cfg.jobs)
+        for cells in _split_stacks(group, cfg.jobs)
     ]
     results: list[CellResult] = []
     with worker_pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:

@@ -9,7 +9,8 @@ batch-index stream can be shared between a run and its perturbed twin.
 `projected_sgd_stack` trains R lockstep runs of one task: runs that share
 the iteration count, step, step rule, radius and batch size, and may
 differ in dataset, seed, stream tag and start point, such as a run and its
-perturbed twin, or the seeds of one (n, eta, batch) group of grid cells.
+perturbed twin, or every (n, seed) of one (eta, batch) group of grid
+cells.
 
 There are two step paths, picked by R, because each is the faster one
 where it runs. A stack of R >= 2 runs steps as one (R, p) array, one

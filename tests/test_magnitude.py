@@ -145,6 +145,23 @@ class TestPositiveMagnitude:
         z = similarity_matrix(dist, s=1.0)
         np.testing.assert_array_equal(z, np.eye(2))
 
+    def test_overflowing_scale_flushes_without_a_warning(self, rng):
+        """At s = 1e308, s*d overflows for every distance above 1: Z = I and
+        every weight is 1, with no overflow warning (an error under this
+        suite's warning filter)."""
+        dist = distances_of(rng.standard_normal((50, 3)) * 10.0)
+        assert dist.values[dist.values > 0].min() > 1.0
+        np.testing.assert_array_equal(similarity_matrix(dist, 1e308), np.eye(50))
+        assert positive_magnitude(dist, 1e308) == 50.0
+
+    def test_cli_pmag_at_an_overflowing_scale_prints_no_warning(self, rng, tmp_path, capsys):
+        dist = distances_of(rng.standard_normal((50, 3)) * 10.0)
+        save_distance_matrix(dist, tmp_path / "d")
+        assert main(["pmag", str(tmp_path / "d"), "--scales", "1e308"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "50.0" in out
+
 
 class TestScaleSchedule:
     def test_unit_inputs(self):

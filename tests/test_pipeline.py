@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -1293,7 +1294,7 @@ def test_commands_that_need_no_scipy_never_load_it(tmp_path):
 
 
 def test_rerun_that_retrains_one_seed_of_a_group_matches_fresh_run(tmp_path):
-    """A re-run whose group (n, eta, batch) misses one seed trains that seed
+    """A re-run whose group (eta, batch) misses one cell trains that cell
     alone, and every file it writes equals a fresh run's, also with the
     group split into stacks by `jobs`."""
     cfg = small_config(seeds=[0, 1, 2], batch_grid=[1, 3])
@@ -1311,8 +1312,9 @@ def test_rerun_that_retrains_one_seed_of_a_group_matches_fresh_run(tmp_path):
 @pytest.mark.parametrize("task, extra", [("small_mlp", {"hidden": 3, "batch_grid": [1, 2]}),
                                          ("logistic_regression", {"step_rule": "decaying"})])
 def test_stacks_split_by_jobs_write_the_same_bytes(tmp_path, task, extra):
-    """jobs=1 trains each group's three seeds as one stack, jobs=2 as two
-    stacks and jobs=3 as three; every cell and report byte agrees."""
+    """jobs=1 trains each group's (n, seed) cells, three seeds per n, as one
+    stack, jobs=2 as two stacks and jobs=3 as three; every cell and report
+    byte agrees."""
     for jobs in (1, 2, 3):
         run_pipeline(small_config(task=task, seeds=[0, 1, 2], jobs=jobs, **extra),
                      output_dir=tmp_path / str(jobs))
@@ -1320,22 +1322,22 @@ def test_stacks_split_by_jobs_write_the_same_bytes(tmp_path, task, extra):
 
 
 def _seed_marked_failures(monkeypatch, fail_at):
-    """Make the quadratic gradient of seed s turn NaN from step fail_at[s]
-    on; each seed's data carries its seed in the label column, which the
-    quadratic loss ignores."""
+    """Make the quadratic gradient of cell (n, seed) turn NaN from step
+    fail_at[n, seed] on; each cell's data carries 1000 n + seed in the
+    label column, which the quadratic loss ignores."""
     real_data = trainer.make_task_and_data
     calls = []
 
     def marked_data(kind, n, input_dim, seed, **kwargs):
         task, data, pool = real_data(kind, n, input_dim, seed, **kwargs)
-        data.samples[:, input_dim] = seed
+        data.samples[:, input_dim] = 1000 * n + seed
         return task, data, pool
 
     def gradient(self, w, batches):
         calls.append(None)
         grad = w - batches[:, :, : self.input_dim].mean(axis=1)
-        for row, seed in enumerate(batches[:, 0, self.input_dim]):
-            if len(calls) >= fail_at.get(int(seed), np.inf):
+        for row, mark in enumerate(batches[:, 0, self.input_dim]):
+            if len(calls) >= fail_at.get(divmod(int(mark), 1000), np.inf):
                 grad[row] = np.nan
         return grad
 
@@ -1351,7 +1353,7 @@ def test_stacked_failure_names_the_first_failing_cell(tmp_path, monkeypatch):
     from trajtopo.errors import NumericalFailureError
 
     cfg = small_config(n_grid=[10], seeds=[0, 1, 2], stability=None)
-    _seed_marked_failures(monkeypatch, {1: 5, 2: 3})
+    _seed_marked_failures(monkeypatch, {(10, 1): 5, (10, 2): 3})
     with pytest.raises(NumericalFailureError,
                        match=r"^cell quadratic-n10-eta0p05-b1-s1: non-finite gradient at "
                              r"iteration 5$"):
@@ -1359,10 +1361,94 @@ def test_stacked_failure_names_the_first_failing_cell(tmp_path, monkeypatch):
     written = sorted(p.parent.name for p in (tmp_path / "out" / "cells").glob("*/fingerprint"))
     assert written == ["quadratic-n10-eta0p05-b1-s0"]
 
-    _seed_marked_failures(monkeypatch, {1: 5, 2: 3})
+    _seed_marked_failures(monkeypatch, {(10, 1): 5, (10, 2): 3})
     with pytest.raises(NumericalFailureError, match="b1-s2: non-finite gradient at iteration 3$"):
         run_pipeline(small_config(n_grid=[10], seeds=[2], stability=None),
                      output_dir=tmp_path / "alone")
+
+
+def test_failure_in_a_stack_across_n_names_the_first_cell_by_n_then_seed(tmp_path, monkeypatch):
+    """One stack holds every (n, seed) of the group, ordered by n, then by
+    seed. Cell (10, 1) turns non-finite at step 5 and cell (40, 0) at step
+    3: the run names (10, 1), the first in that order, and writes only the
+    cell before it, (10, 0)."""
+    from trajtopo.errors import NumericalFailureError
+
+    cfg = small_config(n_grid=[10, 20, 40], seeds=[0, 1], stability=None)
+    _seed_marked_failures(monkeypatch, {(10, 1): 5, (40, 0): 3})
+    with pytest.raises(NumericalFailureError,
+                       match=r"^cell quadratic-n10-eta0p05-b1-s1: non-finite gradient at "
+                             r"iteration 5$"):
+        run_pipeline(cfg, output_dir=tmp_path / "out")
+    cells = tmp_path / "out" / "cells"
+    assert sorted(p.name for p in cells.iterdir()) == ["quadratic-n10-eta0p05-b1-s0"]
+    assert (cells / "quadratic-n10-eta0p05-b1-s0" / "fingerprint").exists()
+
+
+@pytest.mark.parametrize("task", ["quadratic", "logistic_regression", "small_mlp"])
+def test_one_stack_per_group_spans_every_n_bit_for_bit(tmp_path, monkeypatch, task):
+    """A grid of three sample sizes and two learning rates trains two
+    stacks, one per eta, each of every (n, seed) ordered by n, then by
+    seed; each cell's window equals the cell trained alone, bit for bit."""
+    cfg = small_config(task=task, hidden=3, n_grid=[10, 20, 40], eta_grid=[0.05, 0.1],
+                       seeds=[0, 1], stability=None)
+    real_train = pipeline.train_cells
+    stacks = []
+
+    def recording_train(cfg, eta, batch, cells):
+        trained = real_train(cfg, eta, batch, cells)
+        stacks.append((eta, batch, list(cells), trained))
+        return trained
+
+    monkeypatch.setattr(pipeline, "train_cells", recording_train)
+    run_pipeline(cfg, output_dir=tmp_path / "out")
+    cells = [(n, seed) for n in (10, 20, 40) for seed in (0, 1)]
+    assert [(eta, batch, c) for eta, batch, c, _ in stacks] == [(0.05, 1, cells), (0.1, 1, cells)]
+    for eta, batch, stacked_cells, trained in stacks:
+        for (n, seed), cell in zip(stacked_cells, trained):
+            (alone,) = real_train(cfg, eta, batch, [(n, seed)])
+            assert (cell.seed, cell.data.n) == (seed, n)
+            assert cell.window.points.tobytes() == alone.window.points.tobytes()
+            assert cell.window.iteration_ids.tobytes() == alone.window.iteration_ids.tobytes()
+            assert cell.window.meta == alone.window.meta
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_removes_partial_files_an_interrupted_run_left(tmp_path, jobs):
+    """The `.partial` files of an interrupted write, planted in an empty
+    output directory and in a finished one, are gone after a run, and every
+    other byte equals a fresh run's; a `.partial` file or directory no run
+    writes stays, and `report` leaves its run's directory alone."""
+    cfg = small_config(jobs=jobs)
+    run_pipeline(cfg, output_dir=tmp_path / "fresh")
+    subdirs = ("cells", "stability", "report", pipeline.RUN_MANIFEST)
+    planted = [Path("cells") / cell_id("quadratic", 20, 0.05, 1, 1) / "record.json.partial",
+               Path("report") / "summary.json.partial"]
+    unrelated = [Path("notes.partial"), Path("report") / "drafts.partial"]
+
+    def plant(root):
+        for rel in planted:
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text("{\"cut")
+
+    for out in (tmp_path / "empty", tmp_path / "finished"):
+        if out.name == "finished":
+            shutil.copytree(tmp_path / "fresh", out)
+        plant(out)
+        (out / "notes.partial").write_text("mine")
+        (out / "report" / "drafts.partial").mkdir()
+        run_pipeline(cfg, output_dir=out)
+        assert sorted(p.relative_to(out) for p in out.rglob("*.partial")) == unrelated
+        assert (out / "notes.partial").read_text() == "mine"
+        assert (out / "report" / "drafts.partial").is_dir()
+        assert tree_digest(out, subdirs) == tree_digest(tmp_path / "fresh", subdirs)
+        (out / "notes.partial").unlink()
+        (out / "report" / "drafts.partial").rmdir()
+
+    plant(tmp_path / "finished")
+    assert main(["report", str(tmp_path / "finished"), "--out", str(tmp_path / "rep")]) == 0
+    assert sorted(p.relative_to(tmp_path / "finished") for p in
+                  (tmp_path / "finished").rglob("*.partial")) == sorted(planted)
 
 
 def _worker_blas_threads() -> dict[str, int]:
@@ -1384,11 +1470,26 @@ def test_pool_workers_run_one_blas_thread():
 
 
 def test_jobs_split_each_group_into_at_most_jobs_stacks():
-    seeds = [4, 0, 9, 2, 7]
-    assert pipeline._seed_stacks(seeds, 1) == [seeds]
-    assert pipeline._seed_stacks(seeds, 2) == [[4, 0], [9, 2, 7]]
-    assert pipeline._seed_stacks(seeds, 3) == [[4], [0, 9], [2, 7]]
-    assert pipeline._seed_stacks(seeds, 8) == [[s] for s in seeds]
+    cells = [(10, 4), (10, 0), (20, 9), (20, 2), (40, 7)]
+    assert pipeline._split_stacks(cells, 1) == [cells]
+    assert pipeline._split_stacks(cells, 2) == [cells[:2], cells[2:]]
+    assert pipeline._split_stacks(cells, 3) == [cells[:1], cells[1:3], cells[3:]]
+    assert pipeline._split_stacks(cells, 8) == [[c] for c in cells]
+
+
+def test_jobs_run_as_many_stacks_as_a_stack_per_n_would(tmp_path, monkeypatch):
+    """With fewer seeds than `jobs`, the sample sizes of a group still split
+    among the workers: seeds [0], n_grid [20, 40] and jobs 2 make two
+    stacks, as one stack per n would."""
+    stacks = []
+    real_train = pipeline.train_cells
+    monkeypatch.setattr(pipeline, "worker_pool", lambda jobs: nullcontext())
+    monkeypatch.setattr(pipeline, "train_cells",
+                        lambda cfg, eta, batch, cells: stacks.append(cells)
+                        or real_train(cfg, eta, batch, cells))
+    run_pipeline(small_config(n_grid=[20, 40], seeds=[0], jobs=2, stability=None),
+                 output_dir=tmp_path / "out")
+    assert stacks == [[(20, 0)], [(40, 0)]]
 
 
 def _worker_holds_the_solve_lock() -> bool | None:
