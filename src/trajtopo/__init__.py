@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .geometry import DistanceMatrix, deduplicate, pairwise_distances, subsample_uniform
-from .lifetime import EdgeList, alpha_weighted_lifetime_sum, minimum_spanning_tree
+from .lifetime import alpha_weighted_lifetime_sum, minimum_spanning_tree
 from .magnitude import (
     ScaleGrid,
     WeightingSolution,
@@ -57,7 +57,6 @@ from .stability import (
 )
 from .trainer import (
     Dataset,
-    PerturbSpec,
     SGDConfig,
     loss_matrix,
     make_task_and_data,
@@ -74,11 +73,9 @@ __all__ = [
     "ConstantsEstimate",
     "Dataset",
     "DistanceMatrix",
-    "EdgeList",
     "InvalidInputError",
     "LossMatrix",
     "NumericalFailureError",
-    "PerturbSpec",
     "RunRecord",
     "SGDConfig",
     "ScaleGrid",

@@ -162,26 +162,32 @@ def cmd_pmag(args: argparse.Namespace) -> int:
         scales = [magnitude.pmag_scale(*parts)]
     else:
         scales = _parse_list(args.scales)
-    grid = magnitude.ScaleGrid(tuple(sorted(set(scales))))
-    profile = magnitude.magnitude_profile(dist, grid, solver=args.solver)
-    doc = {
-        repr(s): {
+    doc = {}
+    for s in magnitude.ScaleGrid(tuple(sorted(set(scales)))).scales:
+        sol = magnitude.weighting(dist, s, solver=args.solver)
+        doc[repr(s)] = {
             "pmag": sol.pmag,
             "magnitude": sol.magnitude,
             "residual": sol.residual,
             "solver": sol.solver,
             "iterations": sol.iterations,
         }
-        for s, sol in profile.items()
-    }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
+
+
+def _reject_unread(flags: dict[str, object], reason: str) -> None:
+    """Exit 2 naming each set flag of `flags` that the chosen mode does not read."""
+    unread = [flag for flag, value in flags.items() if value is not None and value is not False]
+    if unread:
+        raise InvalidInputError(f"{' and '.join(unread)} not read {reason}")
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
     if args.losses:
         if len(args.losses) != 2:
             raise InvalidInputError("pass exactly two loss-matrix artifact stems")
+        _reject_unread({"--config": args.config, "--csv": args.csv}, "with loss-matrix artifacts")
         a = load_loss_matrix(args.losses[0])
         b = load_loss_matrix(args.losses[1])
         value = stability.estimate_stability(a, b, symmetrized=args.symmetrized)
@@ -189,6 +195,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         return 0
     if not args.config:
         raise InvalidInputError("pass --config or two loss-matrix artifacts")
+    _reject_unread({"--symmetrized": args.symmetrized}, "with --config; set its 'direction'")
     doc = read_json_object(args.config, "stability config")
     n = doc.pop("n", None)
     n_values = n if isinstance(n, list) else [n]
@@ -230,15 +237,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
         beta = float(mean)
     samples = _load_samples(args)
     if args.theorem == "ealpha":
+        _reject_unread({"--lambda": args.lam}, "by --theorem ealpha")
         if args.k_const is not None:
             k_const = args.k_const
         elif args.lipschitz is not None and args.n is not None:
-            k_const = bounds.kn_alpha(args.n, args.lipschitz, args.loss_bound, args.alpha)
+            alpha = 1.0 if args.alpha is None else args.alpha
+            k_const = bounds.kn_alpha(args.n, args.lipschitz, args.loss_bound, alpha)
         else:
             raise InvalidInputError("pass --k-const, or --lipschitz with --n")
         result = bounds.ealpha_bound(beta, args.loss_bound, k_const, samples)
     else:
-        result = bounds.pmag_bound(beta, args.loss_bound, args.lam, samples)
+        _reject_unread({"--k-const": args.k_const, "--lipschitz": args.lipschitz, "--n": args.n,
+                        "--alpha": args.alpha}, "by --theorem pmag")
+        lam = 1.0 if args.lam is None else args.lam
+        result = bounds.pmag_bound(beta, args.loss_bound, lam, samples)
     sys.stdout.write(record_json(result))
     return 0
 
@@ -338,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-bound", type=float, required=True, help="loss bound B")
     p.add_argument("--lipschitz", type=float, help="Lipschitz constant L")
     p.add_argument("--n", type=int, help="sample count (for the lifetime-sum constant)")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, help="lifetime-sum exponent (default 1.0)")
     p.add_argument("--k-const", type=float, help="lifetime-sum constant, overrides --lipschitz/--n")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=float, help="magnitude-bound lambda (default 1.0)")
     samples = p.add_mutually_exclusive_group(required=True)
     samples.add_argument("--samples", help="comma-separated complexity samples")
     samples.add_argument("--samples-file", help="JSON file with complexity samples")

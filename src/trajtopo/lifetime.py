@@ -3,12 +3,12 @@
 The total-lifetime statistic used here is the sum of MST edge lengths
 raised to a power alpha; it coincides with the degree-0 persistence
 lifetime sum of the point set, so no filtration machinery is needed.
+`minimum_spanning_tree` returns the tree as a list of (i, j, length) edges.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,25 +16,9 @@ from .errors import InvalidInputError
 from .geometry import DistanceMatrix
 
 
-@dataclass
-class EdgeList:
-    """MST edges as (i, j, length) with i < j, sorted by (i, j)."""
-
-    edges: list[tuple[int, int, float]] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.edges)
-
-    def total_length(self) -> float:
-        return float(sum(e[2] for e in self.edges))
-
-    def lengths(self) -> np.ndarray:
-        return np.array([e[2] for e in self.edges], dtype=np.float64)
-
-
-def minimum_spanning_tree(dist: DistanceMatrix) -> EdgeList:
-    """Dense Prim scan, O(m^2) time and O(m) extra space.
+def minimum_spanning_tree(dist: DistanceMatrix) -> list[tuple[int, int, float]]:
+    """MST edges (i, j, length), i < j, sorted by (i, j), by a dense Prim scan:
+    O(m^2) time and O(m) extra space.
 
     Among equally close candidates the lowest-index vertex joins first,
     and each vertex keeps the first tree vertex that reached its distance,
@@ -64,7 +48,7 @@ def minimum_spanning_tree(dist: DistanceMatrix) -> EdgeList:
         parent[closer] = v
 
     edges.sort(key=lambda e: (e[0], e[1]))
-    return EdgeList(edges)
+    return edges
 
 
 def alpha_weighted_lifetime_sum(dist: DistanceMatrix, alpha: float) -> float:
@@ -78,4 +62,4 @@ def alpha_weighted_lifetime_sum(dist: DistanceMatrix, alpha: float) -> float:
             "still well defined",
             stacklevel=2,
         )
-    return float(np.sum(minimum_spanning_tree(dist).lengths() ** alpha))
+    return float(np.sum(np.array([e[2] for e in minimum_spanning_tree(dist)]) ** alpha))

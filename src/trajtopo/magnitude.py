@@ -167,13 +167,6 @@ def positive_magnitude(dist: DistanceMatrix, s: float, solver: str = "direct") -
     return weighting(dist, s, solver=solver).pmag
 
 
-def magnitude_profile(
-    dist: DistanceMatrix, scales: ScaleGrid, solver: str = "direct"
-) -> dict[float, WeightingSolution]:
-    """Weighting solutions across a scale grid, keyed by scale."""
-    return {s: weighting(dist, s, solver=solver) for s in scales.scales}
-
-
 def pmag_scale(lam: float, lipschitz: float, loss_bound: float, beta: float) -> float:
     """Scale schedule lam * L / (B * beta^(1/3)) used by the magnitude bound."""
     if lam <= 0 or lipschitz <= 0 or loss_bound <= 0 or beta <= 0:

@@ -19,7 +19,6 @@ from .errors import InvalidInputError, check_fields
 from .rng import stream
 from .trainer import (
     Dataset,
-    PerturbSpec,
     SGDConfig,
     SyntheticTask,
     loss_matrix,
@@ -257,7 +256,7 @@ def _twin_runs(cfg: StabilityConfig,
             cfg.task, cfg.n, cfg.input_dim, seed,
             class_sep=cfg.class_sep, noise=cfg.noise, hidden=cfg.hidden,
         )
-        perturbed = perturb_dataset(data, PerturbSpec(J=cfg.J, pool=pool, seed=seed))
+        perturbed = perturb_dataset(data, pool, cfg.J, seed)
         datasets += [data, perturbed]
         probes.append(_probe_set(cfg, seed, perturbed, pool, pool.ids[: cfg.J]))
 

@@ -6,6 +6,9 @@ evaluation. Every stochastic choice draws from a stream derived from
 (seed, purpose tag), so runs are bit-reproducible across platforms and the
 batch-index stream can be shared between a run and its perturbed twin.
 
+A `Dataset(samples, ids)` reads its size `n` from its samples, and
+`perturb_dataset(data, pool, J, seed)` holds every check of its arguments.
+
 `projected_sgd_stack` trains R lockstep runs of one task: runs that share
 the iteration count, step, step rule, radius and batch size, and may
 differ in dataset, seed, stream tag and start point, such as a run and its
@@ -55,12 +58,6 @@ class SyntheticTask:
     kind: str
     input_dim: int
     param_dim: int
-
-    def loss(self, w: np.ndarray, z: np.ndarray) -> float:
-        return float(self.loss_table(w[None, :], z[None, :])[0, 0])
-
-    def gradient(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.mean_gradient(w, z[None, :])
 
     def mean_gradient(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """Mean gradient over the (B, input_dim + 1) `batch` at `w`, the
@@ -212,42 +209,30 @@ class SmallMLPTask(SyntheticTask):
 
 @dataclass
 class Dataset:
-    """Sample matrix with persistent per-sample ids.
+    """Sample matrix with persistent per-sample ids; `n` counts the samples.
 
     Ids identify samples across perturbation: a replaced sample carries the
     id of the pool sample injected in its place.
     """
 
     samples: np.ndarray
-    n: int
     ids: np.ndarray
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.n < 1 or self.samples.shape[0] != self.n or self.ids.shape != (self.n,):
+        if len(self.samples) < 1 or self.ids.shape != self.samples.shape[:1]:
             raise InvalidInputError("dataset must hold n >= 1 samples with matching ids")
         if not np.isfinite(self.samples).all():
             raise InvalidInputError("dataset contains non-finite samples")
 
+    @property
+    def n(self) -> int:
+        return len(self.samples)
+
     def take(self, idx: np.ndarray) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(self.samples[idx], len(idx), self.ids[idx])
-
-
-@dataclass
-class PerturbSpec:
-    """Replace J samples with the first J entries of a disjoint pool."""
-
-    J: int
-    pool: Dataset
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.J < 0:
-            raise InvalidInputError("replacement count must be >= 0")
-        if self.J > self.pool.n:
-            raise InvalidInputError(f"replacement count {self.J} exceeds pool size {self.pool.n}")
+        return Dataset(self.samples[idx], self.ids[idx])
 
 
 @dataclass
@@ -451,35 +436,28 @@ def projected_sgd(task: SyntheticTask, data: Dataset, cfg: SGDConfig,
     return _chunked_sgd(task, [data], [cfg], keep, _lone_steps)[0]
 
 
-def tail_window(traj: Trajectory, rows: int) -> Trajectory:
-    """Last `rows` iterates, preserving original iteration ids."""
-    if rows < 1 or rows > len(traj):
-        raise InvalidInputError(f"window of {rows} rows not available from {len(traj)}")
-    return Trajectory(
-        points=traj.points[-rows:],
-        iteration_ids=traj.iteration_ids[-rows:],
-        meta=dict(traj.meta),
-    )
+def perturb_dataset(data: Dataset, pool: Dataset, J: int, seed: int) -> Dataset:
+    """Replace J samples of `data`, at positions drawn from the (seed,
+    "perturb") stream, with the first J samples of `pool`.
 
-
-def perturb_dataset(data: Dataset, spec: PerturbSpec) -> Dataset:
-    """Replace J samples at PRNG-chosen positions with pool entries.
-
-    The pool must be disjoint from the dataset (by sample id). Replacement
-    keeps every other sample in place, so the output differs from the input
-    in exactly J positions.
+    The pool must be disjoint from the dataset (by sample id), and J at most
+    the size of each. The output differs from `data` in exactly J positions.
     """
-    if spec.J > data.n:
-        raise InvalidInputError(f"replacement count {spec.J} exceeds dataset size {data.n}")
-    if np.intersect1d(data.ids, spec.pool.ids).size > 0:
+    if J < 0:
+        raise InvalidInputError("replacement count must be >= 0")
+    if J > pool.n:
+        raise InvalidInputError(f"replacement count {J} exceeds pool size {pool.n}")
+    if J > data.n:
+        raise InvalidInputError(f"replacement count {J} exceeds dataset size {data.n}")
+    if np.intersect1d(data.ids, pool.ids).size > 0:
         raise InvalidInputError("pool shares sample ids with the dataset")
     samples = data.samples.copy()
     ids = data.ids.copy()
-    if spec.J > 0:
-        where = stream(spec.seed, "perturb").choice(data.n, size=spec.J, replace=False)
-        samples[where] = spec.pool.samples[: spec.J]
-        ids[where] = spec.pool.ids[: spec.J]
-    return Dataset(samples=samples, n=data.n, ids=ids)
+    if J > 0:
+        where = stream(seed, "perturb").choice(data.n, size=J, replace=False)
+        samples[where] = pool.samples[:J]
+        ids[where] = pool.ids[:J]
+    return Dataset(samples, ids)
 
 
 def loss_matrix(
@@ -513,7 +491,6 @@ def make_task_and_data(
     n: int,
     input_dim: int,
     seed: int,
-    pool_size: int | None = None,
     class_sep: float = 1.0,
     noise: float = 1.0,
     hidden: int = 8,
@@ -523,14 +500,12 @@ def make_task_and_data(
     Generator: standard normal targets for the quadratic task; Gaussian
     class-conditional features (mean +/- class_sep/sqrt(d) per coordinate,
     noise scale `noise`) with labels in {-1, +1} for the classifiers. The
-    pool holds held-out samples for test risks, probes, and injections.
+    pool holds max(n, 600) held-out samples for test risks, probes, injections.
     """
     if n < 1:
         raise InvalidInputError("need at least one training sample")
     task = make_task(kind, input_dim, hidden=hidden)
-    if pool_size is None:
-        pool_size = max(n, 600)
-    total = n + pool_size
+    total = n + max(n, 600)
     rng = stream(seed, "data")
     if kind == "quadratic":
         features = rng.standard_normal((total, input_dim))
@@ -540,6 +515,6 @@ def make_task_and_data(
         center = class_sep / np.sqrt(input_dim)
         features = center * labels[:, None] + noise * rng.standard_normal((total, input_dim))
     samples = np.hstack([features, labels[:, None]])
-    train = Dataset(samples[:n], n, ids=np.arange(n, dtype=np.int64))
-    pool = Dataset(samples[n:], pool_size, ids=np.arange(n, total, dtype=np.int64))
+    train = Dataset(samples[:n], np.arange(n, dtype=np.int64))
+    pool = Dataset(samples[n:], np.arange(n, total, dtype=np.int64))
     return task, train, pool

@@ -38,7 +38,7 @@ from trajtopo.stability import (
     analytic_sgd_stability,
     run_stability_experiment,
 )
-from trajtopo.trainer import SGDConfig, loss_matrix, make_task_and_data, projected_sgd, tail_window
+from trajtopo.trainer import SGDConfig, loss_matrix, make_task_and_data, projected_sgd
 
 
 def check(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -50,7 +50,7 @@ def check(number: int, name: str, passed: bool, detail: str = "") -> None:
 def run_windowed(kind, dim, n, eta, seed, warmup, window, radius=10.0):
     task, data, pool = make_task_and_data(kind, n, dim, seed)
     cfg = SGDConfig(radius=radius, step=eta, iterations=warmup + window, seed=seed)
-    traj = tail_window(projected_sgd(task, data, cfg), window + 1)
+    traj = projected_sgd(task, data, cfg, keep=window + 1)
     return task, data, pool, traj
 
 

@@ -7,28 +7,33 @@ from trajtopo.errors import InvalidInputError
 from trajtopo.lifetime import alpha_weighted_lifetime_sum, minimum_spanning_tree
 
 
+def total_length(edges):
+    """Sum of the lengths of (i, j, length) edges, in list order."""
+    return float(sum(length for _, _, length in edges))
+
+
 class TestMinimumSpanningTree:
     def test_collinear_path(self):
         dist = distances_of([[0.0], [1.0], [3.0]])
         tree = minimum_spanning_tree(dist)
-        assert tree.edges == [(0, 1, 1.0), (1, 2, 2.0)]
-        assert tree.count == 2
+        assert tree == [(0, 1, 1.0), (1, 2, 2.0)]
+        assert len(tree) == 2
 
     def test_single_point_has_no_edges(self):
         tree = minimum_spanning_tree(distances_of([[5.0, 5.0]]))
-        assert tree.edges == []
-        assert tree.count == 0
+        assert tree == []
+        assert len(tree) == 0
 
     def test_unit_square_uses_three_sides(self):
         """All 16 spanning trees of the square agree: total 3, no diagonal."""
         corners = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
         dist = distances_of(corners)
         tree = minimum_spanning_tree(dist)
-        assert tree.total_length() == 3.0
-        assert all(length == 1.0 for _, _, length in tree.edges)
+        assert total_length(tree) == 3.0
+        assert all(length == 1.0 for _, _, length in tree)
         oracle = exhaustive_mst_edges(dist.values)
         total = dist.values[oracle[:, 0], oracle[:, 1]].sum()
-        assert tree.total_length() == total
+        assert total_length(tree) == total
 
     def test_total_length_matches_enumeration(self, rng):
         for _ in range(25):
@@ -37,7 +42,7 @@ class TestMinimumSpanningTree:
             tree = minimum_spanning_tree(dist)
             edges = exhaustive_mst_edges(dist.values)
             np.testing.assert_allclose(
-                tree.total_length(),
+                total_length(tree),
                 dist.values[edges[:, 0], edges[:, 1]].sum(),
                 rtol=0.0,
                 atol=1e-12,
@@ -46,9 +51,9 @@ class TestMinimumSpanningTree:
     def test_spans_without_cycles(self, rng):
         m = 30
         tree = minimum_spanning_tree(distances_of(rng.standard_normal((m, 3))))
-        assert tree.count == m - 1
+        assert len(tree) == m - 1
         seen = {0}
-        remaining = list(tree.edges)
+        remaining = list(tree)
         while remaining:
             progress = [e for e in remaining if e[0] in seen or e[1] in seen]
             assert progress, "edges do not connect the point set"
@@ -61,11 +66,11 @@ class TestMinimumSpanningTree:
     def test_tie_break_prefers_smallest_index_pair(self):
         corners = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
         tree = minimum_spanning_tree(distances_of(corners))
-        assert [(i, j) for i, j, _ in tree.edges] == [(0, 1), (0, 3), (1, 2)]
+        assert [(i, j) for i, j, _ in tree] == [(0, 1), (0, 3), (1, 2)]
 
     def test_deterministic(self, rng):
         dist = distances_of(rng.standard_normal((12, 2)))
-        assert minimum_spanning_tree(dist).edges == minimum_spanning_tree(dist).edges
+        assert minimum_spanning_tree(dist) == minimum_spanning_tree(dist)
 
     def test_matches_tie_resolving_scan(self, rng):
         """The lowest-index scan gives the old tie-resolving scan's edges when
@@ -75,13 +80,13 @@ class TestMinimumSpanningTree:
         it may move by a few ulps."""
         for _ in range(40):
             dist = distances_of(rng.standard_normal((int(rng.integers(1, 60)), 3)))
-            assert minimum_spanning_tree(dist).edges == tie_break_prim_edges(dist.values)
+            assert minimum_spanning_tree(dist) == tie_break_prim_edges(dist.values)
         for dim in (1, 2):
             for _ in range(40):
                 points = rng.integers(0, 5, size=(int(rng.integers(1, 60)), dim))
                 dist = distances_of(points.astype(np.float64))
                 old = np.array([e[2] for e in tie_break_prim_edges(dist.values)])
-                new = minimum_spanning_tree(dist).lengths()
+                new = np.array([e[2] for e in minimum_spanning_tree(dist)])
                 np.testing.assert_array_equal(np.sort(new), np.sort(old))
                 for alpha in (0.0, 0.5, 1.0):
                     expected = float(np.sum(old**alpha)) if len(old) else 0.0
@@ -98,7 +103,7 @@ class TestMinimumSpanningTree:
 
         for m in (50, 200):
             dist = distances_of(rng.standard_normal((m, 5)))
-            ours = minimum_spanning_tree(dist).total_length()
+            ours = total_length(minimum_spanning_tree(dist))
             theirs = scipy_mst(dist.values).sum()
             np.testing.assert_allclose(ours, theirs, rtol=1e-12)
 

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from trajtopo.magnitude import (
     RESIDUAL_TOL,
     SOLVERS,
     ScaleGrid,
-    magnitude_profile,
     pmag_scale,
     positive_magnitude,
     similarity_matrix,
@@ -184,10 +184,17 @@ class TestScaleSchedule:
             ScaleGrid((-1.0, 2.0))
         assert ScaleGrid((1.0, 100.0)).scales == (1.0, 100.0)
 
-    def test_profile_keys(self, rng):
+    def test_profile_keys(self, rng, tmp_path, capsys):
+        """`trajtopo pmag` prints one weighting per distinct scale, keyed by
+        the scale's repr."""
         dist = distances_of(rng.standard_normal((6, 2)))
-        profile = magnitude_profile(dist, ScaleGrid((1.0, 100.0)))
-        assert sorted(profile) == [1.0, 100.0]
+        save_distance_matrix(dist, tmp_path / "d")
+        capsys.readouterr()
+        assert main(["pmag", str(tmp_path / "d"), "--scales", "100,1,100"]) == 0
+        profile = json.loads(capsys.readouterr().out)
+        assert sorted(profile) == ["1.0", "100.0"]
+        for s in (1.0, 100.0):
+            assert profile[repr(s)]["pmag"] == weighting(dist, s).pmag
 
 
 # log of the smallest normal double, below which Z's entries are flushed to

@@ -530,6 +530,8 @@ _TINY_STABILITY = "{out}/stability/" + pipeline._fingerprint(
 _TRAJ_GEN = ["traj-gen", "--n", "5", "--eta", "0.1", "--out", "{out}/tg"]
 _BOUND_SAMPLES_FILE = ["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1",
                        "--samples-file", "{out}/samples.json"]
+_BOUND_PMAG = ["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1",
+               "--samples", "1"]
 _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iterations": 5}
 
 
@@ -684,6 +686,22 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["run", "--config", "{out}/cfg.json", "--out", "{out}/taken"],
          lambda out: (_json_file("cfg.json", _TINY_RUN)(out), (out / "taken").write_text("")),
          "File exists: '{out}/taken'"),
+        (["stability", "{out}/a", "{out}/b", "--config", "{out}/stab.json", "--csv",
+          "{out}/s.csv"], _loss_matrices(lambda d: None),
+         "--config and --csv not read with loss-matrix artifacts"),
+        (["stability", "{out}/a", "{out}/b", "--csv", "{out}/s.csv"], _loss_matrices(lambda d: None),
+         "--csv not read with loss-matrix artifacts"),
+        (["stability", "--config", "{out}/stab.json", "--symmetrized"],
+         _json_file("stab.json", {"n": 5, **_STABILITY_REST}),
+         "--symmetrized not read with --config; set its 'direction'"),
+        (_BOUND_PMAG + ["--k-const", "3"], None, "--k-const not read by --theorem pmag"),
+        (_BOUND_PMAG + ["--lipschitz", "2"], None, "--lipschitz not read by --theorem pmag"),
+        (_BOUND_PMAG + ["--n", "100"], None, "--n not read by --theorem pmag"),
+        (_BOUND_PMAG + ["--alpha", "0.5"], None, "--alpha not read by --theorem pmag"),
+        (_BOUND_PMAG + ["--n", "0", "--alpha", "0"], None,
+         "--n and --alpha not read by --theorem pmag"),
+        (["bound", "--theorem", "ealpha", "--beta", "0.05", "--loss-bound", "1", "--samples", "1",
+          "--k-const", "3", "--lambda", "2"], None, "--lambda not read by --theorem ealpha"),
     ],
     ids=["bound-without-samples", "bound-samples-and-samples-file", "bound-without-beta",
          "bound-beta-and-stability-report", "pmag-without-scales", "pmag-scales-and-theorem-scale",
@@ -714,7 +732,11 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "lifetime-sum-alpha-nan", "lifetime-sum-alpha-inf", "distmat-schema-version-2",
          "distmat-ids-wrong-length", "stability-losses-without-split",
          "bound-samples-file-not-utf8", "bound-samples-file-not-json", "run-config-directory",
-         "bound-samples-file-directory", "run-out-existing-file"],
+         "bound-samples-file-directory", "run-out-existing-file",
+         "stability-losses-with-config-and-csv", "stability-losses-with-csv",
+         "stability-config-with-symmetrized", "bound-pmag-with-k-const",
+         "bound-pmag-with-lipschitz", "bound-pmag-with-n", "bound-pmag-with-alpha",
+         "bound-pmag-with-zero-n-and-alpha", "bound-ealpha-with-lambda"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -1167,6 +1189,19 @@ def test_readme_config_table_matches_dataclasses():
     assert keys == {f.name for f in fields(ExperimentConfig)}
     (stability_row,) = [meaning for key_cell, meaning in rows if key_cell.strip() == "`stability`"]
     assert set(re.findall(r"`(\w+)`", stability_row)) == {f.name for f in fields(StabilitySettings)}
+
+
+def test_readme_library_example_runs():
+    """The README's `## Library` code block runs as written, so a documented
+    call that no longer exists fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md#Library", "exec"), namespace)
+    assert namespace["e1"] > 0 and namespace["pm"] > 0
+    assert len(namespace["edges"]) == len(namespace["dist"]) - 1
+    assert namespace["own"].n == 3
 
 
 def _perfbench_layers():

@@ -374,8 +374,8 @@ class TestExperiment:
         from dataclasses import replace
 
         from trajtopo import stability
-        from trajtopo.trainer import (PerturbSpec, loss_matrix, make_task_and_data,
-                                      perturb_dataset, projected_sgd)
+        from trajtopo.trainer import (loss_matrix, make_task_and_data, perturb_dataset,
+                                      projected_sgd)
 
         cfg = StabilityConfig(task=task, n=30, J=4, seeds=[2, 0, 5], input_dim=3, hidden=4,
                               iterations=40, converge_iterations=25, step=0.2,
@@ -383,7 +383,7 @@ class TestExperiment:
         expected = []
         for seed in cfg.seeds:
             task_, data, pool = make_task_and_data(task, 30, 3, seed, hidden=4)
-            perturbed = perturb_dataset(data, PerturbSpec(J=4, pool=pool, seed=seed))
+            perturbed = perturb_dataset(data, pool, 4, seed)
             sgd = cfg.sgd_config(seed)
             if init_mode == "locally_converged":
                 warm = projected_sgd(task_, data, cfg.sgd_config(seed, warmup=True))

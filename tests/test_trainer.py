@@ -6,7 +6,6 @@ from trajtopo import trainer
 from trajtopo.errors import InvalidInputError
 from trajtopo.trainer import (
     Dataset,
-    PerturbSpec,
     SGDConfig,
     loss_matrix,
     make_task,
@@ -14,17 +13,12 @@ from trajtopo.trainer import (
     perturb_dataset,
     projected_sgd,
     projected_sgd_stack,
-    tail_window,
 )
 
 
 def dataset(rows, start_id=0):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    return Dataset(
-        samples=rows,
-        n=rows.shape[0],
-        ids=np.arange(start_id, start_id + rows.shape[0]),
-    )
+    return Dataset(rows, np.arange(start_id, start_id + rows.shape[0]))
 
 
 def single_target_data(value=1.0):
@@ -91,7 +85,7 @@ class TestProjectedSgd:
         """Two runs with the same seed share w0 and batch indices, so equal
         datasets give bit-identical trajectories."""
         task, data, pool = make_task_and_data("quadratic", 10, 2, seed=9)
-        clone = perturb_dataset(data, PerturbSpec(J=0, pool=pool, seed=9))
+        clone = perturb_dataset(data, pool, 0, 9)
         cfg = SGDConfig(radius=2.0, step=0.2, iterations=30, seed=9)
         a = projected_sgd(task, data, cfg)
         b = projected_sgd(task, clone, cfg)
@@ -199,15 +193,22 @@ class TestProjectedSgd:
             traj = projected_sgd(task, train, cfg)
             assert np.array_equal(traj.points, per_step_sgd(task, train, cfg))
 
-    def test_tail_window(self):
-        task = make_task("quadratic", 1)
-        cfg = SGDConfig(radius=1.0, step=0.1, iterations=10, seed=0)
-        traj = projected_sgd(task, single_target_data(), cfg)
-        window = tail_window(traj, 4)
-        np.testing.assert_array_equal(window.iteration_ids, [7, 8, 9, 10])
-        np.testing.assert_array_equal(window.points, traj.points[-4:])
-        with pytest.raises(InvalidInputError):
-            tail_window(traj, 12)
+    def test_keep_equals_the_tail_of_the_full_run(self):
+        """`keep=k` gives the last k rows of the full run bit for bit, with
+        their iteration ids and the same meta, on every task at batch 1
+        and 4; a window longer than the run is rejected."""
+        for kind in ("quadratic", "logistic_regression", "small_mlp"):
+            task, data, _ = make_task_and_data(kind, 30, 3, seed=3)
+            for batch in (1, 4):
+                cfg = SGDConfig(radius=1.5, step=0.3, iterations=300, seed=3, batch=batch)
+                full = projected_sgd(task, data, cfg)
+                for keep in (1, 4, 150, 301):
+                    window = projected_sgd(task, data, cfg, keep=keep)
+                    assert window.points.tobytes() == full.points[-keep:].tobytes()
+                    assert window.iteration_ids.tobytes() == full.iteration_ids[-keep:].tobytes()
+                    assert window.meta == full.meta
+                with pytest.raises(InvalidInputError, match="cannot keep 302 of 301"):
+                    projected_sgd(task, data, cfg, keep=302)
 
 
 def _stack_runs(kind, rule, batch, runs):
@@ -216,7 +217,7 @@ def _stack_runs(kind, rule, batch, runs):
     its perturbation, other sizes n, seeds, stream tags, and start points
     given or drawn."""
     task, data, pool = make_task_and_data(kind, 24, 3, seed=11)
-    twin = perturb_dataset(data, PerturbSpec(J=5, pool=pool, seed=11))
+    twin = perturb_dataset(data, pool, 5, 11)
     _, wide, _ = make_task_and_data(kind, 41, 3, seed=12)
     datasets, cfgs = [], []
     for r in range(runs):
@@ -335,8 +336,10 @@ class TestGradients:
             z = data.samples[rng.integers(0, data.n)]
             v = rng.standard_normal(task.param_dim)
             v /= np.linalg.norm(v)
-            analytic = float(task.gradient(w, z) @ v)
-            numeric = (task.loss(w + h * v, z) - task.loss(w - h * v, z)) / (2 * h)
+            analytic = float(task.mean_gradient(w, z[None]) @ v)
+            ahead = task.loss_table((w + h * v)[None], z[None])[0, 0]
+            behind = task.loss_table((w - h * v)[None], z[None])[0, 0]
+            numeric = (ahead - behind) / (2 * h)
             assert abs(analytic - numeric) <= 1e-5 * max(1.0, abs(analytic))
 
     @pytest.mark.parametrize("kind", ["quadratic", "logistic_regression", "small_mlp"])
@@ -405,28 +408,64 @@ class TestGradients:
         task, data, _ = make_task_and_data("logistic_regression", 12, 5, seed=6)
         w = rng.standard_normal(task.param_dim)
         batch = data.samples[:4]
-        single = np.mean([task.gradient(w, z) for z in batch], axis=0)
+        single = np.mean([task.mean_gradient(w, z[None]) for z in batch], axis=0)
         np.testing.assert_allclose(task.mean_gradient(w, batch), single, rtol=1e-12)
 
 
+class TestDataset:
+    def test_n_is_read_from_the_samples(self):
+        data = Dataset(np.zeros((3, 2)), [4, 5, 6])
+        assert data.n == 3
+        assert data.take(np.array([2, 0])).n == 2
+        np.testing.assert_array_equal(data.take(np.array([2, 0])).ids, [6, 4])
+
+    @pytest.mark.parametrize("samples, ids", [
+        (np.zeros((0, 2)), []),
+        (np.zeros((3, 2)), [0, 1]),
+        (np.zeros((3, 2)), [0, 1, 2, 3]),
+        (np.zeros((3, 2)), [[0, 1, 2]]),
+    ], ids=["no-samples", "fewer-ids", "more-ids", "ids-not-1d"])
+    def test_rejects_zero_samples_and_ids_of_another_length(self, samples, ids):
+        with pytest.raises(InvalidInputError, match="n >= 1 samples with matching ids"):
+            Dataset(samples, ids)
+
+    def test_rejects_non_finite_samples(self):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            Dataset(np.array([[0.0, np.nan]]), [0])
+
+
 class TestPerturbDataset:
+    @pytest.mark.parametrize("J, pool_rows, pool_start, message", [
+        (-1, 2, 3, "replacement count must be >= 0"),
+        (3, 2, 3, "replacement count 3 exceeds pool size 2"),
+        (4, 5, 3, "replacement count 4 exceeds dataset size 3"),
+        (2, 2, 2, "pool shares sample ids with the dataset"),
+    ], ids=["J-negative", "J-above-pool-size", "J-above-n", "shared-ids"])
+    def test_bad_arguments_raise_one_error(self, J, pool_rows, pool_start, message):
+        """Each bad argument of `perturb_dataset` raises one
+        InvalidInputError, from the one place that checks them all."""
+        data = dataset([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        pool = dataset([[8.0 + v, 0.0] for v in range(pool_rows)], start_id=pool_start)
+        with pytest.raises(InvalidInputError, match=message):
+            perturb_dataset(data, pool, J, 0)
+
     def test_zero_replacements_identity(self):
         data = dataset([[1.0, 0.0], [2.0, 0.0]])
         pool = dataset([[9.0, 0.0]], start_id=2)
-        out = perturb_dataset(data, PerturbSpec(J=0, pool=pool, seed=0))
+        out = perturb_dataset(data, pool, 0, 0)
         np.testing.assert_array_equal(out.samples, data.samples)
         np.testing.assert_array_equal(out.ids, data.ids)
 
     def test_full_replacement(self):
         data = dataset([[1.0, 0.0], [2.0, 0.0]])
         pool = dataset([[8.0, 0.0], [9.0, 0.0]], start_id=2)
-        out = perturb_dataset(data, PerturbSpec(J=2, pool=pool, seed=0))
+        out = perturb_dataset(data, pool, 2, 0)
         assert set(out.ids) == {2, 3}
 
     def test_partial_replacement_counts(self):
         data = dataset([[float(i), 0.0] for i in range(4)])
         pool = dataset([[100.0, 0.0], [101.0, 0.0]], start_id=4)
-        out = perturb_dataset(data, PerturbSpec(J=2, pool=pool, seed=1))
+        out = perturb_dataset(data, pool, 2, 1)
         shared = sum(
             (out.samples[i] == data.samples[i]).all() and out.ids[i] == data.ids[i]
             for i in range(4)
@@ -436,23 +475,24 @@ class TestPerturbDataset:
     def test_deterministic(self):
         data = dataset([[float(i), 0.0] for i in range(6)])
         pool = dataset([[50.0, 0.0], [51.0, 0.0]], start_id=6)
-        a = perturb_dataset(data, PerturbSpec(J=2, pool=pool, seed=7))
-        b = perturb_dataset(data, PerturbSpec(J=2, pool=pool, seed=7))
+        a = perturb_dataset(data, pool, 2, 7)
+        b = perturb_dataset(data, pool, 2, 7)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_oversized_replacement_rejected(self):
         data = dataset([[1.0, 0.0]])
         pool = dataset([[2.0, 0.0]], start_id=1)
-        with pytest.raises(InvalidInputError):
-            perturb_dataset(data, PerturbSpec(J=2, pool=pool, seed=0))
-        with pytest.raises(InvalidInputError):
-            PerturbSpec(J=2, pool=pool, seed=0).__post_init__()
+        with pytest.raises(InvalidInputError, match="exceeds pool size 1"):
+            perturb_dataset(data, pool, 2, 0)
+        wide = dataset([[2.0, 0.0], [3.0, 0.0]], start_id=1)
+        with pytest.raises(InvalidInputError, match="exceeds dataset size 1"):
+            perturb_dataset(data, wide, 2, 0)
 
     def test_overlapping_pool_rejected(self):
         data = dataset([[1.0, 0.0], [2.0, 0.0]])
         pool = dataset([[9.0, 0.0]], start_id=1)
         with pytest.raises(InvalidInputError, match="ids"):
-            perturb_dataset(data, PerturbSpec(J=1, pool=pool, seed=0))
+            perturb_dataset(data, pool, 1, 0)
 
 
 class TestLossMatrix:
@@ -468,7 +508,7 @@ class TestLossMatrix:
         traj = projected_sgd(task, single_target_data(1.0), cfg)
         lm = loss_matrix(task, traj, single_target_data(1.0), "probe")
         assert lm.values.shape == (1, 1)
-        assert lm.values[0, 0] == task.loss(np.array([0.3]), np.array([1.0, 0.0]))
+        assert lm.values[0, 0] == task.loss_table(np.array([[0.3]]), np.array([[1.0, 0.0]]))[0, 0]
 
     def test_hand_computed_quadratic_table(self):
         task = make_task("quadratic", 1)
