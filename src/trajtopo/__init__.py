@@ -41,13 +41,7 @@ from .errors import (
 )
 from .geometry import DistanceMatrix, deduplicate, pairwise_distances, subsample_uniform
 from .lifetime import alpha_weighted_lifetime_sum, minimum_spanning_tree
-from .magnitude import (
-    ScaleGrid,
-    WeightingSolution,
-    pmag_scale,
-    positive_magnitude,
-    weighting,
-)
+from .magnitude import WeightingSolution, pmag_scale, positive_magnitude, scale_grid, weighting
 from .stability import (
     StabilityConfig,
     StabilityReport,
@@ -78,7 +72,6 @@ __all__ = [
     "NumericalFailureError",
     "RunRecord",
     "SGDConfig",
-    "ScaleGrid",
     "StabilityConfig",
     "StabilityReport",
     "Trajectory",
@@ -111,6 +104,7 @@ __all__ = [
     "projected_sgd_stack",
     "read_artifact",
     "run_stability_experiment",
+    "scale_grid",
     "slope_vs_n",
     "spearman",
     "subsample_uniform",

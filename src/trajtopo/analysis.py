@@ -115,19 +115,11 @@ class GridReport:
 def _complexity_value(record: RunRecord, kind: str, scale_key: str | None) -> float:
     if kind == "e_alpha":
         return record.e_alpha
-    key = scale_key
-    if key is None and kind == "pmag_theorem_scale":
-        key = THEOREM_KEY
-    if key is None:
-        # the fixed scale defaults to the smallest recorded one
-        keys = [k for k in record.pmag if k != THEOREM_KEY]
-        if not keys:
-            raise InvalidInputError(f"run {record.run_id} has no fixed-scale magnitude values")
-        key = min(keys, key=float)
     try:
-        return record.pmag[key]
+        return record.pmag[scale_key]
     except KeyError as exc:
-        raise InvalidInputError(f"run {record.run_id} lacks magnitude at scale {key!r}") from exc
+        raise InvalidInputError(
+            f"run {record.run_id} lacks magnitude at scale {scale_key!r}") from exc
 
 
 def _group_stats(gaps: np.ndarray, comps: np.ndarray) -> GroupStats:
@@ -150,12 +142,17 @@ def grid_report(
 ) -> GridReport:
     """Group runs by sample size and correlate gap with complexity.
 
-    Statistics are reported against the raw complexity and its logarithm;
-    groups where a statistic is undefined get null cells rather than
-    failing the report.
+    The complexity of `e_alpha` is the lifetime sum; that of a pmag kind is
+    the magnitude each record stores under `scale_key`, which the caller
+    names: `THEOREM_KEY` for the theorem scale, a configured scale's key
+    for the fixed one. Statistics are reported against the raw complexity
+    and its logarithm; groups where a statistic is undefined get null cells
+    rather than failing the report.
     """
     if complexity_kind not in COMPLEXITY_KINDS:
         raise InvalidInputError(f"unknown complexity kind {complexity_kind!r}")
+    if complexity_kind != "e_alpha" and scale_key is None:
+        raise InvalidInputError(f"{complexity_kind} needs the scale key of its magnitude values")
     if not runs:
         raise InvalidInputError("need at least one run")
     report = GridReport(complexity_kind=complexity_kind)

@@ -12,14 +12,14 @@ ill-conditioned matrix). So all of them run at the start count, and the
 pool workers take turns at them.
 
 `cli.main` puts its process under the rule (`command_threads`) and
-restores the counts it found when the command ends; a pool worker takes
-the rule, with the start count of its main process, for its lifetime
-(`one_thread`). Outside both, as in a library call, this module
-changes nothing. The libraries are found among the shared objects mapped
-into the process. One that loads later, such as scipy's at the first
-scipy import, comes under the rule when this module first sees it, at
-the latest at the first solve, the only code that calls it. Without
-OpenBLAS nothing changes.
+restores the counts it found when the command ends; a worker of
+`worker_pool` takes the rule, with the start count of its main process,
+for its lifetime (`one_thread`). Outside both, as in a library call,
+this module changes nothing. The libraries are found among the shared
+objects mapped into the process. One that loads later, such as scipy's
+at the first scipy import, comes under the rule when this module first
+sees it, at the latest at the first solve, the only code that calls it.
+Without OpenBLAS nothing changes.
 """
 
 from __future__ import annotations
@@ -116,6 +116,17 @@ def one_thread(threads: int, turn) -> None:
     _libraries()
     _rule = _Rule(threads, turn)
     _set_all(1)
+
+
+def worker_pool(jobs: int):
+    """A process pool of `jobs` workers, each at one BLAS thread but for its
+    turns at the magnitude solves, which run at this process's start count
+    under one lock that the workers share."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs, initializer=one_thread,
+                               initargs=(start_threads(), multiprocessing.Lock()))
 
 
 @contextlib.contextmanager

@@ -163,7 +163,7 @@ def cmd_pmag(args: argparse.Namespace) -> int:
     else:
         scales = _parse_list(args.scales)
     doc = {}
-    for s in magnitude.ScaleGrid(tuple(sorted(set(scales)))).scales:
+    for s in magnitude.scale_grid(scales):
         sol = magnitude.weighting(dist, s, solver=args.solver)
         doc[repr(s)] = {
             "pmag": sol.pmag,

@@ -18,9 +18,6 @@ from .artifacts import (ArtifactManifest, Trajectory, join_ids, parse_ids, read_
 from .errors import InvalidInputError, naming
 from .rng import stream
 
-DEFAULT_SUBSAMPLE = 1500
-DEFAULT_TRAJECTORY_LENGTH = 5000
-
 
 @dataclass
 class DistanceMatrix:

@@ -30,20 +30,14 @@ _UNDERFLOW = np.finfo(np.float64).tiny
 _EXP_CUT = float(np.log(_UNDERFLOW)) - 1.0
 
 
-@dataclass
-class ScaleGrid:
-    """Strictly increasing positive scales for magnitude sweeps."""
-
-    scales: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        self.scales = tuple(float(s) for s in self.scales)
-        if not self.scales:
-            raise InvalidInputError("scale grid must be nonempty")
-        if not all(0 < s < np.inf for s in self.scales):
-            raise InvalidInputError(f"scales must be finite and positive, got {self.scales}")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise InvalidInputError("scales must be strictly increasing")
+def scale_grid(scales) -> tuple[float, ...]:
+    """The distinct scales in increasing order, each finite and positive."""
+    grid = tuple(float(s) for s in sorted(set(scales)))
+    if not grid:
+        raise InvalidInputError("scale grid must be nonempty")
+    if not all(0 < s < np.inf for s in grid):
+        raise InvalidInputError(f"scales must be finite and positive, got {grid}")
+    return grid
 
 
 @dataclass

@@ -84,9 +84,9 @@ class ExperimentConfig:
     eta_grid: list[float] = field(default_factory=lambda: [0.05, 0.1])
     batch_grid: list[int] = field(default_factory=lambda: [1])
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
-    iterations: int = geometry.DEFAULT_TRAJECTORY_LENGTH
+    iterations: int = 5000
     warmup: int = 0
-    subsample: int = geometry.DEFAULT_SUBSAMPLE
+    subsample: int = 1500
     radius: float = 10.0
     step_rule: str = "constant"
     alpha: float = 1.0
@@ -104,7 +104,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         check_fields(type(self), vars(self), "config")
         trainer.make_task(self.task, self.input_dim, self.hidden)
-        for name in ("n_grid", "eta_grid", "batch_grid", "seeds"):
+        for name in ("n_grid", "eta_grid", "batch_grid", "seeds", "pmag_scales"):
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):
                 raise InvalidInputError(f"{name} must be a nonempty list of distinct values, "
@@ -125,7 +125,7 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"alpha must lie in (0, 1] with a stability section, got {self.alpha}"
             )
-        magnitude.ScaleGrid(tuple(sorted(set(self.pmag_scales))))
+        magnitude.scale_grid(self.pmag_scales)
         if self.theorem_lambda <= 0:
             raise InvalidInputError("theorem_lambda must be positive")
         if any(v is not None and v <= 0 for v in (self.lipschitz, self.loss_bound)):
@@ -244,9 +244,9 @@ class TrainedCell:
     window: Trajectory
 
     def loss_matrices(self) -> tuple[LossMatrix, LossMatrix]:
-        """The window's losses on up to 500 training samples and as many
-        held-out samples."""
-        m = min(self.data.n, 500)
+        """The window's losses on up to `trainer.PROBE_SIZE` training
+        samples and as many held-out samples."""
+        m = min(self.data.n, trainer.PROBE_SIZE)
         picks = stream(self.seed, "train-probe").choice(self.data.n, size=m, replace=False)
         return (trainer.loss_matrix(self.task, self.window, self.data.take(np.sort(picks)), "train"),
                 trainer.loss_matrix(self.task, self.window, self.pool.take(np.arange(m)), "test"))
@@ -371,17 +371,6 @@ def _split_stacks(cells: list[tuple[int, int]], jobs: int) -> list[list[tuple[in
     return [cells[i * len(cells) // parts : (i + 1) * len(cells) // parts] for i in range(parts)]
 
 
-def worker_pool(jobs: int):
-    """The process pool of a run with `jobs` > 1 workers, each at one BLAS
-    thread but for its turns at the magnitude solves, which run at this
-    process's start count."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=jobs, initializer=blas.one_thread,
-                               initargs=(blas.start_threads(), multiprocessing.Lock()))
-
-
 @dataclass
 class PipelineResult:
     records: list[RunRecord]
@@ -440,66 +429,49 @@ def _bounds_stage(
     stab_reports: list[stability.StabilityReport],
     reuse_only: bool,
 ) -> list[dict]:
-    """Evaluate both bounds per sample size, one per stability report,
-    reusing stored trajectories for the theorem-schedule magnitude scale.
-    Each bounded record gets its theorem-scale PMag in memory, for the
-    reports; a run removes the stored value of every other record."""
+    """One row per stability report with a positive mean β̂: both bounds at
+    β̂, and as `*_analytic` at the closed-form β of `decaying` steps where
+    that applies and is positive. L and B are the configured values, else
+    the largest over the sample size's cells. Each bounded record gets its
+    PMag at the theorem scale in memory, for the reports, solved from its
+    stored trajectory unless stored at that scale; a run removes the stored
+    value of every other record."""
     rows: list[dict] = []
     for report in stab_reports:
         n, beta = report.n, report.mean
+        if beta <= 0:
+            # the bounds need a positive stability coefficient
+            continue
         group = [r for r in records if r.n == n]
         consts = [read_record(bounds.ConstantsEstimate,
                               out_dir / "cells" / r.run_id / "constants.json", "constants")
                   for r in group]
-        lipschitz = cfg.lipschitz if cfg.lipschitz is not None else max(
-            c.lipschitz for c in consts
-        )
-        loss_bound = cfg.loss_bound if cfg.loss_bound is not None else max(
-            c.loss_bound for c in consts
-        )
-        if beta <= 0:
-            # bound needs a positive stability coefficient
-            continue
+        # a configured constant is positive, so `or` takes it when given
+        lipschitz = cfg.lipschitz or max(c.lipschitz for c in consts)
+        loss_bound = cfg.loss_bound or max(c.loss_bound for c in consts)
         k_const = bounds.kn_alpha(n, lipschitz, loss_bound, cfg.alpha)
-        ealpha_samples = [r.e_alpha for r in group]
-        res_e = bounds.ealpha_bound(beta, loss_bound, k_const, ealpha_samples)
-
         s_theorem = magnitude.pmag_scale(cfg.theorem_lambda, lipschitz, loss_bound, beta)
         for r in group:
             r.pmag[THEOREM_KEY] = _theorem_pmag(out_dir / "cells" / r.run_id, s_theorem, reuse_only)
-        pmag_samples = [r.pmag[THEOREM_KEY] for r in group]
-        res_p = bounds.pmag_bound(beta, loss_bound, cfg.theorem_lambda, pmag_samples)
 
         # the closed form needs every cell's smoothness G and a first step below 1/G
         analytic = None
         smoothness = [c.smoothness for c in consts]
         step = cfg.eta_grid[0]
-        if cfg.step_rule == "decaying" and None not in smoothness:
-            g = max(smoothness)
-            if step < 1.0 / g:
-                analytic = stability.analytic_sgd_stability(
-                    lipschitz, g, cfg.radius, step, n, cfg.iterations
-                )
-        row = {
-            "n": n,
-            "beta_hat": beta,
-            "analytic_beta": analytic,
-            "L": lipschitz,
-            "B": loss_bound,
-            "alpha": cfg.alpha,
-            "K": k_const,
-            "lambda": cfg.theorem_lambda,
-            "theorem_scale": s_theorem,
-            "ealpha_bound": res_e.value,
-            "pmag_bound": res_p.value,
-        }
+        if cfg.step_rule == "decaying" and None not in smoothness and step < 1.0 / max(smoothness):
+            analytic = stability.analytic_sgd_stability(lipschitz, max(smoothness), cfg.radius,
+                                                        step, n, cfg.iterations)
+        row = {"n": n, "beta_hat": beta, "analytic_beta": analytic, "L": lipschitz,
+               "B": loss_bound, "alpha": cfg.alpha, "K": k_const, "lambda": cfg.theorem_lambda,
+               "theorem_scale": s_theorem}
+        betas = [("", beta)]
         if analytic is not None and analytic > 0:
-            row["ealpha_bound_analytic"] = bounds.ealpha_bound(
-                analytic, loss_bound, k_const, ealpha_samples
-            ).value
-            row["pmag_bound_analytic"] = bounds.pmag_bound(
-                analytic, loss_bound, cfg.theorem_lambda, pmag_samples
-            ).value
+            betas.append(("_analytic", analytic))
+        for suffix, b in betas:
+            row["ealpha_bound" + suffix] = bounds.ealpha_bound(
+                b, loss_bound, k_const, [r.e_alpha for r in group]).value
+            row["pmag_bound" + suffix] = bounds.pmag_bound(
+                b, loss_bound, cfg.theorem_lambda, [r.pmag[THEOREM_KEY] for r in group]).value
         rows.append(row)
 
     bounded = {row["n"] for row in rows}
@@ -527,12 +499,8 @@ def _write_reports(
     # bounds stage may skip groups whose stability coefficient is zero)
     if records and all(THEOREM_KEY in r.pmag for r in records):
         kinds.append(("pmag_theorem_scale", THEOREM_KEY))
-    reports = {}
-    texts = {}
-    for kind, key in kinds:
-        rep = analysis.grid_report(records, kind, scale_key=key)
-        reports[kind] = rep
-        texts[report_dir / f"grid_{kind}.csv"] = rep.to_csv()
+    reports = {kind: analysis.grid_report(records, kind, scale_key=key) for kind, key in kinds}
+    texts = {report_dir / f"grid_{kind}.csv": rep.to_csv() for kind, rep in reports.items()}
 
     stab_reports = sorted(stab_reports, key=lambda r: r.n)
     if stab_reports:
@@ -589,7 +557,7 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
         for cells in _split_stacks(group, cfg.jobs)
     ]
     results: list[CellResult] = []
-    with worker_pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+    with blas.worker_pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
         for stack in (map if pool is None else pool.map)(compute_cells, *zip(*stacks)):
             for res, seconds in stack:
                 log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)

@@ -18,6 +18,7 @@ from .artifacts import LossMatrix, Trajectory, csv_text
 from .errors import InvalidInputError, check_fields
 from .rng import stream
 from .trainer import (
+    PROBE_SIZE,
     Dataset,
     SGDConfig,
     SyntheticTask,
@@ -229,7 +230,7 @@ def stability_csv(reports: list[StabilityReport]) -> str:
 def _probe_set(
     cfg: StabilityConfig, seed: int, data_perturbed: Dataset, pool: Dataset, injected: np.ndarray
 ) -> Dataset:
-    m = min(cfg.n, 500)
+    m = min(cfg.n, PROBE_SIZE)
     if cfg.eval_split == "train":
         # evaluation samples live in the perturbed training set, minus the
         # injected ones, so both runs are probed on data they share

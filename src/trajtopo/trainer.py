@@ -45,6 +45,9 @@ from .rng import stream
 
 TASK_KINDS = ("quadratic", "logistic_regression", "small_mlp")
 STEP_RULES = ("constant", "decaying")
+# the most samples a probe set holds: each split of a grid cell's loss
+# matrices, and each seed's probes in a stability experiment
+PROBE_SIZE = 500
 
 
 class SyntheticTask:

@@ -5,6 +5,7 @@ import scipy.stats
 from oracles import average_ranks
 from trajtopo.analysis import (
     GRID_CSV_HEADER,
+    THEOREM_KEY,
     grid_report,
     kendall,
     pearson,
@@ -205,20 +206,23 @@ class TestGridReport:
             record(10, 0.1, 1.0, pmag={"100.0": 2.0, "theorem": 5.0}, seed=0),
             record(10, 0.2, 1.0, pmag={"100.0": 4.0, "theorem": 9.0}, seed=1),
         ]
-        fixed = grid_report(runs, "pmag_fixed_scale").per_n_stats[10]
-        theorem = grid_report(runs, "pmag_theorem_scale").per_n_stats[10]
+        fixed = grid_report(runs, "pmag_fixed_scale", scale_key="100.0").per_n_stats[10]
+        theorem = grid_report(runs, "pmag_theorem_scale", scale_key=THEOREM_KEY).per_n_stats[10]
         np.testing.assert_allclose(fixed.slope, 20.0, rtol=1e-12)
         np.testing.assert_allclose(theorem.slope, 40.0, rtol=1e-12)
 
-    def test_fixed_scale_defaults_to_smallest_scale(self):
-        """Without a scale key the fixed scale is the numerically smallest
-        one: "20.0" although "100.0" sorts first as a string."""
+    @pytest.mark.parametrize("kind", ["pmag_fixed_scale", "pmag_theorem_scale"])
+    def test_magnitude_kinds_need_a_scale_key(self, kind):
+        """A pmag kind reads the scale its caller names, and no default:
+        neither the smallest recorded scale nor the theorem key."""
         runs = [
             record(10, 0.1, 1.0, pmag={"100.0": 7.0, "20.0": 2.0, "theorem": 5.0}, seed=0),
             record(10, 0.2, 1.0, pmag={"100.0": 7.5, "20.0": 4.0, "theorem": 9.0}, seed=1),
         ]
-        fixed = grid_report(runs, "pmag_fixed_scale").per_n_stats[10]
-        np.testing.assert_allclose(fixed.slope, 20.0, rtol=1e-12)
+        with pytest.raises(InvalidInputError, match=f"{kind} needs the scale key"):
+            grid_report(runs, kind)
+        with pytest.raises(InvalidInputError, match="lacks magnitude at scale '1000.0'"):
+            grid_report(runs, kind, scale_key="1000.0")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):

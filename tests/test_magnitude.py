@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from trajtopo.geometry import (DistanceMatrix, distance_matrix, save_distance_ma
 from trajtopo.magnitude import (
     RESIDUAL_TOL,
     SOLVERS,
-    ScaleGrid,
     pmag_scale,
     positive_magnitude,
+    scale_grid,
     similarity_matrix,
     weighting,
 )
@@ -100,6 +101,26 @@ class TestWeighting:
         assert len(err.splitlines()) == 1
         assert "not positive definite" in err
 
+    def test_residual_above_tolerance_refines_once_then_exits_3(self, rng, tmp_path, capsys,
+                                                                  monkeypatch):
+        """A Cholesky solve whose residual exceeds the tolerance takes one
+        step of iterative refinement with the same factor, and a residual
+        still above it fails naming the residual."""
+        import scipy.linalg.lapack
+
+        # at 6 points the residual is exactly 0; at 40 it is not
+        save_distance_matrix(distances_of(rng.standard_normal((40, 2))), tmp_path / "d")
+        solves = []
+        real = scipy.linalg.lapack.dpotrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs",
+                            lambda *args: solves.append(args) or real(*args))
+        monkeypatch.setattr(magnitude, "RESIDUAL_TOL", 0.0)
+        assert main(["pmag", str(tmp_path / "d"), "--scales", "1"]) == 3
+        assert len(solves) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.search(r"weighting residual \d\.\d{3}e-\d+ exceeds 0e\+00", err), err
+
 
 # Three points that pass every check of a distance matrix but embed in no
 # Euclidean space: their similarity matrix at scale 1 has a negative
@@ -176,13 +197,15 @@ class TestScaleSchedule:
                 pmag_scale(*bad)
 
     def test_scale_grid_validation(self):
-        with pytest.raises(InvalidInputError):
-            ScaleGrid(())
-        with pytest.raises(InvalidInputError):
-            ScaleGrid((1.0, 1.0))
-        with pytest.raises(InvalidInputError):
-            ScaleGrid((-1.0, 2.0))
-        assert ScaleGrid((1.0, 100.0)).scales == (1.0, 100.0)
+        with pytest.raises(InvalidInputError, match="scale grid must be nonempty"):
+            scale_grid(())
+        for bad in ((-1.0, 2.0), (0, 1), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(InvalidInputError, match="scales must be finite and positive"):
+                scale_grid(bad)
+        assert scale_grid((1.0, 100.0)) == (1.0, 100.0)
+        # sorted, without duplicates, and float
+        assert scale_grid([100, 1.0, 100.0]) == (1.0, 100.0)
+        assert all(type(s) is float for s in scale_grid([100, 1]))
 
     def test_profile_keys(self, rng, tmp_path, capsys):
         """`trajtopo pmag` prints one weighting per distinct scale, keyed by

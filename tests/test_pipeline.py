@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajtopo import bounds, magnitude, pipeline, stability, trainer
+from trajtopo import blas, bounds, magnitude, pipeline, stability, trainer
 from trajtopo.analysis import THEOREM_KEY
 from trajtopo.artifacts import (LossMatrix, RunRecord, Trajectory, read_record, record_json,
                                 save_loss_matrix, save_trajectory)
@@ -367,6 +367,39 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == 8.0
 
+    @pytest.mark.parametrize("doc", [[1.0, 2.5], {"samples": [1.0, 2.5]}],
+                             ids=["list", "object"])
+    def test_bound_samples_file_equals_samples_flag(self, tmp_path, capsys, doc):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(doc))
+        head = ["bound", "--theorem", "pmag", "--beta", 0.05, "--loss-bound", 1.0]
+        assert self.run_cli(*head, "--samples-file", path) == 0
+        from_file = capsys.readouterr().out
+        assert self.run_cli(*head, "--samples", "1,2.5") == 0
+        assert from_file == capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_bound_ealpha_derives_k_from_lipschitz_and_n(self, capsys, alpha):
+        """Without --k-const, K is `kn_alpha(n, L, B, alpha)`, alpha 1.0 unless given."""
+        argv = ["bound", "--theorem", "ealpha", "--beta", 0.05, "--loss-bound", 2.0,
+                "--samples", "3,4", "--lipschitz", 1.5, "--n", 100]
+        assert self.run_cli(*argv, *([] if alpha is None else ["--alpha", alpha])) == 0
+        k_const = bounds.kn_alpha(100, 1.5, 2.0, 1.0 if alpha is None else alpha)
+        expected = bounds.ealpha_bound(0.05, 2.0, k_const, [3.0, 4.0])
+        assert capsys.readouterr().out == record_json(expected)
+
+    def test_set_reaches_a_missing_stability_section_and_takes_plain_text(self, tmp_path,
+                                                                          capsys):
+        """`--set stability.KEY` makes the section that a config file left out,
+        and a value that is not JSON is taken as a string."""
+        without = {k: v for k, v in _TINY_RUN.items() if k != "stability"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(without | {"task": "small_mlp"}))
+        assert self.run_cli("run", "--config", cfg, "--out", tmp_path / "o",
+                            "--set", "stability.J=2", "--set", "task=quadratic") == 0
+        assert load_config(tmp_path / "o" / "run.json") == config_from_dict(
+            without | {"stability": {"J": 2}})
+
     def test_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -569,6 +602,15 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["stability", "--config", "{out}/stab.json"],
          _json_file("stab.json", {"n": [], **_STABILITY_REST}),
          "'n' must be an integer or a nonempty list of integers"),
+        # J = n replaces every training sample, so no train probe survives
+        (["stability", "--config", "{out}/stab.json"],
+         _json_file("stab.json", {"n": 5, "J": 5, **_STABILITY_REST}),
+         "every probe sample was injected; decrease J"),
+        # the validation probes are pool samples J to J + 500 of a 600-sample pool
+        (["stability", "--config", "{out}/stab.json"],
+         _json_file("stab.json", {"n": 600, "J": 101, "eval_split": "validation",
+                                  **_STABILITY_REST}),
+         "pool too small for validation probes"),
         (["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1",
           "--samples-file", "{out}/samples.json"], _json_file("samples.json", ["a"]),
          "samples file"),
@@ -590,7 +632,7 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["report", "{out}"], _finished_run("run.json", lambda d: d.update(pmag_scales=["a"])),
          "config {out}/run.json 'pmag_scales' must be list[float], got ['a']"),
         (["report", "{out}"], _finished_run("run.json", lambda d: d.update(pmag_scales=[])),
-         "config {out}/run.json: scale grid must be nonempty"),
+         "config {out}/run.json: pmag_scales must be a nonempty list of distinct values, got []"),
         (["report", "{out}"], _finished_run("run.json", lambda d: d.update(task=5)),
          "config {out}/run.json 'task' must be str, got 5"),
         (["report", "{out}"], _finished_run("stability/*.json", lambda d: d.pop("mean")),
@@ -641,6 +683,8 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          f"{_TINY_CELL}/fingerprint is missing or from another config"),
         (["report", "{out}"], _finished_run("cells/*/theorem_pmag.json", None),
          f"{_TINY_CELL}/theorem_pmag.json is missing or from another config"),
+        (["report", "{out}"], _finished_run("cells/*/record.json", None),
+         f"{_TINY_CELL}/record.json is missing or from another config"),
         (["distmat", "{out}/t", "--out", "{out}/d2"],
          _artifacts({"t": lambda d: d["metadata"].update(iteration_ids="a,b")}),
          "t metadata 'iteration_ids' must be comma-separated integers, got 'a,b'"),
@@ -708,7 +752,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "report-without-records", "report-without-run-json",
          "run-n-grid-repeated", "run-eta-grid-repeated",
          "stability-n-string", "stability-n-float", "stability-n-null-list",
-         "stability-n-empty-list", "bound-samples-not-numbers", "bound-report-without-mean",
+         "stability-n-empty-list", "stability-train-probes-all-injected",
+         "stability-validation-probes-above-pool", "bound-samples-not-numbers",
+         "bound-report-without-mean",
          "bound-report-mean-string", "run-jobs-not-int", "traj-gen-n-not-int",
          "pmag-unknown-solver", "bound-without-theorem", "traj-gen-input-dim-0",
          "traj-gen-iterations-0", "traj-gen-unknown-task", "report-run-json-scales-strings",
@@ -724,7 +770,7 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "rerun-theorem-pmag-string", "rerun-theorem-pmag-without-scale",
          "rerun-theorem-pmag-without-pmag",
          "report-stability-cache-deleted", "report-fingerprint-mismatch",
-         "report-theorem-pmag-deleted",
+         "report-theorem-pmag-deleted", "report-record-deleted",
          "distmat-ids-not-integers",
          "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
          "pmag-ids-not-integers", "distmat-wrong-role", "pmag-scale-nan", "pmag-scale-inf",
@@ -954,6 +1000,8 @@ def _misuse_cases():
                        ("theorem_lambda", 0),
                        # JSON reads NaN and Infinity, which no range check may let through
                        ("pmag_scales", [math.inf]), ("theorem_lambda", math.inf),
+                       # a duplicated scale would be solved twice in every cell
+                       ("pmag_scales", [100, 100.0, 1]),
                        ("loss_bound", math.inf), ("lipschitz", math.nan), ("radius", math.nan),
                        ("alpha", math.nan)):
         name = f"{key}-{value}".replace(" ", "")
@@ -1497,7 +1545,7 @@ def _worker_blas_threads() -> dict[str, int]:
 def test_pool_workers_run_one_blas_thread():
     """Each worker of a `jobs > 1` run sees one thread in every OpenBLAS,
     the ones loaded before the pool started and scipy's loaded after."""
-    with pipeline.worker_pool(2) as pool:
+    with blas.worker_pool(2) as pool:
         counts = pool.submit(_worker_blas_threads).result()
     if not counts:
         pytest.skip("no OpenBLAS is loaded")
@@ -1518,7 +1566,7 @@ def test_jobs_run_as_many_stacks_as_a_stack_per_n_would(tmp_path, monkeypatch):
     stacks, as one stack per n would."""
     stacks = []
     real_train = pipeline.train_cells
-    monkeypatch.setattr(pipeline, "worker_pool", lambda jobs: nullcontext())
+    monkeypatch.setattr(blas, "worker_pool", lambda jobs: nullcontext())
     monkeypatch.setattr(pipeline, "train_cells",
                         lambda cfg, eta, batch, cells: stacks.append(cells)
                         or real_train(cfg, eta, batch, cells))
@@ -1552,7 +1600,7 @@ def test_pool_workers_factor_at_the_main_process_thread_count():
     BLAS thread factors at the main process's count, so a cell's bytes
     do not depend on `jobs`."""
     walk = np.cumsum(np.random.default_rng(5).standard_normal((600, 8)), axis=0)
-    with pipeline.worker_pool(2) as pool:
+    with blas.worker_pool(2) as pool:
         in_worker = pool.submit(_worker_weighting, walk).result()
         # the workers take turns, so that factorizations do not share the cores
         holds_lock = pool.submit(_worker_holds_the_solve_lock).result()
