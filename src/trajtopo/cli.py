@@ -5,15 +5,15 @@ Subcommands cover the full pipeline (`run`) and each stage on its own
 `report`), operating on the artifact files described in `artifacts`.
 Exit codes: 0 success, 2 invalid config or input, 3 numerical failure.
 
-The default output root can be set with the TRAJTOPO_OUT environment
-variable; explicit --out flags take precedence.
+Each input has one spelling: `run` reads its config file and then each
+`--set KEY=JSON`, and every command that writes a directory takes it as
+`--out` (`run` also as the config's `output_dir`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,36 +32,20 @@ from .errors import InvalidInputError, NumericalFailureError, TrajtopoError, fit
 from .geometry import load_distance_matrix, save_distance_matrix
 from .pipeline import ExperimentConfig
 
-ENV_OUTPUT_ROOT = "TRAJTOPO_OUT"
 
-
-def _default_out(explicit: str | None, configured: str | None = None) -> str:
-    out = explicit or configured or os.environ.get(ENV_OUTPUT_ROOT)
-    if not out:
-        raise InvalidInputError(
-            f"no output directory given; pass --out or set {ENV_OUTPUT_ROOT}"
-        )
-    return out
-
-
-def _parse_list(text: str, kind: type = float) -> list:
+def _parse_list(text: str) -> list[float]:
     try:
-        return [kind(p) for p in text.split(",") if p != ""]
+        return [float(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
-        raise InvalidInputError(f"expected comma-separated {kind.__name__}s, got {text!r}") from exc
+        raise InvalidInputError(f"expected comma-separated floats, got {text!r}") from exc
 
 
 def _run_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file, the dedicated flags and every --set key=JSON
-    into one config document, in that order, and build it with the one
-    typed check of `pipeline.config_from_dict`. `stability.KEY` reaches the
-    stability section."""
+    """Merge the config file and every --set key=JSON into one config
+    document, in that order, and build it with the one typed check of
+    `pipeline.config_from_dict`. `stability.KEY` reaches the stability
+    section."""
     doc = read_json_object(args.config) if args.config else {}
-    lists = {"n_grid": int, "eta_grid": float, "seeds": int}
-    for key in ("task", "n_grid", "eta_grid", "seeds", "iterations", "jobs"):
-        value = getattr(args, key)
-        if value is not None:
-            doc[key] = _parse_list(value, lists[key]) if key in lists else value
     for assignment in args.set or []:
         key, sep, raw = assignment.partition("=")
         if not sep:
@@ -83,7 +67,9 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    out = _default_out(args.out, cfg.output_dir)
+    out = args.out or cfg.output_dir
+    if not out:
+        raise InvalidInputError("no output directory given; pass --out or set output_dir")
     result = pipeline.run_pipeline(cfg, output_dir=out)
     print(
         json.dumps(
@@ -116,7 +102,7 @@ def cmd_traj_gen(args: argparse.Namespace) -> int:
         if value is not None:
             doc[key] = value if flag == key else [value]
     cfg = pipeline.config_from_dict(doc)
-    out_dir = Path(_default_out(args.out))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (cell,) = pipeline.train_cells(cfg, cfg.eta_grid[0], cfg.batch_grid[0],
                                    [(cfg.n_grid[0], cfg.seeds[0])])
@@ -164,14 +150,8 @@ def cmd_pmag(args: argparse.Namespace) -> int:
         scales = _parse_list(args.scales)
     doc = {}
     for s in magnitude.scale_grid(scales):
-        sol = magnitude.weighting(dist, s, solver=args.solver)
-        doc[repr(s)] = {
-            "pmag": sol.pmag,
-            "magnitude": sol.magnitude,
-            "residual": sol.residual,
-            "solver": sol.solver,
-            "iterations": sol.iterations,
-        }
+        sol = magnitude.weighting(dist, s)
+        doc[repr(s)] = {"pmag": sol.pmag, "magnitude": sol.magnitude, "residual": sol.residual}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
@@ -197,21 +177,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
         raise InvalidInputError("pass --config or two loss-matrix artifacts")
     _reject_unread({"--symmetrized": args.symmetrized}, "with --config; set its 'direction'")
     doc = read_json_object(args.config, "stability config")
-    n = doc.pop("n", None)
-    n_values = n if isinstance(n, list) else [n]
-    if not n_values or not fits(n_values, list[int]):
-        raise InvalidInputError(
-            f"stability config 'n' must be an integer or a nonempty list of integers, got {n!r}"
-        )
-    configs = [
-        from_json_object(stability.StabilityConfig, {**doc, "n": n}, "stability config")
-        for n in n_values
-    ]
-    reports = [stability.run_stability_experiment(cfg) for cfg in configs]
-    for report in reports:
-        sys.stdout.write(record_json(report))
+    cfg = from_json_object(stability.StabilityConfig, doc, "stability config")
+    report = stability.run_stability_experiment(cfg)
+    sys.stdout.write(record_json(report))
     if args.csv:
-        write_file(args.csv, stability.stability_csv(reports))
+        write_file(args.csv, stability.stability_csv([report]))
     return 0
 
 
@@ -219,11 +189,8 @@ def _load_samples(args: argparse.Namespace) -> list[float]:
     if args.samples is not None:
         return _parse_list(args.samples)
     doc = read_json(args.samples_file, "samples file")
-    if isinstance(doc, dict):
-        doc = doc.get("samples")
     if not fits(doc, list[float]):
-        raise InvalidInputError(f"samples file {args.samples_file} must be a list of numbers"
-                                " or {'samples': [...]}")
+        raise InvalidInputError(f"samples file {args.samples_file} must be a JSON list of numbers")
     return [float(v) for v in doc]
 
 
@@ -283,13 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full grid pipeline from a config file")
     p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--out", help="output directory (overrides config and environment)")
-    p.add_argument("--task", choices=trainer.TASK_KINDS)
-    p.add_argument("--n-grid", help="comma-separated sample sizes")
-    p.add_argument("--eta-grid", help="comma-separated learning rates")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--jobs", type=int, help="parallel workers over grid cells")
+    p.add_argument("--out", help="output directory (overrides the config's output_dir)")
     p.add_argument(
         "--set",
         action="append",
@@ -311,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-rule", choices=trainer.STEP_RULES)
     p.add_argument("--class-sep", type=float)
     p.add_argument("--noise", type=float)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_traj_gen)
 
     p = sub.add_parser("distmat", help="distance matrix from a trajectory artifact")
@@ -332,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     scales = p.add_mutually_exclusive_group(required=True)
     scales.add_argument("--scales", help="comma-separated scales")
     scales.add_argument("--theorem-scale", help="lambda,L,B,beta for the schedule scale")
-    p.add_argument("--solver", default="direct", choices=list(magnitude.SOLVERS))
     p.set_defaults(func=cmd_pmag)
 
     p = sub.add_parser("stability", help="stability estimate from artifacts or a config")
@@ -355,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, help="magnitude-bound lambda (default 1.0)")
     samples = p.add_mutually_exclusive_group(required=True)
     samples.add_argument("--samples", help="comma-separated complexity samples")
-    samples.add_argument("--samples-file", help="JSON file with complexity samples")
+    samples.add_argument("--samples-file", help="JSON file holding a list of complexity samples")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("report", help="rewrite the reports of a finished run; computes nothing")

@@ -51,10 +51,7 @@ def pairwise_distances(traj: Trajectory) -> DistanceMatrix:
     """Euclidean distance matrix over all iterates of a trajectory."""
     from scipy.spatial.distance import pdist, squareform
 
-    points = traj.points
-    if not np.isfinite(points).all():
-        raise InvalidInputError("trajectory contains non-finite points")
-    values = squareform(pdist(points, metric="euclidean"))
+    values = squareform(pdist(traj.points, metric="euclidean"))
     return DistanceMatrix(values=values, point_ids=traj.iteration_ids.copy())
 
 

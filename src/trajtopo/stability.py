@@ -179,6 +179,10 @@ class StabilityConfig:
             raise InvalidInputError("need at least one seed")
         if not 0 <= self.J <= self.n:
             raise InvalidInputError(f"replacement count {self.J} must lie in [0, n = {self.n}]")
+        if self.eval_split == "train" and self.J >= self.n:
+            # every training sample would be injected, leaving no probe
+            raise InvalidInputError(f"replacement count J = {self.J} must be below n = {self.n}"
+                                    " with eval_split 'train'")
         for warmup in (False, True):
             self.sgd_config(self.seeds[0], warmup)
 

@@ -201,6 +201,18 @@ class TestGridReport:
         line = report.to_csv().strip().split("\n")[1]
         assert ",," in line
 
+    def test_zero_complexity_gives_a_null_log_row(self):
+        """A lifetime sum of 0 (a one-point subsample has no edge) has no
+        logarithm: that n's log row is all nulls with its count, while the
+        raw row keeps its statistics."""
+        runs = [record(10, 0.1, 0.0, seed=0), record(10, 0.2, 1.0, seed=1),
+                record(10, 0.3, 2.0, seed=2)]
+        report = grid_report(runs, "e_alpha")
+        assert report.per_n_stats[10].slope is not None
+        log = report.per_n_stats_log[10]
+        assert (log.tau, log.r, log.slope, log.count) == (None, None, None, 3)
+        assert report.to_csv().strip().split("\n")[2] == "10,log_e_alpha,,,,3"
+
     def test_magnitude_kinds_select_scale(self):
         runs = [
             record(10, 0.1, 1.0, pmag={"100.0": 2.0, "theorem": 5.0}, seed=0),

@@ -209,7 +209,7 @@ class TestScaleSchedule:
 
     def test_profile_keys(self, rng, tmp_path, capsys):
         """`trajtopo pmag` prints one weighting per distinct scale, keyed by
-        the scale's repr."""
+        the scale's repr: its PMag, magnitude and residual."""
         dist = distances_of(rng.standard_normal((6, 2)))
         save_distance_matrix(dist, tmp_path / "d")
         capsys.readouterr()
@@ -217,6 +217,7 @@ class TestScaleSchedule:
         profile = json.loads(capsys.readouterr().out)
         assert sorted(profile) == ["1.0", "100.0"]
         for s in (1.0, 100.0):
+            assert sorted(profile[repr(s)]) == ["magnitude", "pmag", "residual"]
             assert profile[repr(s)]["pmag"] == weighting(dist, s).pmag
 
 

@@ -20,7 +20,7 @@ from trajtopo import blas, bounds, magnitude, pipeline, stability, trainer
 from trajtopo.analysis import THEOREM_KEY
 from trajtopo.artifacts import (LossMatrix, RunRecord, Trajectory, read_record, record_json,
                                 save_loss_matrix, save_trajectory)
-from trajtopo.cli import main
+from trajtopo.cli import build_parser, main
 from trajtopo.errors import InvalidInputError, from_json_object
 from trajtopo.geometry import DistanceMatrix, save_distance_matrix
 from trajtopo.pipeline import (
@@ -257,7 +257,8 @@ class TestCli:
         out = tmp_path / "out"
         kept = ("cells", "stability", "run.json", "pipeline.log.jsonl")
         for n_grid in ("20,40", "20"):
-            assert self.run_cli("run", "--config", cfg_path, "--n-grid", n_grid, "--out", out) == 0
+            assert self.run_cli("run", "--config", cfg_path, "--set", f"n_grid=[{n_grid}]",
+                                "--out", out) == 0
             before = tree_digest(out, subdirs=("report",))
             assert "report/grid_pmag_theorem_scale.csv" in before
             state = tree_digest(out, subdirs=kept)
@@ -302,12 +303,6 @@ class TestCli:
         assert self.run_cli("pmag", stage / "dist", "--scales", "100.0") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["100.0"]["pmag"] == record.pmag["100.0"]
-        # conjugate gradient stays selectable on the CLI as a cross-check
-        assert self.run_cli("pmag", stage / "dist", "--scales", "100.0",
-                            "--solver", "conjugate_gradient") == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["100.0"]["iterations"] > 0
-        assert doc["100.0"]["pmag"] == pytest.approx(record.pmag["100.0"], rel=1e-8)
 
     def test_pmag_theorem_scale_flag(self, tmp_path, capsys):
         from conftest import distances_of
@@ -339,16 +334,18 @@ class TestCli:
         assert doc["estimate"] == estimate_stability(a, b)
 
     def test_stability_config_mode(self, tmp_path, capsys):
-        cfg = tmp_path / "stab.json"
-        cfg.write_text(json.dumps({
-            "task": "quadratic", "n": [10, 20], "J": 2, "seeds": [0],
-            "input_dim": 2, "iterations": 15, "step": 0.2,
-        }))
-        csv_path = tmp_path / "stab.csv"
-        assert self.run_cli("stability", "--config", cfg, "--csv", csv_path) == 0
-        lines = csv_path.read_text().strip().split("\n")
-        assert lines[0].startswith("init_mode,eval_split,n,J")
-        assert len(lines) == 3
+        """One config per n, each with its CSV row."""
+        cfg, csv_path = tmp_path / "stab.json", tmp_path / "stab.csv"
+        for n in (10, 20):
+            cfg.write_text(json.dumps({
+                "task": "quadratic", "n": n, "J": 2, "seeds": [0],
+                "input_dim": 2, "iterations": 15, "step": 0.2,
+            }))
+            assert self.run_cli("stability", "--config", cfg, "--csv", csv_path) == 0
+            lines = csv_path.read_text().strip().split("\n")
+            assert lines[0].startswith("init_mode,eval_split,n,J")
+            assert len(lines) == 2
+            assert lines[1].startswith(f"random_init,train,{n},2,")
 
     def test_bound_subcommand(self, tmp_path, capsys):
         assert self.run_cli(
@@ -367,11 +364,9 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == 8.0
 
-    @pytest.mark.parametrize("doc", [[1.0, 2.5], {"samples": [1.0, 2.5]}],
-                             ids=["list", "object"])
-    def test_bound_samples_file_equals_samples_flag(self, tmp_path, capsys, doc):
+    def test_bound_samples_file_equals_samples_flag(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps([1.0, 2.5]))
         head = ["bound", "--theorem", "pmag", "--beta", 0.05, "--loss-bound", 1.0]
         assert self.run_cli(*head, "--samples-file", path) == 0
         from_file = capsys.readouterr().out
@@ -441,16 +436,7 @@ class TestCli:
         assert cell_events[0]["skipped"] is False
         assert cell_events[0]["seconds"] >= 0.0
 
-    def test_env_var_output_root(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TRAJTOPO_OUT", str(tmp_path / "envout"))
-        assert self.run_cli(
-            "traj-gen", "--task", "quadratic", "--n", 5, "--eta", 0.1,
-            "--iterations", 10, "--input-dim", 2,
-        ) == 0
-        assert (tmp_path / "envout" / "trajectory.bin").exists()
-
-    def test_missing_output_dir_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("TRAJTOPO_OUT", raising=False)
+    def test_missing_output_dir_rejected(self, tmp_path, capsys):
         assert self.run_cli(
             "traj-gen", "--task", "quadratic", "--n", 5, "--eta", 0.1,
             "--iterations", 10, "--input-dim", 2,
@@ -458,8 +444,8 @@ class TestCli:
 
     def test_set_overrides(self, tmp_path, capsys):
         assert self.run_cli(
-            "run", "--task", "quadratic", "--n-grid", "8", "--eta-grid", "0.1",
-            "--seeds", "0", "--iterations", 12, "--set", "subsample=10",
+            "run", "--set", "task=quadratic", "--set", "n_grid=[8]", "--set", "eta_grid=[0.1]",
+            "--set", "seeds=[0]", "--set", "iterations=12", "--set", "subsample=10",
             "--set", "input_dim=2", "--set", 'stability={"J":2,"iterations":10,"converge_iterations":0}',
             "--out", tmp_path / "o",
         ) == 0
@@ -469,7 +455,7 @@ class TestCli:
 
     def test_set_rejects_unknown_key(self, tmp_path, capsys):
         assert self.run_cli(
-            "run", "--task", "quadratic", "--set", "momentum=0.9", "--out", tmp_path / "o",
+            "run", "--set", "task=quadratic", "--set", "momentum=0.9", "--out", tmp_path / "o",
         ) == 2
 
 
@@ -587,25 +573,26 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["report", "{out}"], None, "no {out}/run.json; re-run `trajtopo run`"),
         (["report", "{out}"], _finished_run("run.json", None),
          "no {out}/run.json; re-run `trajtopo run`"),
-        (["run", "--n-grid", "8,8", "--out", "{out}"], None,
+        (["run", "--set", "n_grid=[8,8]", "--out", "{out}"], None,
          "config: n_grid must be a nonempty list of distinct values, got [8, 8]"),
         (["run", "--set", "eta_grid=[0.1,0.10]", "--out", "{out}"], None,
          "config: eta_grid must be a nonempty list of distinct values, got [0.1, 0.1]"),
-        (["stability", "--config", "{out}/stab.json"], _json_file("stab.json", {"n": "abc"}),
-         "'n' must be an integer or a nonempty list of integers"),
+        (["stability", "--config", "{out}/stab.json"],
+         _json_file("stab.json", {"n": "abc", **_STABILITY_REST}),
+         "stability config 'n' must be int, got 'abc'"),
         (["stability", "--config", "{out}/stab.json"],
          _json_file("stab.json", {"n": 2.5, **_STABILITY_REST}),
-         "'n' must be an integer or a nonempty list of integers"),
+         "stability config 'n' must be int, got 2.5"),
         (["stability", "--config", "{out}/stab.json"],
          _json_file("stab.json", {"n": [None], **_STABILITY_REST}),
-         "'n' must be an integer or a nonempty list of integers"),
+         "stability config 'n' must be int, got [None]"),
         (["stability", "--config", "{out}/stab.json"],
          _json_file("stab.json", {"n": [], **_STABILITY_REST}),
-         "'n' must be an integer or a nonempty list of integers"),
+         "stability config 'n' must be int, got []"),
         # J = n replaces every training sample, so no train probe survives
         (["stability", "--config", "{out}/stab.json"],
          _json_file("stab.json", {"n": 5, "J": 5, **_STABILITY_REST}),
-         "every probe sample was injected; decrease J"),
+         "J = 5 must be below n = 5 with eval_split 'train'"),
         # the validation probes are pool samples J to J + 500 of a 600-sample pool
         (["stability", "--config", "{out}/stab.json"],
          _json_file("stab.json", {"n": 600, "J": 101, "eval_split": "validation",
@@ -620,10 +607,10 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["bound", "--theorem", "pmag", "--stability-report", "{out}/report.json",
           "--loss-bound", "1", "--samples", "1"], _json_file("report.json", {"mean": "x"}),
          "'mean'"),
-        (["run", "--jobs", "x"], None, "argument --jobs: invalid int value: 'x'"),
+        (["run", "--set", "jobs=x", "--out", "{out}"], None, "config 'jobs' must be int, got 'x'"),
         (["traj-gen", "--n", "x", "--eta", "0.1"], None, "argument --n: invalid int value"),
         (["pmag", "{out}/D", "--solver", "nope", "--scales", "1"], None,
-         "argument --solver: invalid choice: 'nope'"),
+         "unrecognized arguments: --solver nope"),
         (["bound", "--loss-bound", "1", "--samples", "1"], None,
          "the following arguments are required: --theorem"),
         (_TRAJ_GEN + ["--input-dim", "0"], None, "input_dim and hidden must be >= 1"),
@@ -746,6 +733,26 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "--n and --alpha not read by --theorem pmag"),
         (["bound", "--theorem", "ealpha", "--beta", "0.05", "--loss-bound", "1", "--samples", "1",
           "--k-const", "3", "--lambda", "2"], None, "--lambda not read by --theorem ealpha"),
+        (["pmag", "{out}/d", "--scales", "1,x"], _artifacts(),
+         "expected comma-separated floats, got '1,x'"),
+        (["run", "--set", "foo", "--out", "{out}"], None, "--set expects key=value, got 'foo'"),
+        (["run", "--config", "{out}/cfg.json", "--set", "stability.J=2", "--out", "{out}"],
+         _json_file("cfg.json", {"stability": 3}), "stability section must be a JSON object"),
+        (["pmag", "{out}/d", "--theorem-scale", "1,2,3"], _artifacts(),
+         "--theorem-scale expects lambda,L,B,beta"),
+        (["stability", "{out}/a", "{out}/b", "{out}/c"], None,
+         "pass exactly two loss-matrix artifact stems"),
+        (["stability"], None, "pass --config or two loss-matrix artifacts"),
+        (["bound", "--theorem", "ealpha", "--beta", "0.05", "--loss-bound", "1", "--samples", "1",
+          "--n", "100"], None, "pass --k-const, or --lipschitz with --n"),
+        (_BOUND_SAMPLES_FILE, _json_file("samples.json", {"samples": [1.0]}),
+         "samples file {out}/samples.json must be a JSON list of numbers"),
+        (["run", "--set", "iterations=1"], None,
+         "no output directory given; pass --out or set output_dir"),
+        (["run", "--n-grid", "8", "--jobs", "2", "--out", "{out}"], None,
+         "unrecognized arguments: --n-grid 8 --jobs 2"),
+        (["traj-gen", "--n", "5", "--eta", "0.1"], None,
+         "the following arguments are required: --out"),
     ],
     ids=["bound-without-samples", "bound-samples-and-samples-file", "bound-without-beta",
          "bound-beta-and-stability-report", "pmag-without-scales", "pmag-scales-and-theorem-scale",
@@ -782,7 +789,11 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "stability-losses-with-config-and-csv", "stability-losses-with-csv",
          "stability-config-with-symmetrized", "bound-pmag-with-k-const",
          "bound-pmag-with-lipschitz", "bound-pmag-with-n", "bound-pmag-with-alpha",
-         "bound-pmag-with-zero-n-and-alpha", "bound-ealpha-with-lambda"],
+         "bound-pmag-with-zero-n-and-alpha", "bound-ealpha-with-lambda",
+         "pmag-scales-not-numbers", "run-set-without-equals", "run-set-stability-key-over-int",
+         "pmag-theorem-scale-three-values", "stability-three-losses", "stability-without-input",
+         "bound-ealpha-n-without-lipschitz", "bound-samples-file-object", "run-without-out",
+         "run-removed-flags", "traj-gen-without-out"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -1025,14 +1036,20 @@ def _misuse_cases():
                        id="set-stability-J-string")
     yield pytest.param(_RUN + ["--set", "stability.iterations=-1"], _TINY_RUN,
                        id="set-stability.iterations-negative")
-    yield pytest.param(_RUN + ["--jobs", "0"], _TINY_RUN, id="flag-jobs-0")
-    yield pytest.param(_RUN + ["--iterations", "0"], _TINY_RUN, id="flag-iterations-0")
+    yield pytest.param(_RUN + ["--set", "jobs=0"], _TINY_RUN, id="flag-jobs-0")
+    yield pytest.param(_RUN + ["--set", "iterations=0"], _TINY_RUN, id="flag-iterations-0")
+    # a J clamped to an n of the train split injects every training sample
+    yield pytest.param(["run", "--set", "task=quadratic", "--set", "n_grid=[4,30]",
+                        "--set", "eta_grid=[0.1]", "--set", "seeds=[0,1]", "--set", "iterations=10",
+                        "--set", "input_dim=2", "--set", "subsample=5",
+                        "--set", 'stability={"J":10,"iterations":5,"converge_iterations":0}',
+                        "--out", "{out}"], _TINY_RUN, id="set-stability-J-injects-every-sample")
     stab = {"task": "quadratic", "n": 10, "seeds": [0], "iterations": 3}
     yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "seeds": 3},
                        id="stability-config-seeds-int")
     yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "iterations": "a"},
                        id="stability-config-iterations-string")
-    for key, value in (("input_dim", 0), ("hidden", 0), ("J", -1)):
+    for key, value in (("input_dim", 0), ("hidden", 0), ("J", -1), ("n", 1)):
         yield pytest.param(["stability", "--config", "{cfg}"], {**stab, key: value},
                            id=f"stability-config-{key}-{value}")
 
@@ -1250,6 +1267,35 @@ def test_readme_library_example_runs():
     assert namespace["e1"] > 0 and namespace["pm"] > 0
     assert len(namespace["edges"]) == len(namespace["dist"]) - 1
     assert namespace["own"].n == 3
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The commands of the README's `## CLI` code block, each as argv after
+    `trajtopo`, with `\\` continuations joined and `#` comments cut."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [words[1:] for words in lines if words]
+
+
+def test_readme_cli_commands_parse():
+    """Every command that the README's `## CLI` block shows parses, so a
+    flag that is gone from the CLI cannot stay in the README; the block
+    shows each subcommand."""
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == {"run", "traj-gen", "distmat", "lifetime-sum", "pmag",
+                                              "stability", "bound", "report"}
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_python_m_trajtopo_help_exits_0():
+    src = Path(pipeline.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-m", "trajtopo", "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: trajtopo")
 
 
 def _perfbench_layers():
@@ -1620,14 +1666,15 @@ _THREAD_SENSITIVE_RUN = {
 
 
 def test_cli_runs_write_the_same_bytes_for_any_jobs(tmp_path, capsys):
-    """`trajtopo run --jobs 1, 2, 3` write the same cells, stability reports
+    """`trajtopo run --set jobs=1, 2, 3` write the same cells, stability reports
     and reports; only `jobs` in run.json, and the log, differ. Workers
     forked while the CLI's process runs at one BLAS thread still factor at
     the thread count the command started with."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_THREAD_SENSITIVE_RUN))
     for jobs in (1, 2, 3):
-        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / str(jobs)), "--jobs", str(jobs)]
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / str(jobs)),
+                "--set", f"jobs={jobs}"]
         assert main(argv) == 0
     digests = [tree_digest(tmp_path / str(jobs), ("cells", "stability", "report"))
                for jobs in (1, 2, 3)]

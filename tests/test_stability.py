@@ -404,6 +404,17 @@ class TestExperiment:
         with pytest.raises(InvalidInputError):
             StabilityConfig(task="quadratic", n=5, J=1, seeds=[0], init_mode="warm")
 
+    @pytest.mark.parametrize("n, J", [(1, None), (5, 5)])
+    def test_train_split_needs_j_below_n(self, n, J):
+        """On the train split a J of n injects every training sample, so no
+        probe is left: the config says so before any SGD step, also for the
+        default J of n = 1. The validation split probes the pool instead."""
+        with pytest.raises(InvalidInputError, match=f"J = {n} must be below n = {n} with "
+                                                    "eval_split 'train'"):
+            StabilityConfig(task="quadratic", n=n, J=J, seeds=[0])
+        assert StabilityConfig(task="quadratic", n=n, J=J, seeds=[0],
+                               eval_split="validation").J == n
+
     def test_default_injection_rule(self):
         assert default_injection_count(100) == 50
         assert default_injection_count(10_000) == 50
