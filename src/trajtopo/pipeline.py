@@ -47,26 +47,16 @@ from . import analysis, blas, bounds, geometry, lifetime, magnitude, stability, 
 from .analysis import THEOREM_KEY
 from .artifacts import (LossMatrix, RunRecord, Trajectory, load_trajectory, read_json_object,
                         read_record, save_trajectory, write_file, write_record)
-from .errors import (InvalidInputError, NumericalFailureError, check_fields, from_json_object,
-                     naming)
+from .errors import InvalidInputError, NumericalFailureError, check_fields, from_json_object
 from .rng import stream
 
 
-@dataclass
-class StabilitySettings:
-    """Stability stage: one experiment per sample size in the grid."""
-
-    J: int | None = None
-    seeds: list[int] | None = None
-    init_mode: str = "random_init"
-    eval_split: str = "train"
-    direction: str = "directed"
-    iterations: int = 200
-    converge_iterations: int = 400
-    step: float | None = None
-
-    def __post_init__(self) -> None:
-        check_fields(type(self), vars(self), "stability section")
+# The keys of a run's stability section. Each sample size's `StabilityConfig`
+# takes the rest of its fields from the grid (`STABILITY_GRID_KEYS`) and its n.
+STABILITY_SECTION_KEYS = ("J", "seeds", "init_mode", "eval_split", "direction", "iterations",
+                          "converge_iterations", "step")
+STABILITY_GRID_KEYS = ("task", "input_dim", "radius", "step_rule", "class_sep", "noise", "hidden",
+                       "seeds")
 
 
 @dataclass
@@ -92,7 +82,7 @@ class ExperimentConfig:
     alpha: float = 1.0
     pmag_scales: list[float] = field(default_factory=lambda: [100.0])
     theorem_lambda: float = 1.0
-    stability: StabilitySettings | None = None
+    stability: dict | None = None
     lipschitz: float | None = None
     loss_bound: float | None = None
     class_sep: float = 1.0
@@ -142,31 +132,25 @@ class ExperimentConfig:
 
     def stability_configs(self) -> list[stability.StabilityConfig]:
         """One stability experiment per sample size, none without a
-        stability section. Each field that the run config and
-        `StabilityConfig` share, and `step` as the first learning rate, is
-        the grid's value unless the section sets it; J is clamped to n."""
-        settings = self.stability
-        if settings is None:
+        stability section. Each takes the grid's `STABILITY_GRID_KEYS`, the
+        first learning rate as `step`, then every key that the section sets,
+        then its n; a null `seeds` or `step` keeps the grid's value, a null
+        `J` the default."""
+        section = self.stability
+        if section is None:
             return []
-        grid_keys = {f.name for f in fields(self)} & {
-            f.name for f in fields(stability.StabilityConfig)
-        }
-        shared = {k: getattr(self, k) for k in grid_keys} | {"step": self.eta_grid[0]}
-        shared |= {k: v for k, v in vars(settings).items() if v is not None}
-        configs = []
-        with naming("stability section"):
-            for n in sorted(self.n_grid):
-                j = None if settings.J is None else min(settings.J, n)
-                configs.append(stability.StabilityConfig(**(shared | {"n": n, "J": j})))
-        return configs
+        unknown = set(section) - set(STABILITY_SECTION_KEYS)
+        if unknown:
+            raise InvalidInputError(f"unknown stability section keys: {sorted(unknown)}")
+        doc = {k: getattr(self, k) for k in STABILITY_GRID_KEYS} | {"step": self.eta_grid[0]}
+        doc |= {k: v for k, v in section.items() if v is not None or k not in ("seeds", "step")}
+        return [from_json_object(stability.StabilityConfig, doc | {"n": n}, "stability section")
+                for n in sorted(self.n_grid)]
 
 
 def config_from_dict(doc: dict, what: str = "config") -> ExperimentConfig:
     """Build a run config, which checks itself, from a decoded JSON object;
     an error names the source `what`."""
-    if doc.get("stability") is not None:
-        section = from_json_object(StabilitySettings, doc["stability"], "stability section")
-        doc = doc | {"stability": section}
     return from_json_object(ExperimentConfig, doc, what)
 
 
@@ -454,11 +438,12 @@ def _bounds_stage(
         for r in group:
             r.pmag[THEOREM_KEY] = _theorem_pmag(out_dir / "cells" / r.run_id, s_theorem, reuse_only)
 
-        # the closed form needs every cell's smoothness G and a first step below 1/G
+        # the closed form needs n >= 2, every cell's smoothness G and a first step below 1/G
         analytic = None
         smoothness = [c.smoothness for c in consts]
         step = cfg.eta_grid[0]
-        if cfg.step_rule == "decaying" and None not in smoothness and step < 1.0 / max(smoothness):
+        if (cfg.step_rule == "decaying" and n >= 2 and None not in smoothness
+                and step < 1.0 / max(smoothness)):
             analytic = stability.analytic_sgd_stability(lipschitz, max(smoothness), cfg.radius,
                                                         step, n, cfg.iterations)
         row = {"n": n, "beta_hat": beta, "analytic_beta": analytic, "L": lipschitz,
@@ -557,7 +542,8 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
         for cells in _split_stacks(group, cfg.jobs)
     ]
     results: list[CellResult] = []
-    with blas.worker_pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+    # `report` trains nothing, so it reads the cells in this process
+    with blas.worker_pool(cfg.jobs) if cfg.jobs > 1 and not reuse_only else nullcontext() as pool:
         for stack in (map if pool is None else pool.map)(compute_cells, *zip(*stacks)):
             for res, seconds in stack:
                 log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)

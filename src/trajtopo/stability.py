@@ -175,8 +175,9 @@ class StabilityConfig:
             raise InvalidInputError(f"unknown eval split {self.eval_split!r}")
         if self.direction not in DIRECTIONS:
             raise InvalidInputError(f"unknown direction {self.direction!r}")
-        if not self.seeds:
-            raise InvalidInputError("need at least one seed")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise InvalidInputError(f"seeds must be a nonempty list of distinct values, "
+                                    f"got {self.seeds}")
         if not 0 <= self.J <= self.n:
             raise InvalidInputError(f"replacement count {self.J} must lie in [0, n = {self.n}]")
         if self.eval_split == "train" and self.J >= self.n:

@@ -31,7 +31,7 @@ from trajtopo.geometry import (
 )
 from trajtopo.lifetime import alpha_weighted_lifetime_sum
 from trajtopo.magnitude import positive_magnitude, weighting
-from trajtopo.pipeline import ExperimentConfig, StabilitySettings, run_pipeline
+from trajtopo.pipeline import ExperimentConfig, run_pipeline
 from trajtopo.rng import stream
 from trajtopo.stability import (
     StabilityConfig,
@@ -289,7 +289,7 @@ def small_grid(tmp_path_factory):
         seeds=[0, 1],
         iterations=50,
         subsample=40,
-        stability=StabilitySettings(J=4, iterations=40, converge_iterations=0),
+        stability={"J": 4, "iterations": 40, "converge_iterations": 0},
     )
     out = tmp_path_factory.mktemp("grid")
     return cfg, out, run_pipeline(cfg, output_dir=out / "a")

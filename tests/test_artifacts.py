@@ -29,7 +29,7 @@ from trajtopo.artifacts import (
 from trajtopo.bounds import BoundResult, ConstantsEstimate
 from trajtopo.errors import InvalidInputError, UnsupportedVersionError, from_json_object
 from trajtopo.geometry import DistanceMatrix, load_distance_matrix, save_distance_matrix
-from trajtopo.pipeline import ExperimentConfig, StabilitySettings, TheoremPMag, load_config
+from trajtopo.pipeline import ExperimentConfig, TheoremPMag, load_config
 from trajtopo.stability import StabilityReport
 
 
@@ -312,7 +312,7 @@ _REPORT = StabilityReport(n=400, J=2, direction="directed", eval_split="validati
                           raw_deviations=[0.25, 2e-17], mean=0.0625, stderr=0.0625)
 _BOUND = BoundResult(theorem="pmag", beta=0.5, value=2.0, inputs={"z": 1.0, "a": 2})
 _CONFIG = ExperimentConfig(n_grid=[8], pmag_scales=[100.0, 1.0], lipschitz=2.0,
-                           stability=StabilitySettings(J=2, seeds=[0], step=0.1))
+                           stability={"step": 0.1, "seeds": [0], "J": 2})
 
 # each record kind with its stored text, keys listed by hand: fields in
 # declaration order, the keys of a dict-valued field sorted
@@ -335,8 +335,8 @@ _STORED = {
                          metadata={"split": "train", "iteration_ids": "0,1"}),
         _layout({"schema_version": 1, "role": "loss_matrix", "dtype": "f64le", "shape": [2, 3],
                  "metadata": {"iteration_ids": "0,1", "split": "train"}})),
-    # the stability section is a dataclass: it keeps its field order
-    "run-config": (_CONFIG, _layout(asdict(_CONFIG))),
+    "run-config": (_CONFIG, _layout(asdict(_CONFIG)
+                                    | {"stability": {"J": 2, "seeds": [0], "step": 0.1}})),
 }
 
 

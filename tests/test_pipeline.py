@@ -25,7 +25,6 @@ from trajtopo.errors import InvalidInputError, from_json_object
 from trajtopo.geometry import DistanceMatrix, save_distance_matrix
 from trajtopo.pipeline import (
     ExperimentConfig,
-    StabilitySettings,
     cell_id,
     config_from_dict,
     load_config,
@@ -42,7 +41,7 @@ SMALL = dict(
     seeds=[0, 1],
     iterations=40,
     subsample=30,
-    stability=StabilitySettings(J=4, iterations=30, converge_iterations=0, seeds=[0, 1]),
+    stability={"J": 4, "iterations": 30, "converge_iterations": 0, "seeds": [0, 1]},
 )
 
 
@@ -108,7 +107,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "section",
-        [None, StabilitySettings(J=0, iterations=30, converge_iterations=0, seeds=[0, 1])],
+        [None, {"J": 0, "iterations": 30, "converge_iterations": 0, "seeds": [0, 1]}],
         ids=["without-stability-section", "zero-beta"],
     )
     def test_rerun_drops_theorem_output_a_fresh_run_lacks(self, tmp_path, section):
@@ -172,8 +171,7 @@ class TestPipeline:
     def test_zero_stability_skips_bounds_but_reports_survive(self, tmp_path):
         """A zero stability coefficient (J = 0) gives no usable bound; the
         grid reports must still be written."""
-        cfg = small_config(stability=StabilitySettings(J=0, iterations=20,
-                                                       converge_iterations=0))
+        cfg = small_config(stability={"J": 0, "iterations": 20, "converge_iterations": 0})
         result = run_pipeline(cfg, output_dir=tmp_path / "out")
         assert result.bound_rows == []
         assert (tmp_path / "out" / "report" / "grid_e_alpha.csv").exists()
@@ -205,7 +203,7 @@ class TestPipeline:
         path.write_text(json.dumps(doc))
         cfg = load_config(path)
         assert cfg.n_grid == [10]
-        assert cfg.stability.J == 2
+        assert cfg.stability["J"] == 2
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown config keys"):
@@ -738,6 +736,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["run", "--set", "foo", "--out", "{out}"], None, "--set expects key=value, got 'foo'"),
         (["run", "--config", "{out}/cfg.json", "--set", "stability.J=2", "--out", "{out}"],
          _json_file("cfg.json", {"stability": 3}), "stability section must be a JSON object"),
+        (["run", "--set", "task=quadratic", "--set", "n_grid=[4,30]", "--set", "eta_grid=[0.1]",
+          "--set", "input_dim=2", "--set", "stability.J=10", "--out", "{out}/run"], None,
+         "config: stability section: replacement count 10 must lie in [0, n = 4]"),
         (["pmag", "{out}/d", "--theorem-scale", "1,2,3"], _artifacts(),
          "--theorem-scale expects lambda,L,B,beta"),
         (["stability", "{out}/a", "{out}/b", "{out}/c"], None,
@@ -791,6 +792,7 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "bound-pmag-with-lipschitz", "bound-pmag-with-n", "bound-pmag-with-alpha",
          "bound-pmag-with-zero-n-and-alpha", "bound-ealpha-with-lambda",
          "pmag-scales-not-numbers", "run-set-without-equals", "run-set-stability-key-over-int",
+         "run-stability-j-above-an-n",
          "pmag-theorem-scale-three-values", "stability-three-losses", "stability-without-input",
          "bound-ealpha-n-without-lipschitz", "bound-samples-file-object", "run-without-out",
          "run-removed-flags", "traj-gen-without-out"],
@@ -998,12 +1000,12 @@ def _misuse_cases():
         yield pytest.param(_RUN, {**_TINY_RUN, f.name: value}, id=f"file-{f.name}")
         yield pytest.param(_RUN + ["--set", f"{f.name}={json.dumps(value)}"], _TINY_RUN,
                            id=f"set-{f.name}")
-    for f in fields(StabilitySettings):
-        value = _WRONG_TYPED_STABILITY[f.name]
-        section = {**_TINY_RUN["stability"], f.name: value}
-        yield pytest.param(_RUN, {**_TINY_RUN, "stability": section}, id=f"file-stability.{f.name}")
-        yield pytest.param(_RUN + ["--set", f"stability.{f.name}={json.dumps(value)}"], _TINY_RUN,
-                           id=f"set-stability.{f.name}")
+    for key in pipeline.STABILITY_SECTION_KEYS:
+        value = _WRONG_TYPED_STABILITY[key]
+        section = {**_TINY_RUN["stability"], key: value}
+        yield pytest.param(_RUN, {**_TINY_RUN, "stability": section}, id=f"file-stability.{key}")
+        yield pytest.param(_RUN + ["--set", f"stability.{key}={json.dumps(value)}"], _TINY_RUN,
+                           id=f"set-stability.{key}")
     yield pytest.param(_RUN, {**_TINY_RUN, "n_grid": [20.5]}, id="file-n_grid-float")
     for key, value in (("input_dim", 0), ("hidden", 0), ("lipschitz", -1), ("loss_bound", 0),
                        ("alpha", 2), ("alpha", 0), ("eta_grid", [0.1, -1]), ("batch_grid", [1, 0]),
@@ -1038,15 +1040,20 @@ def _misuse_cases():
                        id="set-stability.iterations-negative")
     yield pytest.param(_RUN + ["--set", "jobs=0"], _TINY_RUN, id="flag-jobs-0")
     yield pytest.param(_RUN + ["--set", "iterations=0"], _TINY_RUN, id="flag-iterations-0")
-    # a J clamped to an n of the train split injects every training sample
+    # a J above an n of the grid, which the train split would inject whole
     yield pytest.param(["run", "--set", "task=quadratic", "--set", "n_grid=[4,30]",
                         "--set", "eta_grid=[0.1]", "--set", "seeds=[0,1]", "--set", "iterations=10",
                         "--set", "input_dim=2", "--set", "subsample=5",
                         "--set", 'stability={"J":10,"iterations":5,"converge_iterations":0}',
                         "--out", "{out}"], _TINY_RUN, id="set-stability-J-injects-every-sample")
+    # a repeated stability seed would count its estimate twice
+    yield pytest.param(_RUN + ["--set", "stability.seeds=[3,3]"], _TINY_RUN,
+                       id="set-stability.seeds-repeated")
     stab = {"task": "quadratic", "n": 10, "seeds": [0], "iterations": 3}
     yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "seeds": 3},
                        id="stability-config-seeds-int")
+    yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "seeds": [0, 0, 1]},
+                       id="stability-config-seeds-repeated")
     yield pytest.param(["stability", "--config", "{cfg}"], {**stab, "iterations": "a"},
                        id="stability-config-iterations-string")
     for key, value in (("input_dim", 0), ("hidden", 0), ("J", -1), ("n", 1)):
@@ -1055,9 +1062,13 @@ def _misuse_cases():
 
 
 @pytest.mark.parametrize("argv, doc", _misuse_cases())
-def test_config_misuse_exits_2_before_training(tmp_path, capsys, argv, doc):
+def test_config_misuse_exits_2_before_training(tmp_path, capsys, monkeypatch, argv, doc):
     """The config file, `run` flags, `--set` and `stability --config` share
-    one typed check: a bad value exits 2 with one line and trains nothing."""
+    one typed check: a bad value exits 2 with one line before any SGD step."""
+    def no_sgd(*args, **kwargs):
+        raise AssertionError("SGD ran")
+
+    monkeypatch.setattr(trainer, "_chunked_sgd", no_sgd)
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))
     assert main([a.replace("{cfg}", str(cfg)).replace("{out}", str(out)) for a in argv]) == 2
@@ -1066,6 +1077,64 @@ def test_config_misuse_exits_2_before_training(tmp_path, capsys, argv, doc):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (out / "cells").exists()
+
+
+def test_decaying_steps_at_n_1_bound_without_the_closed_form(tmp_path):
+    """The closed-form β of decaying steps needs n >= 2: at n = 1 the bound
+    row has no analytic value, and the other sample size's row is the one
+    a run of that size alone gives."""
+    run = {"task": "quadratic", "n_grid": [1, 3], "eta_grid": [0.1], "seeds": [0, 1],
+           "iterations": 10, "input_dim": 2, "subsample": 5, "step_rule": "decaying",
+           "stability": {"eval_split": "validation", "iterations": 5, "seeds": [0, 1]}}
+    rows = run_pipeline(config_from_dict(run), output_dir=tmp_path / "both").bound_rows
+    alone = run_pipeline(config_from_dict({**run, "n_grid": [3]}), output_dir=tmp_path / "three")
+    assert [row["n"] for row in rows] == [1, 3]
+    assert rows[0]["analytic_beta"] is None
+    assert not any(key.endswith("_analytic") for key in rows[0])
+    assert rows[1] == alone.bound_rows[0] and rows[1]["analytic_beta"] is not None
+
+
+def test_report_of_a_parallel_run_starts_no_worker_pool(tmp_path, capsys, monkeypatch):
+    """`report` reads stored files only, so a `jobs = 2` run's report starts
+    no process pool and equals the report of the same run at `jobs = 1`."""
+    for jobs in (1, 2):
+        run_pipeline(config_from_dict({**_TINY_RUN, "seeds": [0, 1], "jobs": jobs}),
+                     output_dir=tmp_path / f"jobs{jobs}")
+
+    def no_pool(jobs):
+        raise AssertionError("worker pool started")
+
+    monkeypatch.setattr(blas, "worker_pool", no_pool)
+    for jobs in (1, 2):
+        assert main(["report", str(tmp_path / f"jobs{jobs}"), "--out",
+                     str(tmp_path / f"report{jobs}")]) == 0
+    assert tree_digest(tmp_path, ("report1",)) == {
+        path.replace("report2", "report1"): digest
+        for path, digest in tree_digest(tmp_path, ("report2",)).items()}
+
+
+def test_run_json_of_the_full_section_spelling_reuses_everything(tmp_path):
+    """A `run.json` that spells all eight stability-section keys, with nulls
+    for the unset `J`, `seeds` and `step`, as older versions wrote it,
+    loads to the same stability configs: `report` hits every stored file
+    and a re-run computes nothing."""
+    out = tmp_path / "out"
+    section = {"iterations": 20, "converge_iterations": 0}
+    run_pipeline(config_from_dict({**_TINY_RUN, "stability": section}), output_dir=out)
+    doc = json.loads((out / "run.json").read_text())
+    doc["stability"] = {"J": None, "seeds": None, "init_mode": "random_init",
+                        "eval_split": "train", "direction": "directed", "iterations": 20,
+                        "converge_iterations": 0, "step": None}
+    (out / "run.json").write_text(json.dumps(doc, indent=2) + "\n")
+    kept = tree_digest(out, ("report",))
+    assert main(["report", str(out)]) == 0
+    assert tree_digest(out, ("report",)) == kept
+    logged = len((out / "pipeline.log.jsonl").read_text().splitlines())
+    result = run_pipeline(load_config(out / "run.json"), output_dir=out)
+    log = [json.loads(line) for line in (out / "pipeline.log.jsonl").read_text().splitlines()]
+    assert result.computed == 0
+    assert [e["skipped"] for e in log[logged:] if e["event"] == "stability"] == [True]
+    assert tree_digest(out, ("report",)) == kept
 
 
 def test_stability_stage_uses_hidden(tmp_path, capsys):
@@ -1129,8 +1198,10 @@ _RESPELLED = {
 def test_fingerprints_cover_every_config_field(tmp_path, monkeypatch):
     """Each run-config field is fingerprinted with its cells or named in
     `pipeline.UNFINGERPRINTED`, each `StabilityConfig` field is fingerprinted
-    with its report, and every fingerprinted field has a flip case below; a
-    field added later fails here until it is classified."""
+    with its report and is n, taken from the grid or a stability-section
+    key (only `seeds` and `step` are both), and every fingerprinted field
+    has a flip case below; a field added later fails here until it is
+    classified."""
     docs = []
     real = pipeline._fingerprint
     monkeypatch.setattr(pipeline, "_fingerprint", lambda doc: docs.append(doc) or real(doc))
@@ -1141,8 +1212,12 @@ def test_fingerprints_cover_every_config_field(tmp_path, monkeypatch):
     assert set(_SHAPING_FIELDS) | set(pipeline.UNFINGERPRINTED) == config_fields
     assert set(_SHAPING_FIELDS).isdisjoint(pipeline.UNFINGERPRINTED)
     assert set(_BOUND_FIELDS) <= set(pipeline.UNFINGERPRINTED)
-    assert set(stability_doc) == {f.name for f in fields(stability.StabilityConfig)}
-    assert set(_SECTION_FIELDS) == {f.name for f in fields(StabilitySettings)}
+    stability_fields = {f.name for f in fields(stability.StabilityConfig)}
+    assert set(stability_doc) == stability_fields
+    from_grid, section = set(pipeline.STABILITY_GRID_KEYS) | {"step"}, set(_SECTION_FIELDS)
+    assert section == set(pipeline.STABILITY_SECTION_KEYS)
+    assert stability_fields == {"n"} | from_grid | section
+    assert from_grid & section == {"seeds", "step"}
 
 
 @pytest.mark.parametrize(
@@ -1246,14 +1321,14 @@ def test_run_json_loads_back_to_the_same_config(tmp_path):
 
 def test_readme_config_table_matches_dataclasses():
     """The README config table names exactly the config fields, and its
-    `stability` row exactly the stability-section fields."""
+    `stability` row exactly the stability-section keys."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
     keys = {k for key_cell, _ in rows for k in re.findall(r"`(\w+)`", key_cell)}
     assert keys == {f.name for f in fields(ExperimentConfig)}
     (stability_row,) = [meaning for key_cell, meaning in rows if key_cell.strip() == "`stability`"]
-    assert set(re.findall(r"`(\w+)`", stability_row)) == {f.name for f in fields(StabilitySettings)}
+    assert set(re.findall(r"`(\w+)`", stability_row)) == set(pipeline.STABILITY_SECTION_KEYS)
 
 
 def test_readme_library_example_runs():
