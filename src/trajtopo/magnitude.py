@@ -5,7 +5,9 @@ Z[a, b] = exp(-s * D[a, b]). The weighting gamma solves Z gamma = 1;
 positive magnitude is the sum of the positive parts of gamma, and plain
 magnitude the full sum. Z is symmetric positive definite for distinct
 Euclidean points, so a Cholesky factorization and a conjugate-gradient
-Krylov solver are both applicable and double-check each other.
+Krylov solver are both applicable and double-check each other. The
+direct solve holds one m x m buffer: Z is factored in place, and the
+residual rebuilds Z from the distances 64 rows at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ CG_MAX_ITER_FACTOR = 10
 # entries below the smallest positive normal double are flushed to zero,
 # which preserves SPD structure and avoids denormal slowdowns
 _UNDERFLOW = np.finfo(np.float64).tiny
-# exp(x) < tiny / e for x below this cut, so similarity_matrix skips exp there
+# exp(x) < tiny / e for x below this cut, so _similarity skips exp there
 _EXP_CUT = float(np.log(_UNDERFLOW)) - 1.0
+# rows of Z rebuilt at a time for the residual of a direct solve
+_RESIDUAL_ROWS = 64
 
 
 def scale_grid(scales) -> tuple[float, ...]:
@@ -58,39 +62,58 @@ class WeightingSolution:
         return float(np.maximum(self.gamma, 0.0).sum())
 
 
-def similarity_matrix(dist: DistanceMatrix, s: float) -> np.ndarray:
-    if not 0 < s < np.inf:
-        raise InvalidInputError(f"scale must be finite and > 0, got {s}")
+def _similarity(values: np.ndarray, s: float) -> np.ndarray:
+    """exp(-s * values) in a new array, with the entries below tiny zero."""
     # exp in the same buffer, skipped below the cut, where numpy's exp is
     # slow; the flush zeroes a skipped entry as it would its exp, an
     # overflowing -s*d (-inf) included
     with np.errstate(over="ignore"):
-        z = np.multiply(dist.values, -s)
+        z = np.multiply(values, -s)
     np.exp(z, out=z, where=z >= _EXP_CUT)
     z[z < _UNDERFLOW] = 0.0
     return z
 
 
-def _solve_direct(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky solve; returns gamma and its residual ||Z gamma - b||_inf.
+def similarity_matrix(dist: DistanceMatrix, s: float) -> np.ndarray:
+    if not 0 < s < np.inf:
+        raise InvalidInputError(f"scale must be finite and > 0, got {s}")
+    return _similarity(dist.values, s)
+
+
+def _residual(dist: DistanceMatrix, s: float, gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - Z gamma, with Z rebuilt from the distances 64 rows at a time: its
+    buffer holds the factor by then, and a 64-row product gives the bits of
+    the one-thread product (see `blas`)."""
+    r = np.empty_like(b)
+    for start in range(0, len(b), _RESIDUAL_ROWS):
+        rows = slice(start, start + _RESIDUAL_ROWS)
+        r[rows] = b[rows] - _similarity(dist.values[rows], s) @ gamma
+    return r
+
+
+def _solve_direct(z: np.ndarray, dist: DistanceMatrix, s: float,
+                  b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky solve of Z gamma = b, for Z = similarity_matrix(dist, s) in
+    `z`; returns gamma and its residual ||Z gamma - b||_inf.
 
     Z is finite, and exactly symmetric because its distances are, so LAPACK
-    factors z.T, its Fortran-ordered view, with no finiteness checks and no
-    transposing copy; the factor is the one of `scipy.linalg.cho_factor`."""
+    factors z.T, its Fortran-ordered view, with no finiteness checks; it is
+    factored in place, so `z` holds the factor of `scipy.linalg.cho_factor`
+    afterwards, and the residual rebuilds Z's rows from `dist`."""
     from scipy.linalg.lapack import dpotrf, dpotrs
 
-    factor, info = dpotrf(z.T, lower=0, clean=0)
+    factor, info = dpotrf(z.T, lower=0, clean=0, overwrite_a=1)
     if info > 0:
         raise NumericalFailureError(
             "similarity matrix is not positive definite; this usually means "
             "duplicate points survived deduplication or the distances are not Euclidean"
         )
     gamma = dpotrs(factor, b)[0]
-    r = b - z @ gamma
+    r = _residual(dist, s, gamma, b)
     if np.abs(r).max() > RESIDUAL_TOL:
         # one step of iterative refinement with the existing factorization
         gamma = gamma + dpotrs(factor, r)[0]
-        r = b - z @ gamma
+        r = _residual(dist, s, gamma, b)
     return gamma, float(np.abs(r).max())
 
 
@@ -147,7 +170,7 @@ def weighting(dist: DistanceMatrix, s: float, solver: str = "direct") -> Weighti
             residual = float(np.abs(z @ gamma - b).max()) if converged else np.inf
             if residual <= RESIDUAL_TOL:
                 return WeightingSolution(gamma, residual, solver, iterations)
-        gamma, residual = _solve_direct(z, b)
+        gamma, residual = _solve_direct(z, dist, s, b)
     if residual > RESIDUAL_TOL:
         raise NumericalFailureError(
             f"weighting residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "

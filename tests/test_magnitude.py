@@ -2,13 +2,14 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import distances_of
 from oracles import reference_similarity_matrix, reference_solve_direct
-from trajtopo import magnitude
+from trajtopo import blas, magnitude
 from trajtopo.cli import main
 from trajtopo.errors import InvalidInputError, NumericalFailureError
 from trajtopo.geometry import (DistanceMatrix, distance_matrix, save_distance_matrix,
@@ -286,10 +287,73 @@ def test_weighting_is_bit_identical_to_the_checked_cholesky_solve(monkeypatch, k
     assert low <= zeros <= high
     with monkeypatch.context() as patch:
         patch.setattr(magnitude, "similarity_matrix", reference_similarity_matrix)
-        patch.setattr(magnitude, "_solve_direct", reference_solve_direct)
+        patch.setattr(magnitude, "_solve_direct", lambda z, dist, s, b: reference_solve_direct(
+            reference_similarity_matrix(dist, s), b))
         reference = weighting(dist, s, solver=solver)
     sol = weighting(dist, s, solver=solver)
     assert sol.gamma.tobytes() == reference.gamma.tobytes()
     assert (sol.residual, sol.solver, sol.iterations) == (
         reference.residual, reference.solver, reference.iterations)
     assert (sol.pmag, sol.magnitude) == (reference.pmag, reference.magnitude)
+
+
+def test_a_weighting_holds_one_matrix_buffer(rng):
+    """Z is factored in the buffer that holds it, and the residual rebuilds
+    Z 64 rows at a time: one weighting at m = 400 allocates well under two
+    m x m float64 arrays."""
+    m = 400
+    dist = distances_of(rng.standard_normal((m, 3)))
+    weighting(dist, 1.0)  # the first solve imports scipy.linalg
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        weighting(dist, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (8 * m * m) < 1.5
+
+
+@pytest.fixture(scope="module")
+def distances_1500() -> DistanceMatrix:
+    return distances_of(np.random.default_rng(20240817).standard_normal((1500, 3)))
+
+
+def _one_thread_product(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    # a command runs OpenBLAS at one thread outside its solves
+    with blas.command_threads():
+        return z @ gamma
+
+
+def test_residual_is_the_one_thread_dense_product(distances_1500):
+    """The residual of a direct solve is max|1 - Z gamma| with Z gamma
+    formed densely at one BLAS thread, bit for bit; at m = 1500 and s = 1
+    the product over the whole matrix at 2 threads differs from it."""
+    sol = weighting(distances_1500, 1.0)
+    z = reference_similarity_matrix(distances_1500, 1.0)
+    one = _one_thread_product(z, sol.gamma)
+    if blas.start_threads() == 2:
+        assert (z @ sol.gamma).tobytes() != one.tobytes()
+    assert sol.residual == float(np.abs(1.0 - one).max())
+
+
+def test_refinement_reuses_the_factor_left_in_the_buffer(monkeypatch, distances_1500):
+    """With the tolerance between the first residual and the refined one,
+    the refinement step runs and succeeds, and gives the refined gamma of
+    scipy's `cho_factor`/`cho_solve` with one-thread residuals bit for bit:
+    the residual pass leaves the factor in place."""
+    import scipy.linalg
+
+    z, b = reference_similarity_matrix(distances_1500, 1.0), np.ones(len(distances_1500))
+    factor = scipy.linalg.cho_factor(z)
+    gamma = scipy.linalg.cho_solve(factor, b)
+    r = b - _one_thread_product(z, gamma)
+    refined = gamma + scipy.linalg.cho_solve(factor, r)
+    first = float(np.abs(r).max())
+    last = float(np.abs(b - _one_thread_product(z, refined)).max())
+    assert last < first
+    monkeypatch.setattr(magnitude, "RESIDUAL_TOL", (first + last) / 2)
+    sol = weighting(distances_1500, 1.0)
+    assert sol.gamma.tobytes() == refined.tobytes()
+    assert sol.residual == last
