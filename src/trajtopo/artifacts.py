@@ -8,13 +8,15 @@ finite inputs.
 
 A record is a dataclass stored as one JSON file (`record_json`), a report
 table one CSV file (`csv_text`). Every file goes to disk through
-`write_file`, which replaces it whole.
+`write_file`, which replaces it whole, or leaves it as it is when it
+already holds the bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -56,11 +58,37 @@ class ArtifactManifest:
             raise InvalidInputError(f"shape must be two positive integers, got {self.shape!r}")
 
 
+# `write_file` compares a file's old bytes with its new ones this much at a time
+_COMPARE_CHUNK = 1 << 20
+
+
+def _holds(path: str | Path, data: memoryview) -> bool:
+    """Whether `path` is a regular file that holds exactly the bytes `data`.
+    Any other file is not opened; the compare stops at the first chunk that
+    differs; an OSError is a no."""
+    try:
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode) or st.st_size != len(data):
+            return False
+        with open(path, "rb") as old:
+            for start in range(0, len(data), _COMPARE_CHUNK):
+                chunk = bytes(data[start:start + _COMPARE_CHUNK])
+                if old.read(len(chunk)) != chunk:
+                    return False
+            return not old.read(1)
+    except OSError:
+        return False
+
+
 def write_file(path: str | Path, data: str | bytes | memoryview) -> None:
     """Replace `path` whole with `data`, text as UTF-8: written to
     `<path>.partial`, then renamed onto `path`, so that an interrupted write
-    leaves the old file or none, never a cut one. A failed write or rename
-    removes `<path>.partial` before it raises."""
+    leaves the old file or none, never a cut one. A regular file that
+    already holds these bytes is left as it is. A failed write or rename removes
+    `<path>.partial` before it raises."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    if _holds(path, memoryview(raw).cast("B")):
+        return
     partial = Path(f"{path}.partial")
     try:
         if isinstance(data, str):

@@ -10,6 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+import sys
+import types
+import typing
 from functools import lru_cache
 
 import numpy as np
@@ -250,3 +254,38 @@ def reference_solve_direct(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, fl
         gamma = gamma + scipy.linalg.cho_solve(factor, r)
         r = b - z @ gamma
     return gamma, float(np.abs(r).max())
+
+
+def reference_fits(value, hint) -> bool:
+    """Whether a decoded JSON value fits the annotation `hint`, dispatched on
+    the hint at every value: a class, a union, `list[...]` or
+    `dict[..., ...]`. An integer also fits `float`; a bool fits neither
+    `int` nor `float`; a value that fills a `float` must be finite as a
+    float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union or origin is types.UnionType:
+        return any(reference_fits(value, h) for h in args)
+    if origin is list:
+        return isinstance(value, list) and all(reference_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            reference_fits(k, args[0]) and reference_fits(v, args[1]) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Integral if hint is int else hint)
+
+
+def reference_as_declared(value, hint):
+    """`value`, which fits `hint`, with each number that fills a `float` as
+    a float; a union converts it as the first member it fits."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union or origin is types.UnionType:
+        return reference_as_declared(value, next(h for h in args if reference_fits(value, h)))
+    if origin is list:
+        return [reference_as_declared(v, args[0]) for v in value]
+    if origin is dict:
+        return {k: reference_as_declared(v, args[1]) for k, v in value.items()}
+    return float(value) if hint is float else value

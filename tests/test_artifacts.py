@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import bound_result_json, stability_report_json
+from trajtopo import artifacts
 from trajtopo.artifacts import (
     ArtifactManifest,
     LossMatrix,
@@ -379,6 +381,98 @@ def test_failed_write_file_leaves_no_partial_file(tmp_path, monkeypatch, fail):
         write_file(tmp_path / "r.txt", b"new")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt"]
     assert (tmp_path / "r.txt").read_text() == "old"
+
+
+def _identity(path: Path) -> tuple[int, int]:
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns
+
+
+def test_write_file_leaves_a_file_that_holds_its_bytes(tmp_path, monkeypatch):
+    """A file that already holds the bytes, given as text, bytes or a
+    memoryview of a matrix, is neither written nor renamed onto."""
+    text = tmp_path / "r.txt"
+    write_file(text, "same é\n")
+    matrix = np.arange(6.0).reshape(2, 3)
+    write_artifact(manifest_for(matrix), matrix, tmp_path / "m")
+    before = {p.name: _identity(p) for p in tmp_path.iterdir()}
+    monkeypatch.setattr(os, "replace", lambda *a: pytest.fail("renamed onto a file"))
+    for data in ("same é\n", "same é\n".encode(), memoryview("same é\n".encode())):
+        write_file(text, data)
+    write_artifact(manifest_for(matrix), matrix, tmp_path / "m")
+    assert {p.name: _identity(p) for p in tmp_path.iterdir()} == before
+    assert sorted(before) == ["m.bin", "m.json", "r.txt"]
+
+
+@pytest.mark.parametrize("new", [b"sane\n", b"same, longer\n", b"sam", b""],
+                         ids=["same-length", "longer", "shorter", "empty"])
+def test_write_file_replaces_a_file_whose_bytes_differ(tmp_path, new):
+    path = tmp_path / "r.txt"
+    path.write_bytes(b"same\n")
+    inode = path.stat().st_ino
+    write_file(path, new)
+    assert path.read_bytes() == new
+    assert path.stat().st_ino != inode  # renamed onto, not written in place
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt"]
+
+
+def test_write_file_reads_one_chunk_of_an_old_payload_that_differs_in_it(tmp_path, monkeypatch):
+    """The compare with an old payload of the same size stops at its first
+    differing chunk: one read of at most one chunk."""
+    chunk = artifacts._COMPARE_CHUNK
+    path = tmp_path / "p.bin"
+    path.write_bytes(bytes(3 * chunk + 5))
+    reads = []
+
+    class Counted:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def read(self, size=-1):
+            data = self.handle.read(size)
+            reads.append(len(data))
+            return data
+
+    monkeypatch.setattr(artifacts, "open", lambda *a, **k: Counted(open(*a, **k)), raising=False)
+    new = b"\x01" + bytes(3 * chunk + 4)
+    write_file(path, new)
+    assert reads == [chunk]
+    assert path.read_bytes() == new
+    reads.clear()
+    write_file(path, new)  # now every chunk is read, then the end, and the file is left
+    assert reads == [chunk, chunk, chunk, 5, 0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("data", [b"", b"x"], ids=["empty", "one-byte"])
+def test_write_file_replaces_a_named_pipe_without_opening_it(tmp_path, data):
+    """A named pipe is not a file that holds the bytes, even an empty
+    payload: it is replaced whole, and never opened, which would block
+    until a writer came."""
+    path = tmp_path / "p"
+    os.mkfifo(path)
+    writer = threading.Thread(target=write_file, args=(path, data), daemon=True)
+    writer.start()
+    writer.join(10)
+    if writer.is_alive():
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))  # lets the blocked open return
+        pytest.fail("write_file opened the named pipe")
+    assert path.is_file() and path.read_bytes() == data
+
+
+def test_write_file_replaces_a_link_to_a_file_that_holds_the_bytes(tmp_path):
+    target = tmp_path / "t.txt"
+    target.write_text("same\n")
+    link = tmp_path / "l.txt"
+    link.symlink_to(target)
+    write_file(link, "same\n")
+    assert not link.is_symlink() and link.read_text() == "same\n"
 
 
 def test_csv_text_spells_none_empty_and_floats_by_repr():

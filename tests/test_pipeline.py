@@ -1655,6 +1655,36 @@ def test_run_removes_partial_files_an_interrupted_run_left(tmp_path, jobs):
                   (tmp_path / "finished").rglob("*.partial")) == sorted(planted)
 
 
+def _file_states(root: Path) -> dict[str, tuple[bytes, int, int]]:
+    """Bytes, inode and mtime of every file under `root`, by relative path."""
+    return {str(p.relative_to(root)): (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_rerun_and_report_of_a_finished_directory_write_only_log_lines(tmp_path, capsys):
+    """A `run` into a finished directory leaves every file but
+    `pipeline.log.jsonl`, which it appends to, as it was: same bytes, inode
+    and mtime. `report` leaves the report directory so too, and every other
+    file."""
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL))
+    argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 0
+    before = _file_states(out)
+    log = before.pop("pipeline.log.jsonl")[0]
+    assert "report/grid_pmag_theorem_scale.csv" in before
+    assert any(name.endswith(pipeline.THEOREM_PMAG) for name in before)
+    assert main(argv) == 0
+    after = _file_states(out)
+    assert after.pop("pipeline.log.jsonl")[0].startswith(log)
+    assert after == before
+    assert main(["report", str(out)]) == 0
+    after = _file_states(out)
+    after.pop("pipeline.log.jsonl")
+    assert after == before
+
+
 def _worker_blas_threads() -> dict[str, int]:
     import scipy.linalg  # noqa: F401  (a worker's first solve loads scipy's OpenBLAS)
 
