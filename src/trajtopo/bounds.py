@@ -16,7 +16,7 @@ import numpy as np
 from .artifacts import LossMatrix, Trajectory
 from .errors import InvalidInputError, NumericalFailureError, check_fields
 from .rng import stream
-from .trainer import SyntheticTask
+from .trainer import SyntheticTask, _block_rows
 
 EXHAUSTIVE_LIMIT = 20
 _SIGN_CHUNK = 1 << 14
@@ -191,6 +191,22 @@ def lemma_rhs_pmag(m: int, loss_bound: float, lam: float, pmag_at_scale: float) 
     return float(lam * loss_bound**2 / (2.0 * m) + np.log(pmag_at_scale) / lam)
 
 
+def _largest_jumps(values: np.ndarray) -> np.ndarray:
+    """`np.abs(np.diff(values, axis=0)).max(axis=1)`, bit for bit, through
+    one scratch buffer of a block of rows instead of two table-sized
+    temporaries."""
+    jumps = np.empty(len(values) - 1)
+    rows = _block_rows(values.shape[1])
+    scratch = np.empty((min(rows, len(jumps)), values.shape[1]))
+    for start in range(0, len(jumps), rows):
+        stop = min(start + rows, len(jumps))
+        block = scratch[: stop - start]
+        np.subtract(values[start + 1 : stop + 1], values[start:stop], out=block)
+        np.abs(block, out=block)
+        block.max(axis=1, out=jumps[start:stop])
+    return jumps
+
+
 def estimate_constants(
     task: SyntheticTask, traj: Trajectory, losses: LossMatrix
 ) -> ConstantsEstimate:
@@ -209,7 +225,7 @@ def estimate_constants(
         raise NumericalFailureError(
             "all consecutive iterates coincide; Lipschitz estimate undefined"
         )
-    quotients = np.abs(np.diff(losses.values, axis=0)).max(axis=1)[usable] / steps[usable]
+    quotients = _largest_jumps(losses.values)[usable] / steps[usable]
     lipschitz = float(quotients.max())
     if lipschitz <= 0:
         # constant loss along a moving trajectory; keep the estimate usable

@@ -112,6 +112,13 @@ def blocked_max_min_estimate(
     return worst
 
 
+def softplus(t: np.ndarray) -> np.ndarray:
+    """log(1 + exp(t)) of every entry as max(t, 0) + log1p(exp(-|t|)), the
+    loss tables' formula, from fresh arrays over the whole array at once:
+    no blocks and no buffer written in place."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
 def per_step_sgd(task, data, cfg) -> np.ndarray:
     """Projected SGD iterates with one batch draw per step.
 

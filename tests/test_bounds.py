@@ -5,6 +5,7 @@ import pytest
 
 from conftest import distances_of, make_trajectory
 from oracles import bound_result_json, brute_rademacher
+from trajtopo import trainer
 from trajtopo.artifacts import LossMatrix, record_json
 from trajtopo.bounds import (
     BoundResult,
@@ -209,6 +210,32 @@ class TestEstimateConstants:
         assert consts.loss_bound == 0.5
         assert consts.source == "empirical"
         assert consts.smoothness == 1.0
+
+    @pytest.mark.parametrize("jump", [None, 0, 162, 163, 326, 980, 998])
+    def test_lipschitz_equals_the_whole_table_formula(self, jump, rng):
+        """L from the loss jumps taken a block of rows at a time is the
+        whole-table formula's bit for bit, on a table of 999 jumps: six
+        blocks of 163 rows and a partial last one of 21. A step in one
+        sample's losses puts the largest quotient at a chosen jump: in the
+        first block, at both edges of the second, inside a later block and
+        in the partial last one. Coinciding iterates are skipped as before."""
+        rows = trainer._block_rows(400)
+        assert rows == 163 and 999 % rows == 21
+        values = rng.random((1000, 400))
+        if jump is not None:
+            values[jump + 1 :, 7] += 50.0
+        points = np.cumsum(rng.uniform(0.5, 2.0, (1000, 3)), axis=0)
+        points[[11, 500]] = points[[10, 499]]
+        traj = make_trajectory(points)
+        lm = LossMatrix(values=values, iteration_ids=np.arange(1000),
+                        sample_ids=np.arange(400), split="train")
+        steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        usable = steps >= 1e-12
+        expected = np.abs(np.diff(values, axis=0)).max(axis=1)[usable] / steps[usable]
+        got = estimate_constants(make_task("logistic_regression", 3), traj, lm)
+        assert got.lipschitz.hex() == float(expected.max()).hex()
+        if jump is not None:
+            assert expected.argmax() + (jump > 10) + (jump > 499) == jump
 
     def test_constant_losses_give_tiny_lipschitz(self):
         task = make_task("quadratic", 1)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import per_step_sgd
+from oracles import per_step_sgd, softplus
 from trajtopo import trainer
 from trajtopo.errors import InvalidInputError
 from trajtopo.trainer import (
@@ -349,12 +351,12 @@ class TestGradients:
         assert (task.loss_table(iterates, data.samples) >= 0.0).all()
 
     def test_logistic_table_equals_plain_formula(self, rng):
-        """The in-place logistic table is bit-identical to log(1 + exp(-m))
+        """The in-place logistic table is bit-identical to softplus(-y m)
         computed from fresh arrays, a zero iterate (margins of 0) included."""
         task, data, _ = make_task_and_data("logistic_regression", 30, 4, seed=4)
         iterates = np.vstack([np.zeros(task.param_dim), rng.standard_normal((20, task.param_dim))])
         x, y = data.samples[:, :4], data.samples[:, 4]
-        expected = np.logaddexp(0.0, -((iterates @ x.T) * y[None, :]))
+        expected = softplus(-((iterates @ x.T) * y[None, :]))
         np.testing.assert_array_equal(task.loss_table(iterates, data.samples), expected)
 
     def test_mlp_table_equals_one_iterate_at_a_time(self, rng):
@@ -368,8 +370,53 @@ class TestGradients:
         for t, w in enumerate(iterates):
             w1, b1 = w[: h * d].reshape(h, d), w[h * d : h * d + h]
             out[t] = np.tanh(x @ w1.T + b1) @ w[h * d + h : h * d + 2 * h] + w[-1]
-        expected = np.logaddexp(0.0, -out * y[None, :])
+        expected = softplus(-out * y[None, :])
         np.testing.assert_array_equal(task.loss_table(iterates, data.samples), expected)
+
+    def test_losses_are_within_4_ulp_of_logaddexp(self, rng):
+        """softplus(t) taken as max(t, 0) + log1p(exp(-|t|)) is within 4 ulp
+        of np.logaddexp(0, t): at zeros of both signs, at +-1e-300, around
+        the points where exp(-|t|) falls below the last bit of 1 (+-36.7)
+        and underflows (-708 to -745), past them, and at random margins
+        of every scale."""
+        special = [0.0, -0.0, 1e-300, 36.0, 38.0, 709.0, 746.0, 800.0]
+        spread = rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000)
+        margins = np.concatenate([special, np.negative(special), spread])
+        for y in (1.0, -1.0):
+            expected = np.logaddexp(0.0, -y * margins)
+            got = trainer._margins_to_losses(margins[None, :].copy(), np.full(len(margins), y))[0]
+            assert (got >= 0.0).all()
+            assert (np.abs(got - expected) <= 4 * np.spacing(expected)).all()
+
+    @pytest.mark.parametrize("kind", ["logistic_regression", "small_mlp"])
+    def test_table_bits_do_not_depend_on_the_block_size(self, kind, rng, monkeypatch):
+        """Blocks of one row, one block of exactly the table, and blocks of
+        7 rows with a partial last one of 1 give the bits of the default
+        block size."""
+        task, data, _ = make_task_and_data(kind, 30, 4, seed=4)
+        iterates = rng.standard_normal((50, task.param_dim)) * 3.0
+        expected = task.loss_table(iterates, data.samples)
+        for chunk_bytes in (8 * 30, 8 * 30 * 50, 8 * 30 * 7):
+            monkeypatch.setattr(trainer, "_CHUNK_BYTES", chunk_bytes)
+            got = task.loss_table(iterates, data.samples)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic_regression", "small_mlp"])
+    def test_table_peak_memory_is_one_table_and_one_block(self, kind, rng):
+        """One loss_table call allocates, at its peak, less than its table
+        and two blocks: a whole-table temporary would double the table."""
+        task, data, _ = make_task_and_data(kind, 400, 4, seed=4)
+        iterates = rng.standard_normal((1000, task.param_dim))
+        table_bytes = 8 * len(iterates) * data.n
+        assert table_bytes > 2 * trainer._CHUNK_BYTES
+        task.loss_table(iterates[:2], data.samples)  # imports scipy's cdist untraced
+        tracemalloc.start()
+        try:
+            task.loss_table(iterates, data.samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes + 2 * trainer._CHUNK_BYTES
 
     def test_one_sample_logistic_kernel_equals_the_stacked_kernel(self, rng):
         """The one-run logistic kernel of a one-sample batch gives the bits
