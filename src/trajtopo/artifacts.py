@@ -244,7 +244,6 @@ class RunRecord:
     pmag: dict[str, float]
 
     def __post_init__(self) -> None:
-        check_fields(type(self), vars(self), "run record")
         if self.e_alpha < 0 or any(v < 0 for v in self.pmag.values()):
             raise InvalidInputError("complexity statistics must be nonnegative")
 

@@ -9,12 +9,13 @@ means over the supplied complexity samples.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .artifacts import LossMatrix, Trajectory
-from .errors import InvalidInputError, NumericalFailureError, check_fields
+from .errors import InvalidInputError, NumericalFailureError
 from .rng import stream
 from .trainer import SyntheticTask, _block_rows
 
@@ -33,7 +34,6 @@ class ConstantsEstimate:
     probes: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(type(self), vars(self), "constants")
         if self.lipschitz <= 0 or self.loss_bound <= 0:
             raise InvalidInputError("constants must be positive")
         if self.smoothness is not None and self.smoothness <= 0:
@@ -229,7 +229,9 @@ def estimate_constants(
     lipschitz = float(quotients.max())
     if lipschitz <= 0:
         # constant loss along a moving trajectory; keep the estimate usable
-        lipschitz = np.finfo(np.float64).tiny
+        lipschitz = float(np.finfo(np.float64).tiny)
+        warnings.warn("the loss is constant along the trajectory, so the empirical L is 0; "
+                      f"L is set to the smallest positive double, {lipschitz!r}", stacklevel=2)
     return ConstantsEstimate(
         lipschitz=lipschitz,
         loss_bound=float(losses.values.max()),

@@ -133,7 +133,11 @@ def check_fields(cls, values: dict, what: str) -> None:
 def from_json_object(cls, doc, what: str):
     """Build dataclass `cls` from a decoded JSON object whose keys are its
     field names; unknown and missing keys, wrong-typed values and the
-    class's own checks raise InvalidInputError naming the source `what`."""
+    class's own checks raise InvalidInputError naming the source `what`.
+    It is the one type check of `RunRecord`, `ConstantsEstimate` and
+    `StabilityReport`. Configs and `ArtifactManifest` check again when built
+    directly, where a config must turn `10` into `10.0` or its fingerprint
+    changes; for a stored file this check runs first and names the file."""
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} must be a JSON object")
     plan = _plan(cls)

@@ -218,9 +218,6 @@ class StabilityReport:
     mean: float
     stderr: float
 
-    def __post_init__(self) -> None:
-        check_fields(type(self), vars(self), "stability report")
-
 
 STABILITY_CSV_HEADER = "init_mode,eval_split,n,J,mean,stderr,seeds"
 

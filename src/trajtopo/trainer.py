@@ -59,8 +59,10 @@ class SyntheticTask:
     """
 
     kind: str
-    input_dim: int
-    param_dim: int
+
+    def __init__(self, input_dim: int):
+        self.input_dim = input_dim
+        self.param_dim = input_dim
 
     def mean_gradient(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """Mean gradient over the (B, input_dim + 1) `batch` at `w`, the
@@ -95,10 +97,6 @@ class QuadraticTask(SyntheticTask):
 
     kind = "quadratic"
 
-    def __init__(self, input_dim: int):
-        self.input_dim = input_dim
-        self.param_dim = input_dim
-
     def stack_gradient(self, w, batches):
         return w - batches[:, :, : self.input_dim].mean(axis=1)
 
@@ -114,10 +112,6 @@ class LogisticTask(SyntheticTask):
     """Binary logistic loss log(1 + exp(-y <w, x>)) with label y in {-1, +1}."""
 
     kind = "logistic_regression"
-
-    def __init__(self, input_dim: int):
-        self.input_dim = input_dim
-        self.param_dim = input_dim
 
     def stack_gradient(self, w, batches):
         x = batches[:, :, : self.input_dim]
@@ -176,12 +170,22 @@ class SmallMLPTask(SyntheticTask):
         b2 = w[:, -1]
         return w1, b1, w2, b2
 
-    def stack_gradient(self, w, batches):
+    def _forward(self, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations (R, B, h) and outputs (R, B) of the rows of
+        `w`, shape (R, p), on `x`: each run's own (B, d) block of an
+        (R, B, d) array, or one (B, d) block for every run. The activations
+        are formed in one buffer."""
         w1, b1, w2, b2 = self._unpack(w)
+        act = x @ w1.transpose(0, 2, 1)
+        act += b1[:, None, :]
+        np.tanh(act, out=act)
+        return act, (act @ w2[:, :, None])[:, :, 0] + b2[:, None]
+
+    def stack_gradient(self, w, batches):
         x = batches[:, :, : self.input_dim]
         y = batches[:, :, self.input_dim]
-        act = np.tanh(x @ w1.transpose(0, 2, 1) + b1[:, None, :])
-        out = (act @ w2[:, :, None])[:, :, 0] + b2[:, None]
+        act, out = self._forward(w, x)
+        w2 = self._unpack(w)[2]
         dout = -y * self._expit(-y * out) / batches.shape[1]
         dw2 = (act.transpose(0, 2, 1) @ dout[:, :, None])[:, :, 0]
         db2 = dout.sum(axis=1)
@@ -189,15 +193,6 @@ class SmallMLPTask(SyntheticTask):
         dw1 = dpre.transpose(0, 2, 1) @ x
         db1 = dpre.sum(axis=1)
         return np.concatenate([dw1.reshape(len(w), -1), db1, dw2, db2[:, None]], axis=1)
-
-    def _outputs(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Network outputs of the rows of `w` on the rows of `x`, shape
-        (R, samples), through one buffer of hidden activations (R, samples, h)."""
-        w1, b1, w2, b2 = self._unpack(w)
-        act = x @ w1.transpose(0, 2, 1)
-        act += b1[:, None, :]
-        np.tanh(act, out=act)
-        return (act @ w2[:, :, None])[:, :, 0] + b2[:, None]
 
     def loss_table(self, iterates, samples):
         """Losses in chunks of iterates, each chunk's activations held at
@@ -207,7 +202,7 @@ class SmallMLPTask(SyntheticTask):
         table = np.empty((iterates.shape[0], samples.shape[0]))
         rows = _block_rows(samples.shape[0] * self.hidden)
         for start in range(0, iterates.shape[0], rows):
-            table[start : start + rows] = self._outputs(iterates[start : start + rows], x)
+            table[start : start + rows] = self._forward(iterates[start : start + rows], x)[1]
         return _margins_to_losses(table, samples[:, self.input_dim])
 
 

@@ -244,8 +244,10 @@ class TestEstimateConstants:
             values=np.full((2, 3), 2.0), iteration_ids=[0, 1],
             sample_ids=[0, 1, 2], split="train",
         )
-        consts = estimate_constants(task, traj, lm)
-        assert consts.lipschitz <= 1e-300
+        with pytest.warns(UserWarning, match="smallest positive double"):
+            consts = estimate_constants(task, traj, lm)
+        assert type(consts.lipschitz) is float
+        assert consts.lipschitz == np.finfo(np.float64).tiny
         assert consts.loss_bound == 2.0
 
     def test_degenerate_trajectory_rejected(self):
