@@ -81,7 +81,8 @@ def _holds(path: str | Path, data: memoryview) -> bool:
 
 
 def write_file(path: str | Path, data: str | bytes | memoryview) -> None:
-    """Replace `path` whole with `data`, text as UTF-8: written to
+    """Replace `path` whole with `data`, text as its UTF-8 bytes, newlines
+    untranslated on every platform: written to
     `<path>.partial`, then renamed onto `path`, so that an interrupted write
     leaves the old file or none, never a cut one. A regular file that
     already holds these bytes is left as it is. A failed write or rename removes
@@ -91,10 +92,7 @@ def write_file(path: str | Path, data: str | bytes | memoryview) -> None:
         return
     partial = Path(f"{path}.partial")
     try:
-        if isinstance(data, str):
-            partial.write_text(data, encoding="utf-8")
-        else:
-            partial.write_bytes(data)
+        partial.write_bytes(raw)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

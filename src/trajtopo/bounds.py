@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import LossMatrix, Trajectory
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, check_positive
 from .rng import stream
-from .trainer import SyntheticTask, _block_rows
+from .trainer import SyntheticTask, row_sup_distances
 
 EXHAUSTIVE_LIMIT = 20
 _SIGN_CHUNK = 1 << 14
@@ -60,8 +60,7 @@ def kn_alpha(n: int, lipschitz: float, loss_bound: float, alpha: float) -> float
     """Constant 2 (2 L sqrt(n) / B)^alpha in the lifetime-sum bound."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    if lipschitz <= 0 or loss_bound <= 0:
-        raise InvalidInputError("L and B must be positive")
+    check_positive({"L": lipschitz, "B": loss_bound})
     if not 0 < alpha <= 1:
         raise InvalidInputError(f"alpha must lie in (0, 1], got {alpha}")
     return 2.0 * (2.0 * lipschitz * np.sqrt(n) / loss_bound) ** alpha
@@ -71,10 +70,7 @@ def ealpha_bound(
     beta: float, loss_bound: float, k_const: float, ealpha_samples: list[float]
 ) -> BoundResult:
     """beta^(1/3) * (2 + 2B + 2B * mean(sqrt(2 log(1 + K * E)))) over samples."""
-    if beta <= 0:
-        raise InvalidInputError("beta must be positive")
-    if loss_bound <= 0 or k_const <= 0:
-        raise InvalidInputError("B and K must be positive")
+    check_positive({"beta": beta, "B": loss_bound, "K": k_const})
     samples = np.asarray(ealpha_samples, dtype=np.float64)
     if samples.size == 0:
         raise InvalidInputError("need at least one complexity sample")
@@ -99,10 +95,7 @@ def pmag_bound(
     beta: float, loss_bound: float, lam: float, pmag_samples: list[float]
 ) -> BoundResult:
     """beta^(1/3) * (2 + lam*B + (2B/lam) * mean(log PMag)) over samples."""
-    if beta <= 0:
-        raise InvalidInputError("beta must be positive")
-    if loss_bound <= 0 or lam <= 0:
-        raise InvalidInputError("B and lambda must be positive")
+    check_positive({"beta": beta, "B": loss_bound, "lambda": lam})
     samples = np.asarray(pmag_samples, dtype=np.float64)
     if samples.size == 0:
         raise InvalidInputError("need at least one complexity sample")
@@ -168,8 +161,7 @@ def lemma_rhs_ealpha(m: int, loss_bound: float, k_const: float, ealpha: float) -
     """Rademacher upper bound B/sqrt(m) + B sqrt(2 log(1 + K * E) / m)."""
     if m < 1:
         raise InvalidInputError("m must be >= 1")
-    if loss_bound <= 0 or k_const <= 0:
-        raise InvalidInputError("B and K must be positive")
+    check_positive({"B": loss_bound, "K": k_const})
     if ealpha < 0:
         raise InvalidInputError("lifetime sum must be nonnegative")
     return float(
@@ -184,27 +176,10 @@ def lemma_rhs_pmag(m: int, loss_bound: float, lam: float, pmag_at_scale: float) 
     """
     if m < 1:
         raise InvalidInputError("m must be >= 1")
-    if loss_bound <= 0 or lam <= 0:
-        raise InvalidInputError("B and lambda must be positive")
+    check_positive({"B": loss_bound, "lambda": lam})
     if pmag_at_scale < 1:
         raise InvalidInputError("positive magnitude of a nonempty space is >= 1")
     return float(lam * loss_bound**2 / (2.0 * m) + np.log(pmag_at_scale) / lam)
-
-
-def _largest_jumps(values: np.ndarray) -> np.ndarray:
-    """`np.abs(np.diff(values, axis=0)).max(axis=1)`, bit for bit, through
-    one scratch buffer of a block of rows instead of two table-sized
-    temporaries."""
-    jumps = np.empty(len(values) - 1)
-    rows = _block_rows(values.shape[1])
-    scratch = np.empty((min(rows, len(jumps)), values.shape[1]))
-    for start in range(0, len(jumps), rows):
-        stop = min(start + rows, len(jumps))
-        block = scratch[: stop - start]
-        np.subtract(values[start + 1 : stop + 1], values[start:stop], out=block)
-        np.abs(block, out=block)
-        block.max(axis=1, out=jumps[start:stop])
-    return jumps
 
 
 def estimate_constants(
@@ -214,6 +189,8 @@ def estimate_constants(
 
     The Lipschitz estimate is a lower bound on the true constant; consecutive
     iterate pairs closer than 1e-12 are skipped to avoid zero denominators.
+    An L of 0 (no such pair, or a constant loss) becomes the smallest
+    positive double, with a warning.
     """
     if len(traj) < 2:
         raise InvalidInputError("need at least two iterates")
@@ -221,22 +198,17 @@ def estimate_constants(
         raise InvalidInputError("trajectory and loss matrix must cover the same iterations")
     steps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
     usable = steps >= 1e-12
-    if not usable.any():
-        raise NumericalFailureError(
-            "all consecutive iterates coincide; Lipschitz estimate undefined"
-        )
-    quotients = _largest_jumps(losses.values)[usable] / steps[usable]
-    lipschitz = float(quotients.max())
+    quotients = row_sup_distances(losses.values[1:], losses.values[:-1])[usable] / steps[usable]
+    lipschitz = float(quotients.max(initial=0.0))
     if lipschitz <= 0:
-        # constant loss along a moving trajectory; keep the estimate usable
         lipschitz = float(np.finfo(np.float64).tiny)
-        warnings.warn("the loss is constant along the trajectory, so the empirical L is 0; "
-                      f"L is set to the smallest positive double, {lipschitz!r}", stacklevel=2)
+        warnings.warn("the window never moves or its loss is constant along it, so the "
+                      f"empirical L is 0; L is set to the smallest positive double, {lipschitz!r}",
+                      stacklevel=2)
     return ConstantsEstimate(
         lipschitz=lipschitz,
         loss_bound=float(losses.values.max()),
-        # the quadratic loss has gradient-Lipschitz constant 1
-        smoothness=1.0 if task.kind == "quadratic" else None,
+        smoothness=task.smoothness,
         source="empirical",
         probes=int(usable.sum()) * losses.values.shape[1],
     )

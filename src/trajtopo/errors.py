@@ -8,6 +8,7 @@ failure -> 3. Plain OSError is left alone for filesystem problems.
 import contextlib
 import dataclasses
 import functools
+import math
 import numbers
 import sys
 import types
@@ -128,6 +129,14 @@ def check_fields(cls, values: dict, what: str) -> None:
             raise InvalidInputError(f"{what} {f.name!r} must be {f.declared}, got {value!r}")
     for f in fields:
         values[f.name] = f.hint.convert(values[f.name])
+
+
+def check_positive(values: dict[str, float]) -> None:
+    """Raise InvalidInputError naming the first of `values`, by name, that
+    is not finite and positive: NaN and infinities fail as zero does."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
 
 
 def from_json_object(cls, doc, what: str):

@@ -16,7 +16,7 @@ import numpy as np
 from .artifacts import (ArtifactManifest, Trajectory, join_ids, parse_ids, read_artifact,
                         write_artifact)
 from .errors import InvalidInputError, naming
-from .rng import stream
+from .rng import check_seed, stream
 
 
 @dataclass
@@ -63,6 +63,7 @@ def subsample_uniform(traj: Trajectory, m: int, seed: int) -> Trajectory:
     """
     if m < 1:
         raise InvalidInputError(f"subsample size must be >= 1, got {m}")
+    check_seed(seed)
     t = len(traj)
     if m >= t:
         return traj

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, check_positive
 from .geometry import DistanceMatrix
 
 SOLVERS = ("direct", "conjugate_gradient")
@@ -186,6 +186,5 @@ def positive_magnitude(dist: DistanceMatrix, s: float, solver: str = "direct") -
 
 def pmag_scale(lam: float, lipschitz: float, loss_bound: float, beta: float) -> float:
     """Scale schedule lam * L / (B * beta^(1/3)) used by the magnitude bound."""
-    if lam <= 0 or lipschitz <= 0 or loss_bound <= 0 or beta <= 0:
-        raise InvalidInputError("pmag_scale arguments must all be positive")
+    check_positive({"lambda": lam, "L": lipschitz, "B": loss_bound, "beta": beta})
     return lam * lipschitz * beta ** (-1.0 / 3.0) / loss_bound

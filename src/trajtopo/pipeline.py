@@ -48,7 +48,7 @@ from .analysis import THEOREM_KEY
 from .artifacts import (LossMatrix, RunRecord, Trajectory, load_trajectory, read_json_object,
                         read_record, save_trajectory, write_file, write_record)
 from .errors import InvalidInputError, NumericalFailureError, check_fields, from_json_object
-from .rng import stream
+from .rng import check_seed, stream
 
 
 # The keys of a run's stability section. Each sample size's `StabilityConfig`
@@ -99,6 +99,8 @@ class ExperimentConfig:
             if not values or len(set(values)) < len(values):
                 raise InvalidInputError(f"{name} must be a nonempty list of distinct values, "
                                         f"got {values}")
+        for seed in self.seeds:
+            check_seed(seed)
         if any(n < 1 for n in self.n_grid):
             raise InvalidInputError("sample sizes must be >= 1")
         if self.iterations < 1 or self.warmup < 0:
@@ -438,12 +440,12 @@ def _bounds_stage(
         for r in group:
             r.pmag[THEOREM_KEY] = _theorem_pmag(out_dir / "cells" / r.run_id, s_theorem, reuse_only)
 
-        # the closed form needs n >= 2, every cell's smoothness G and a first step below 1/G
+        # the closed form needs n >= 2, every cell's smoothness G and a first step in (0, 1/G)
         analytic = None
         smoothness = [c.smoothness for c in consts]
         step = cfg.eta_grid[0]
         if (cfg.step_rule == "decaying" and n >= 2 and None not in smoothness
-                and step < 1.0 / max(smoothness)):
+                and 0 < step < 1.0 / max(smoothness)):
             analytic = stability.analytic_sgd_stability(lipschitz, max(smoothness), cfg.radius,
                                                         step, n, cfg.iterations)
         row = {"n": n, "beta_hat": beta, "analytic_beta": analytic, "L": lipschitz,

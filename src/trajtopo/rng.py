@@ -12,7 +12,13 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import InvalidInputError
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64), the seeds that name distinct streams."""
+    if not 0 <= int(seed) < 1 << 64:
+        raise InvalidInputError(f"seed {seed} must lie in [0, 2**64)")
 
 
 def _tag_entropy(tag: str) -> int:
@@ -24,7 +30,8 @@ def stream(seed: int, *tags: str) -> np.random.Generator:
     """Return the PCG64 generator for (seed, tags).
 
     The same (seed, tags) pair always yields an identical stream; distinct
-    tags yield statistically independent streams.
+    seeds or tags yield statistically independent streams.
     """
-    entropy = [int(seed) & _MASK64] + [_tag_entropy(t) for t in tags]
+    check_seed(seed)
+    entropy = [int(seed)] + [_tag_entropy(t) for t in tags]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import LossMatrix, Trajectory, csv_text
 from .errors import InvalidInputError, check_fields
-from .rng import stream
+from .rng import check_seed, stream
 from .trainer import (
     PROBE_SIZE,
     Dataset,
@@ -27,6 +27,7 @@ from .trainer import (
     make_task_and_data,
     perturb_dataset,
     projected_sgd_stack,
+    row_sup_distances,
 )
 
 INIT_MODES = ("random_init", "locally_converged")
@@ -41,7 +42,6 @@ def default_injection_count(n: int) -> int:
     return max(1, (50 * n) // 100)
 
 
-_BLOCK_ROWS = 64
 # half-widths of the rings of twin rows that a row compares, outward from its
 # twin step, before it compares the rest of the twin
 _RINGS = (8, 64, 256)
@@ -69,11 +69,9 @@ def _directed_estimate(a: np.ndarray, b: np.ndarray) -> float:
 
     last = b.shape[0] - 1
     twin = np.minimum(np.arange(a.shape[0]), last)
-    # in blocks of rows, so that no temporary is as large as a loss matrix
-    bounds = np.concatenate([
-        np.abs(a[start : start + _BLOCK_ROWS] - b[twin[start : start + _BLOCK_ROWS]]).max(axis=1)
-        for start in range(0, a.shape[0], _BLOCK_ROWS)
-    ])
+    k = min(a.shape[0], b.shape[0])
+    bounds = np.concatenate([row_sup_distances(a[:k], b[:k]),
+                             row_sup_distances(a[k:], np.broadcast_to(b[last], a[k:].shape))])
     best = 0.0
     for i in np.argsort(-bounds, kind="stable"):
         nearest = bounds[i]
@@ -178,6 +176,8 @@ class StabilityConfig:
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise InvalidInputError(f"seeds must be a nonempty list of distinct values, "
                                     f"got {self.seeds}")
+        for seed in self.seeds:
+            check_seed(seed)
         if not 0 <= self.J <= self.n:
             raise InvalidInputError(f"replacement count {self.J} must lie in [0, n = {self.n}]")
         if self.eval_split == "train" and self.J >= self.n:

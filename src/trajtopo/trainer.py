@@ -59,6 +59,8 @@ class SyntheticTask:
     """
 
     kind: str
+    # the gradient-Lipschitz constant G of the loss, where it is known
+    smoothness: float | None = None
 
     def __init__(self, input_dim: int):
         self.input_dim = input_dim
@@ -96,6 +98,7 @@ class QuadraticTask(SyntheticTask):
     """loss(w, z) = ||w - x||^2 / 2 with target x = z[:d]."""
 
     kind = "quadratic"
+    smoothness = 1.0
 
     def stack_gradient(self, w, batches):
         return w - batches[:, :, : self.input_dim].mean(axis=1)
@@ -283,6 +286,22 @@ def _block_rows(row_values: int) -> int:
     """The float64 rows of `row_values` entries each that fill one
     `_CHUNK_BYTES` buffer, and at least one."""
     return max(1, _CHUNK_BYTES // (8 * max(1, row_values)))
+
+
+def row_sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.abs(a - b).max(axis=1)` bit for bit, `b` possibly a broadcast
+    view of `a`'s shape, a block of rows at a time through one scratch
+    buffer of at most `_CHUNK_BYTES` instead of two table-sized temporaries."""
+    out = np.empty(a.shape[0])
+    rows = _block_rows(a.shape[1])
+    scratch = np.empty((min(rows, len(out)), a.shape[1]))
+    for start in range(0, len(out), rows):
+        stop = min(start + rows, len(out))
+        block = scratch[: stop - start]
+        np.subtract(a[start:stop], b[start:stop], out=block)
+        np.abs(block, out=block)
+        block.max(axis=1, out=out[start:stop])
+    return out
 
 
 def _margins_to_losses(table: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -491,3 +491,14 @@ def test_no_module_but_artifacts_writes_a_file():
              if path.name != "artifacts.py"
              for needle in banned if needle in path.read_text(encoding="utf-8")]
     assert found == []
+
+
+def test_write_file_writes_text_as_its_utf8_bytes(tmp_path, monkeypatch):
+    """Text reaches the disk as exactly its UTF-8 bytes, so a report holds
+    the same bytes on every platform and a re-run finds them: no file is
+    opened in text mode, which would turn each newline into `os.linesep`."""
+    monkeypatch.setattr(Path, "write_text", lambda *a, **k: pytest.fail("opened in text mode"))
+    text = "a,b\nç é\r\n\n"
+    write_file(tmp_path / "r.txt", text)
+    assert (tmp_path / "r.txt").read_bytes() == text.encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from trajtopo.bounds import (
     mc_rademacher,
     pmag_bound,
 )
-from trajtopo.errors import InvalidInputError, NumericalFailureError
+from trajtopo.errors import InvalidInputError
+from trajtopo.magnitude import pmag_scale
 from trajtopo.trainer import make_task
 
 
@@ -250,14 +252,32 @@ class TestEstimateConstants:
         assert consts.lipschitz == np.finfo(np.float64).tiny
         assert consts.loss_bound == 2.0
 
-    def test_degenerate_trajectory_rejected(self):
+    def test_motionless_window_gives_tiny_lipschitz(self):
+        """A window whose iterates all coincide has no pair to take a
+        quotient of: its L is the constant-loss value, with the same one
+        warning, and no probe is counted."""
         task = make_task("quadratic", 1)
-        traj = make_trajectory([[0.5], [0.5]], ids=[0, 1])
+        traj = make_trajectory([[0.5], [0.5], [0.5]], ids=[0, 1, 2])
         lm = LossMatrix(
-            values=np.ones((2, 1)), iteration_ids=[0, 1], sample_ids=[0], split="train"
+            values=np.ones((3, 1)), iteration_ids=[0, 1, 2], sample_ids=[0], split="train"
         )
-        with pytest.raises(NumericalFailureError):
-            estimate_constants(task, traj, lm)
+        with pytest.warns(UserWarning, match="smallest positive double") as caught:
+            consts = estimate_constants(task, traj, lm)
+        assert len(caught) == 1
+        assert type(consts.lipschitz) is float
+        assert consts.lipschitz == np.finfo(np.float64).tiny
+        assert consts.probes == 0
+
+    @pytest.mark.parametrize("kind, smoothness", [("quadratic", 1.0),
+                                                  ("logistic_regression", None),
+                                                  ("small_mlp", None)])
+    def test_smoothness_is_the_tasks(self, kind, smoothness):
+        task = make_task(kind, 1)
+        assert task.smoothness == smoothness
+        traj = make_trajectory([[0.0] * task.param_dim, [0.5] * task.param_dim])
+        lm = LossMatrix(values=np.array([[0.5], [0.125]]), iteration_ids=[0, 1], sample_ids=[0],
+                        split="train")
+        assert estimate_constants(task, traj, lm).smoothness == smoothness
 
     def test_requires_two_iterates_and_matching_ids(self):
         task = make_task("quadratic", 1)
@@ -299,3 +319,36 @@ class TestLemmaInequalitiesSmall:
             rhs_p = lemma_rhs_pmag(n, bound, lam, positive_magnitude(dist, lam))
             assert rad <= rhs_e + 1e-12
             assert rad <= rhs_p + 1e-12
+
+
+# each input that the bounds need finite and positive, by the name it has in
+# the paper, with a call that passes it `v` and valid values elsewhere
+_POSITIVE_INPUTS = {
+    "ealpha_bound-beta": (lambda v: ealpha_bound(v, 1.0, 1.0, [1.0]), "beta"),
+    "ealpha_bound-B": (lambda v: ealpha_bound(0.1, v, 1.0, [1.0]), "B"),
+    "ealpha_bound-K": (lambda v: ealpha_bound(0.1, 1.0, v, [1.0]), "K"),
+    "pmag_bound-beta": (lambda v: pmag_bound(v, 1.0, 1.0, [1.0]), "beta"),
+    "pmag_bound-B": (lambda v: pmag_bound(0.1, v, 1.0, [1.0]), "B"),
+    "pmag_bound-lambda": (lambda v: pmag_bound(0.1, 1.0, v, [1.0]), "lambda"),
+    "kn_alpha-L": (lambda v: kn_alpha(10, v, 1.0, 1.0), "L"),
+    "kn_alpha-B": (lambda v: kn_alpha(10, 1.0, v, 1.0), "B"),
+    "lemma_rhs_ealpha-B": (lambda v: lemma_rhs_ealpha(10, v, 1.0, 1.0), "B"),
+    "lemma_rhs_ealpha-K": (lambda v: lemma_rhs_ealpha(10, 1.0, v, 1.0), "K"),
+    "lemma_rhs_pmag-B": (lambda v: lemma_rhs_pmag(10, v, 1.0, 1.0), "B"),
+    "lemma_rhs_pmag-lambda": (lambda v: lemma_rhs_pmag(10, 1.0, v, 1.0), "lambda"),
+    "pmag_scale-lambda": (lambda v: pmag_scale(v, 1.0, 1.0, 1.0), "lambda"),
+    "pmag_scale-L": (lambda v: pmag_scale(1.0, v, 1.0, 1.0), "L"),
+    "pmag_scale-B": (lambda v: pmag_scale(1.0, 1.0, v, 1.0), "B"),
+    "pmag_scale-beta": (lambda v: pmag_scale(1.0, 1.0, 1.0, v), "beta"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call, name", _POSITIVE_INPUTS.values(), ids=_POSITIVE_INPUTS.keys())
+def test_an_input_that_is_not_finite_and_positive_is_named(call, name, value):
+    """NaN and infinities fail the same check as zero and negatives, which
+    names the input and its value, instead of reaching a later check
+    about something else."""
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"{name} must be finite and positive, got {value}")):
+        call(value)

@@ -215,10 +215,10 @@ class TestPipeline:
     def test_numerical_failure_names_the_cell(self, tmp_path):
         from trajtopo.errors import NumericalFailureError
 
-        # a zero learning rate freezes the trajectory, so the empirical
-        # Lipschitz constant is undefined for that cell
-        cfg = small_config(n_grid=[10], seeds=[0], eta_grid=[0.0], stability=None)
-        with pytest.raises(NumericalFailureError, match="quadratic-n10-eta0p0-b1-s0"):
+        # at so small a scale every similarity rounds to 1, so the factor of
+        # that cell's similarity matrix fails
+        cfg = small_config(n_grid=[10], seeds=[0], pmag_scales=[1e-300], stability=None)
+        with pytest.raises(NumericalFailureError, match="quadratic-n10-eta0p05-b1-s0"):
             run_pipeline(cfg, output_dir=tmp_path / "out")
 
 
@@ -689,7 +689,7 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["pmag", "{out}/d", "--scales", "1,inf"], _artifacts(), "scales must be finite"),
         (["pmag", "{out}/d", "--scales", "1e400"], _artifacts(), "scales must be finite"),
         (["pmag", "{out}/d", "--theorem-scale", "1,nan,1,0.5"], _artifacts(),
-         "scales must be finite"),
+         "L must be finite and positive, got nan"),
         (["distmat", "{out}/t", "--out", "{out}/d2", "--dedup-eps", "nan"], _artifacts(),
          "eps must be >= 0, got nan"),
         (["lifetime-sum", "{out}/d", "--alpha", "nan"], _artifacts(),
@@ -754,6 +754,16 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "unrecognized arguments: --n-grid 8 --jobs 2"),
         (["traj-gen", "--n", "5", "--eta", "0.1"], None,
          "the following arguments are required: --out"),
+        (["bound", "--theorem", "pmag", "--beta", "nan", "--loss-bound", "1", "--samples", "2"],
+         None, "beta must be finite and positive, got nan"),
+        (["pmag", "{out}/d", "--theorem-scale", "1,1,1,inf"], _artifacts(),
+         "beta must be finite and positive, got inf"),
+        (["run", "--set", "seeds=[0,18446744073709551616]", "--out", "{out}/run"], None,
+         "config: seed 18446744073709551616 must lie in [0, 2**64)"),
+        (_TRAJ_GEN + ["--seed", "-1"], None, "config: seed -1 must lie in [0, 2**64)"),
+        # the 4-point trajectory is kept whole, so the seed draws nothing
+        (["distmat", "{out}/t", "--out", "{out}/d2", "--subsample", "5", "--seed", "-1"],
+         _artifacts(), "seed -1 must lie in [0, 2**64)"),
     ],
     ids=["bound-without-samples", "bound-samples-and-samples-file", "bound-without-beta",
          "bound-beta-and-stability-report", "pmag-without-scales", "pmag-scales-and-theorem-scale",
@@ -795,7 +805,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "run-stability-j-above-an-n",
          "pmag-theorem-scale-three-values", "stability-three-losses", "stability-without-input",
          "bound-ealpha-n-without-lipschitz", "bound-samples-file-object", "run-without-out",
-         "run-removed-flags", "traj-gen-without-out"],
+         "run-removed-flags", "traj-gen-without-out", "bound-beta-nan",
+         "pmag-theorem-scale-beta-inf", "run-seed-2-to-the-64", "traj-gen-seed-negative",
+         "distmat-seed-negative"],
 )
 def test_cli_misuse_exits_2_with_one_line(tmp_path, capsys, argv, prepare, message):
     out = tmp_path / "out"
@@ -853,16 +865,16 @@ def test_a_stored_file_cut_short_does_not_wedge_the_next_run(tmp_path, capsys, m
     out.mkdir()
     (out / "cfg.json").write_text(json.dumps(_TINY_RUN))
     argv = [a.format(out=out) for a in _RERUN]
-    write_text = Path.write_text
+    write_bytes = Path.write_bytes
 
-    def interrupted(self, data, *args, **kwargs):
+    def interrupted(self, data):
         if cut(self):
-            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            write_bytes(self, data[: len(data) // 2])
             raise KeyboardInterrupt
-        return write_text(self, data, *args, **kwargs)
+        return write_bytes(self, data)
 
     with monkeypatch.context() as patched:
-        patched.setattr(Path, "write_text", interrupted)
+        patched.setattr(Path, "write_bytes", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(argv)
     assert main(argv) == 0
@@ -1016,13 +1028,15 @@ def _misuse_cases():
                        # a duplicated scale would be solved twice in every cell
                        ("pmag_scales", [100, 100.0, 1]),
                        ("loss_bound", math.inf), ("lipschitz", math.nan), ("radius", math.nan),
-                       ("alpha", math.nan)):
+                       ("alpha", math.nan),
+                       # a seed outside 64 bits would draw the stream of another
+                       ("seeds", [0, 2**64]), ("seeds", [-1])):
         name = f"{key}-{value}".replace(" ", "")
         yield pytest.param(_RUN, {**_TINY_RUN, key: value}, id=f"file-{name}")
         yield pytest.param(_RUN + ["--set", f"{key}={json.dumps(value)}"], _TINY_RUN,
                            id=f"set-{name}")
     for key, value in (("step", -1), ("J", -1), ("eval_split", "x"), ("direction", "x"),
-                       ("step", math.nan)):
+                       ("step", math.nan), ("seeds", [2**64])):
         section = {**_TINY_RUN["stability"], key: value}
         yield pytest.param(_RUN, {**_TINY_RUN, "stability": section},
                            id=f"file-stability.{key}-{value}")
@@ -1092,6 +1106,52 @@ def test_decaying_steps_at_n_1_bound_without_the_closed_form(tmp_path):
     assert rows[0]["analytic_beta"] is None
     assert not any(key.endswith("_analytic") for key in rows[0])
     assert rows[1] == alone.bound_rows[0] and rows[1]["analytic_beta"] is not None
+
+
+_ZERO_ETA = {"task": "quadratic", "n_grid": [10], "eta_grid": [0.0], "seeds": [0],
+             "iterations": 20, "input_dim": 2, "subsample": 10}
+_ZERO_ETA_STABILITY = {"J": 2, "seeds": [0], "iterations": 20, "converge_iterations": 0}
+
+
+@pytest.mark.parametrize("changes, bounded", [
+    ({}, False),
+    ({"lipschitz": 1.0, "loss_bound": 1.0}, False),
+    ({"stability": _ZERO_ETA_STABILITY}, False),
+    ({"step_rule": "decaying", "stability": {**_ZERO_ETA_STABILITY, "step": 0.05}}, True),
+], ids=["no-stability", "lipschitz-set", "stability", "decaying-stability-step"])
+def test_a_zero_learning_rate_runs_with_one_degenerate_l_warning(tmp_path, capsys, changes,
+                                                                 bounded):
+    """A window that never moves has no pair of iterates to take L from: its
+    cell's L is the smallest positive double, with one warning, and the run
+    exits 0. Its twin runs at step 0 never part, so only a stability section
+    with a step of its own gives a bound row, without the closed-form β of
+    decaying steps, which needs a first step in (0, 1/G)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_ZERO_ETA, **changes}))
+    with pytest.warns(UserWarning) as caught:
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(caught) == 1 and "smallest positive double" in str(caught[0].message)
+    cell = tmp_path / "out" / "cells" / "quadratic-n10-eta0p0-b1-s0"
+    assert json.loads((cell / "constants.json").read_text())["lipschitz"] == np.finfo(float).tiny
+    rows = json.loads((tmp_path / "out" / "report" / "summary.json").read_text())["bounds"]
+    assert len(rows) == bounded
+    assert all(row["analytic_beta"] is None for row in rows)
+
+
+def test_bound_values_of_a_motionless_window_do_not_depend_on_l(tmp_path):
+    """E^alpha = 0 and PMag = 1 for a window that never moves, so the terms
+    that L scales vanish: the bound row at the smallest positive double as
+    L holds the bound values of the row at a configured L = 1."""
+    doc = {**_ZERO_ETA, "step_rule": "decaying",
+           "stability": {**_ZERO_ETA_STABILITY, "step": 0.05}}
+    with pytest.warns(UserWarning, match="smallest positive double"):
+        (tiny,) = run_pipeline(config_from_dict(doc), tmp_path / "tiny").bound_rows
+        (one,) = run_pipeline(config_from_dict({**doc, "lipschitz": 1.0}),
+                              tmp_path / "one").bound_rows
+    assert (tiny["L"], one["L"]) == (np.finfo(float).tiny, 1.0)
+    assert tiny["theorem_scale"] < one["theorem_scale"]
+    for key in ("beta_hat", "ealpha_bound", "pmag_bound"):
+        assert tiny[key] == one[key]
 
 
 def test_report_of_a_parallel_run_starts_no_worker_pool(tmp_path, capsys, monkeypatch):

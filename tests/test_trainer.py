@@ -1,3 +1,5 @@
+import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from oracles import per_step_sgd, softplus
 from trajtopo import trainer
 from trajtopo.errors import InvalidInputError
+from trajtopo.rng import stream
 from trajtopo.trainer import (
     Dataset,
     SGDConfig,
@@ -607,3 +610,61 @@ class TestMakeTaskAndData:
             estimates.append(estimate_constants(task, traj, lm).lipschitz)
         assert all(np.isfinite(e) and 0 < e < 50 for e in estimates)
         assert max(estimates) <= 5.0 * min(estimates)
+
+
+class TestRowSupDistances:
+    """`row_sup_distances(a, b)` against `np.abs(a - b).max(axis=1)`, bit
+    for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 162, 163, 164, 999])
+    def test_equals_the_whole_table_formula(self, rows, rng):
+        # 400 columns fill a block with 163 rows: one row, a part block, a
+        # whole one, one row past it, and six blocks and a part
+        assert trainer._block_rows(400) == 163
+        a = rng.random((rows, 400))
+        b = rng.random((rows, 400)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        expected = np.abs(a - b).max(axis=1)
+        assert trainer.row_sup_distances(a, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows_b", [1, 5, 299, 300, 301, 700])
+    def test_twin_rows_then_a_broadcast_of_its_last_row(self, rows_b, rng):
+        """The twin bounds of the stability estimator: each row of a table
+        against the twin's row of the same step while the twin lasts, then
+        against a broadcast view of the twin's last row; the twin one row
+        long, shorter, as long or longer."""
+        a, b = rng.random((300, 700)), rng.random((rows_b, 700))
+        k = min(len(a), len(b))
+        got = np.concatenate([
+            trainer.row_sup_distances(a[:k], b[:k]),
+            trainer.row_sup_distances(a[k:], np.broadcast_to(b[-1], a[k:].shape)),
+        ])
+        expected = np.abs(a - b[np.minimum(np.arange(300), rows_b - 1)]).max(axis=1)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_holds_one_block_of_scratch(self, rng):
+        a, b = rng.random((2000, 400)), rng.random((2000, 400))
+        tracemalloc.start()
+        try:
+            out = trainer.row_sup_distances(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + trainer._CHUNK_BYTES + (1 << 16) < a.nbytes
+
+
+class TestSeedStreams:
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**64 + 1])
+    def test_a_seed_outside_64_bits_is_rejected(self, seed):
+        """A seed masked to 64 bits would draw the stream of another seed:
+        2**64 that of 0, and -1 that of 2**64 - 1."""
+        message = re.escape(f"seed {seed} must lie in [0, 2**64)")
+        with pytest.raises(InvalidInputError, match=message):
+            stream(seed, "sgd", "batch")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+    def test_a_seed_in_range_draws_its_documented_stream(self, seed):
+        tags = [int.from_bytes(hashlib.sha256(t.encode()).digest()[:8], "little")
+                for t in ("sgd", "batch")]
+        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *tags])))
+        assert np.array_equal(stream(seed, "sgd", "batch").integers(0, 2**62, 16),
+                              expected.integers(0, 2**62, 16))
