@@ -5,11 +5,10 @@ one thread, except inside `full_threads`, around the magnitude solves,
 where it runs at the thread count the command started with. One thread
 is faster for the program's other products on few cores, and it leaves
 the cores to the pool workers of a run with `jobs > 1`. The solves cannot
-run at one thread: OpenBLAS splits a Cholesky factorization, and a
-matrix-vector product over the whole matrix, among its threads in a way
-that changes the result with the thread count (in the last bits, or
-further on an ill-conditioned matrix). So all of them run at the start
-count, and the pool workers take turns at them. The direct solve's
+run at one thread: OpenBLAS splits a Cholesky factorization among its
+threads in a way that changes the result with the thread count (in the
+last bits, or further on an ill-conditioned matrix). So all of them run
+at the start count, and the pool workers take turns at them. A solve's
 residual is formed in blocks of 64 rows, whose products gave the
 one-thread bits at every count tried (1 to 4).
 

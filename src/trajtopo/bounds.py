@@ -66,6 +66,14 @@ def kn_alpha(n: int, lipschitz: float, loss_bound: float, alpha: float) -> float
     return 2.0 * (2.0 * lipschitz * np.sqrt(n) / loss_bound) ** alpha
 
 
+def _check_samples(samples: np.ndarray, in_range: np.ndarray, message: str) -> None:
+    """Raise InvalidInputError with `message` and the first sample that is
+    out of range or not finite; NaN fails every comparison."""
+    bad = samples[~(in_range & (samples < np.inf))]
+    if bad.size:
+        raise InvalidInputError(f"{message}, got {float(bad[0])}")
+
+
 def ealpha_bound(
     beta: float, loss_bound: float, k_const: float, ealpha_samples: list[float]
 ) -> BoundResult:
@@ -74,8 +82,7 @@ def ealpha_bound(
     samples = np.asarray(ealpha_samples, dtype=np.float64)
     if samples.size == 0:
         raise InvalidInputError("need at least one complexity sample")
-    if (samples < 0).any():
-        raise InvalidInputError("lifetime sums must be nonnegative")
+    _check_samples(samples, samples >= 0, "lifetime sums must be finite and >= 0")
     mean_term = float(np.mean(np.sqrt(2.0 * np.log1p(k_const * samples))))
     value = beta ** (1.0 / 3.0) * (2.0 + 2.0 * loss_bound + 2.0 * loss_bound * mean_term)
     return BoundResult(
@@ -99,8 +106,7 @@ def pmag_bound(
     samples = np.asarray(pmag_samples, dtype=np.float64)
     if samples.size == 0:
         raise InvalidInputError("need at least one complexity sample")
-    if (samples <= 0).any():
-        raise InvalidInputError("magnitude samples must be positive")
+    _check_samples(samples, samples > 0, "magnitude samples must be finite and positive")
     mean_log = float(np.mean(np.log(samples)))
     value = beta ** (1.0 / 3.0) * (
         2.0 + lam * loss_bound + (2.0 * loss_bound / lam) * mean_log
@@ -162,8 +168,8 @@ def lemma_rhs_ealpha(m: int, loss_bound: float, k_const: float, ealpha: float) -
     if m < 1:
         raise InvalidInputError("m must be >= 1")
     check_positive({"B": loss_bound, "K": k_const})
-    if ealpha < 0:
-        raise InvalidInputError("lifetime sum must be nonnegative")
+    if not 0 <= ealpha < np.inf:
+        raise InvalidInputError(f"lifetime sum must be finite and >= 0, got {ealpha}")
     return float(
         loss_bound / np.sqrt(m) + loss_bound * np.sqrt(2.0 * np.log1p(k_const * ealpha) / m)
     )
@@ -177,8 +183,9 @@ def lemma_rhs_pmag(m: int, loss_bound: float, lam: float, pmag_at_scale: float) 
     if m < 1:
         raise InvalidInputError("m must be >= 1")
     check_positive({"B": loss_bound, "lambda": lam})
-    if pmag_at_scale < 1:
-        raise InvalidInputError("positive magnitude of a nonempty space is >= 1")
+    # the positive magnitude of a nonempty space is at least 1
+    if not 1 <= pmag_at_scale < np.inf:
+        raise InvalidInputError(f"positive magnitude must be finite and >= 1, got {pmag_at_scale}")
     return float(lam * loss_bound**2 / (2.0 * m) + np.log(pmag_at_scale) / lam)
 
 

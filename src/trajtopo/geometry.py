@@ -82,8 +82,8 @@ def deduplicate(dist: DistanceMatrix, eps: float) -> DistanceMatrix:
     The greedy scan keeps the first point of every eps-cluster, so all
     pairwise distances in the output exceed eps.
     """
-    if not eps >= 0:
-        raise InvalidInputError(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise InvalidInputError(f"eps must be finite and >= 0, got {eps}")
     m = len(dist)
     # the m zero diagonal entries are the only ones <= eps when no pair is close
     if np.count_nonzero(dist.values <= eps) == m:

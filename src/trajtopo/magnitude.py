@@ -4,9 +4,9 @@ For a distance matrix D and scale s > 0, the similarity matrix is
 Z[a, b] = exp(-s * D[a, b]). The weighting gamma solves Z gamma = 1;
 positive magnitude is the sum of the positive parts of gamma, and plain
 magnitude the full sum. Z is symmetric positive definite for distinct
-Euclidean points, so a Cholesky factorization and a conjugate-gradient
-Krylov solver are both applicable and double-check each other. The
-direct solve holds one m x m buffer: Z is factored in place, and the
+Euclidean points, so gamma comes from a Cholesky factorization with one
+step of iterative refinement when its residual is above the tolerance.
+The solve holds one m x m buffer: Z is factored in place, and the
 residual rebuilds Z from the distances 64 rows at a time.
 """
 
@@ -20,17 +20,14 @@ from . import blas
 from .errors import InvalidInputError, NumericalFailureError, check_positive
 from .geometry import DistanceMatrix
 
-SOLVERS = ("direct", "conjugate_gradient")
 RESIDUAL_TOL = 1e-10
-CG_RELATIVE_TOL = 1e-12
-CG_MAX_ITER_FACTOR = 10
 
 # entries below the smallest positive normal double are flushed to zero,
 # which preserves SPD structure and avoids denormal slowdowns
 _UNDERFLOW = np.finfo(np.float64).tiny
 # exp(x) < tiny / e for x below this cut, so _similarity skips exp there
 _EXP_CUT = float(np.log(_UNDERFLOW)) - 1.0
-# rows of Z rebuilt at a time for the residual of a direct solve
+# rows of Z rebuilt at a time for the residual of a solve
 _RESIDUAL_ROWS = 64
 
 
@@ -46,12 +43,10 @@ def scale_grid(scales) -> tuple[float, ...]:
 
 @dataclass
 class WeightingSolution:
-    """Weighting vector gamma, with solve diagnostics."""
+    """Weighting vector gamma, with its residual ||Z gamma - 1||_inf."""
 
     gamma: np.ndarray
     residual: float
-    solver: str
-    iterations: int
 
     @property
     def magnitude(self) -> float:
@@ -117,71 +112,36 @@ def _solve_direct(z: np.ndarray, dist: DistanceMatrix, s: float,
     return gamma, float(np.abs(r).max())
 
 
-def _solve_cg(z: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, bool]:
-    """Preconditioned conjugate gradient; diag(Z) = 1 makes the Jacobi
-    preconditioner the identity. Returns (x, iterations, converged)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    threshold = CG_RELATIVE_TOL * float(np.linalg.norm(b))
-    for k in range(1, max_iter + 1):
-        zp = z @ p
-        curvature = float(p @ zp)
-        if curvature <= 0:
-            return x, k, False
-        alpha = rr / curvature
-        x += alpha * p
-        r -= alpha * zp
-        rr_new = float(r @ r)
-        if np.sqrt(rr_new) <= threshold:
-            return x, k, True
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return x, max_iter, False
-
-
 def weighting(dist: DistanceMatrix, s: float, solver: str = "direct") -> WeightingSolution:
-    """Solve Z gamma = 1 for the scaled space.
+    """Solve Z gamma = 1 for the scaled space, to a residual
+    ||Z gamma - 1||_inf of at most 1e-10.
 
-    The conjugate-gradient path falls back to the dense factorization when
-    it does not reach its relative-residual target within 10*m iterations,
-    or when its true residual exceeds the tolerance. Either way the returned
-    residual ||Z gamma - 1||_inf is at most 1e-10.
+    `solver` must be "direct", the one solver: the benchmark's tracer reads
+    this argument by name, so the keyword stays until the tracer drops it.
     """
-    if solver not in SOLVERS:
-        raise InvalidInputError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
+    if solver != "direct":
+        raise InvalidInputError(f"unknown solver {solver!r}, expected 'direct'")
     m = len(dist)
     # the diagonal is zero and no entry is negative, so more than m
     # nonpositive entries means a zero off the diagonal
     if np.count_nonzero(dist.values <= 0) > m:
         raise InvalidInputError("distance matrix contains coincident points; deduplicate first")
     z = similarity_matrix(dist, s)
-    b = np.ones(m)
-
-    iterations = 0
-    # a threaded factor or matrix-vector product changes with the thread
-    # count, so every process of a command solves at its start count, and
-    # `jobs` changes no byte
+    # a threaded factor changes with the thread count, so every process of
+    # a command solves at its start count, and `jobs` changes no byte
     with blas.full_threads():
-        if solver == "conjugate_gradient":
-            gamma, iterations, converged = _solve_cg(z, b, CG_MAX_ITER_FACTOR * m)
-            # CG stops on its recursively updated residual; the true one decides
-            residual = float(np.abs(z @ gamma - b).max()) if converged else np.inf
-            if residual <= RESIDUAL_TOL:
-                return WeightingSolution(gamma, residual, solver, iterations)
-        gamma, residual = _solve_direct(z, dist, s, b)
+        gamma, residual = _solve_direct(z, dist, s, np.ones(m))
     if residual > RESIDUAL_TOL:
         raise NumericalFailureError(
             f"weighting residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             "check for near-duplicate points"
         )
-    return WeightingSolution(gamma, residual, "direct", iterations)
+    return WeightingSolution(gamma, residual)
 
 
-def positive_magnitude(dist: DistanceMatrix, s: float, solver: str = "direct") -> float:
+def positive_magnitude(dist: DistanceMatrix, s: float) -> float:
     """Sum of the positive parts of the weighting at scale s."""
-    return weighting(dist, s, solver=solver).pmag
+    return weighting(dist, s).pmag
 
 
 def pmag_scale(lam: float, lipschitz: float, loss_bound: float, beta: float) -> float:

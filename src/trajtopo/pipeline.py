@@ -37,6 +37,7 @@ import hashlib
 import json
 import re
 import time
+import warnings
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -281,9 +282,15 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
         dist = geometry.distance_matrix(sub)
         e_alpha = lifetime.alpha_weighted_lifetime_sum(dist, cfg.alpha)
         pmag = {scale_key(s): magnitude.positive_magnitude(dist, s) for s in cfg.pmag_scales}
-        consts = bounds.estimate_constants(trained.task, trained.window, lm_train)
+        # Python shows a warning once per code location and text, so the
+        # cell id in the text gives each cell's warning a line of its own
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            consts = bounds.estimate_constants(trained.task, trained.window, lm_train)
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"cell {cid}: {exc}") from exc
+    for caught_warning in caught:
+        warnings.warn(f"cell {cid}: {caught_warning.message}", caught_warning.category)
     record = RunRecord(run_id=cid, n=n, eta=eta, batch=batch, seed=seed,
                        gen_gap=analysis.worst_case_gap(lm_train, lm_test), e_alpha=e_alpha,
                        pmag=pmag)

@@ -263,6 +263,48 @@ def reference_solve_direct(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, fl
     return gamma, float(np.abs(r).max())
 
 
+CG_RELATIVE_TOL = 1e-12
+CG_MAX_ITER_FACTOR = 10
+
+
+def conjugate_gradient_solve(z: np.ndarray, b: np.ndarray,
+                             max_iter: int) -> tuple[np.ndarray, int, bool]:
+    """Preconditioned conjugate gradient; diag(Z) = 1 makes the Jacobi
+    preconditioner the identity. Returns (x, iterations, converged)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = float(r @ r)
+    threshold = CG_RELATIVE_TOL * float(np.linalg.norm(b))
+    for k in range(1, max_iter + 1):
+        zp = z @ p
+        curvature = float(p @ zp)
+        if curvature <= 0:
+            return x, k, False
+        alpha = rr / curvature
+        x += alpha * p
+        r -= alpha * zp
+        rr_new = float(r @ r)
+        if np.sqrt(rr_new) <= threshold:
+            return x, k, True
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x, max_iter, False
+
+
+def conjugate_gradient_weighting(dist, s: float) -> tuple[np.ndarray, int, float]:
+    """Z gamma = 1 by conjugate gradient on the reference similarity matrix,
+    within 10 * m iterations: a Krylov solver that shares nothing with
+    `magnitude`'s Cholesky solve. Returns gamma, the iteration count and the
+    true residual ||Z gamma - 1||_inf (CG stops on its recursively updated
+    one), which is inf when the iteration did not converge."""
+    z = reference_similarity_matrix(dist, s)
+    b = np.ones(len(dist))
+    gamma, iterations, converged = conjugate_gradient_solve(z, b, CG_MAX_ITER_FACTOR * len(b))
+    residual = float(np.abs(z @ gamma - b).max()) if converged else np.inf
+    return gamma, iterations, residual
+
+
 def reference_fits(value, hint) -> bool:
     """Whether a decoded JSON value fits the annotation `hint`, dispatched on
     the hint at every value: a class, a union, `list[...]` or

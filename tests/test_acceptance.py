@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import distances_of
-from oracles import exhaustive_lifetime_sum
+from oracles import conjugate_gradient_weighting, exhaustive_lifetime_sum
 from trajtopo.analysis import grid_report, pearson, slope_vs_n, spearman, worst_case_gap
 from trajtopo.artifacts import RunRecord
 from trajtopo.bounds import (
@@ -84,8 +84,9 @@ def test_criterion_1_mst_oracle_equivalence():
 
 
 def test_criterion_2_magnitude_correctness():
-    """Two-point closed form (1e-10), solver agreement (1e-8), and the
-    point-count limit (1e-6)."""
+    """Two-point closed form (1e-10), agreement of the Cholesky weighting
+    with a conjugate-gradient oracle (1e-8), and the point-count limit
+    (1e-6)."""
     rng = np.random.default_rng(202)
     started = time.perf_counter()
 
@@ -102,10 +103,11 @@ def test_criterion_2_magnitude_correctness():
         m = int(rng.integers(2, 201))
         dim = int(rng.integers(2, 6))
         dist = distances_of(rng.standard_normal((m, dim)))
-        direct = weighting(dist, s=2.0, solver="direct")
-        krylov = weighting(dist, s=2.0, solver="conjugate_gradient")
-        rel = np.linalg.norm(krylov.gamma - direct.gamma) / np.linalg.norm(direct.gamma)
-        worst_rel = max(worst_rel, rel)
+        direct = weighting(dist, s=2.0)
+        krylov, _, residual = conjugate_gradient_weighting(dist, 2.0)
+        # an oracle run that does not converge counts as a gap of inf
+        rel = np.linalg.norm(krylov - direct.gamma) / np.linalg.norm(direct.gamma)
+        worst_rel = max(worst_rel, rel if residual <= 1e-10 else np.inf)
 
     worst_limit = 0.0
     for _ in range(10):

@@ -352,3 +352,28 @@ def test_an_input_that_is_not_finite_and_positive_is_named(call, name, value):
     with pytest.raises(InvalidInputError,
                        match=re.escape(f"{name} must be finite and positive, got {value}")):
         call(value)
+
+
+# each complexity input of the bounds, with a call that passes it `v` and
+# valid values elsewhere, and the range its message names
+_COMPLEXITY_INPUTS = {
+    "lemma_rhs_ealpha": (lambda v: lemma_rhs_ealpha(10, 1.0, 1.0, v),
+                         "lifetime sum must be finite and >= 0"),
+    "lemma_rhs_pmag": (lambda v: lemma_rhs_pmag(10, 1.0, 1.0, v),
+                       "positive magnitude must be finite and >= 1"),
+    "ealpha_bound": (lambda v: ealpha_bound(0.1, 1.0, 1.0, [1.0, v]),
+                     "lifetime sums must be finite and >= 0"),
+    "pmag_bound": (lambda v: pmag_bound(0.1, 1.0, 1.0, [1.0, v]),
+                   "magnitude samples must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call, message", _COMPLEXITY_INPUTS.values(),
+                         ids=_COMPLEXITY_INPUTS.keys())
+def test_a_complexity_input_that_is_not_finite_is_named(call, message, value):
+    """A NaN or infinite lifetime sum or magnitude is named, instead of
+    giving a NaN or infinite right-hand side or a bound value that fails a
+    later check about the value."""
+    with pytest.raises(InvalidInputError, match=re.escape(f"{message}, got {value}")):
+        call(value)

@@ -691,7 +691,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["pmag", "{out}/d", "--theorem-scale", "1,nan,1,0.5"], _artifacts(),
          "L must be finite and positive, got nan"),
         (["distmat", "{out}/t", "--out", "{out}/d2", "--dedup-eps", "nan"], _artifacts(),
-         "eps must be >= 0, got nan"),
+         "eps must be finite and >= 0, got nan"),
+        (["distmat", "{out}/t", "--out", "{out}/d2", "--dedup-eps", "inf"], _artifacts(),
+         "eps must be finite and >= 0, got inf"),
         (["lifetime-sum", "{out}/d", "--alpha", "nan"], _artifacts(),
          "alpha must be finite and >= 0, got nan"),
         (["lifetime-sum", "{out}/d", "--alpha", "inf"], _artifacts(),
@@ -756,6 +758,8 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "the following arguments are required: --out"),
         (["bound", "--theorem", "pmag", "--beta", "nan", "--loss-bound", "1", "--samples", "2"],
          None, "beta must be finite and positive, got nan"),
+        (["bound", "--theorem", "pmag", "--beta", "1", "--loss-bound", "1", "--samples", "nan"],
+         None, "magnitude samples must be finite and positive, got nan"),
         (["pmag", "{out}/d", "--theorem-scale", "1,1,1,inf"], _artifacts(),
          "beta must be finite and positive, got inf"),
         (["run", "--set", "seeds=[0,18446744073709551616]", "--out", "{out}/run"], None,
@@ -793,7 +797,7 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "distmat-ids-missing", "distmat-subsample-0", "lifetime-sum-shape-string",
          "pmag-ids-not-integers", "distmat-wrong-role", "pmag-scale-nan", "pmag-scale-inf",
          "pmag-scale-1e400", "pmag-theorem-scale-nan", "distmat-dedup-eps-nan",
-         "lifetime-sum-alpha-nan", "lifetime-sum-alpha-inf", "distmat-schema-version-2",
+         "distmat-dedup-eps-inf", "lifetime-sum-alpha-nan", "lifetime-sum-alpha-inf", "distmat-schema-version-2",
          "distmat-ids-wrong-length", "stability-losses-without-split",
          "bound-samples-file-not-utf8", "bound-samples-file-not-json", "run-config-directory",
          "bound-samples-file-directory", "run-out-existing-file",
@@ -805,7 +809,7 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "run-stability-j-above-an-n",
          "pmag-theorem-scale-three-values", "stability-three-losses", "stability-without-input",
          "bound-ealpha-n-without-lipschitz", "bound-samples-file-object", "run-without-out",
-         "run-removed-flags", "traj-gen-without-out", "bound-beta-nan",
+         "run-removed-flags", "traj-gen-without-out", "bound-beta-nan", "bound-samples-nan",
          "pmag-theorem-scale-beta-inf", "run-seed-2-to-the-64", "traj-gen-seed-negative",
          "distmat-seed-negative"],
 )
@@ -1136,6 +1140,26 @@ def test_a_zero_learning_rate_runs_with_one_degenerate_l_warning(tmp_path, capsy
     rows = json.loads((tmp_path / "out" / "report" / "summary.json").read_text())["bounds"]
     assert len(rows) == bounded
     assert all(row["analytic_beta"] is None for row in rows)
+
+
+def test_each_motionless_cell_gets_a_degenerate_l_warning_naming_it(tmp_path):
+    """Four cells that never move print four warnings under Python's default
+    warning filter, which shows a message once per code location, each
+    naming its cell."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_ZERO_ETA, "n_grid": [10, 20], "seeds": [0, 1]}))
+    src = Path(pipeline.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajtopo", "run", "--config", str(cfg), "--out",
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    warned = [line for line in proc.stderr.splitlines() if "UserWarning" in line]
+    assert len(warned) == 4, proc.stderr
+    cells = sorted(p.name for p in (tmp_path / "out" / "cells").iterdir())
+    assert len(cells) == 4
+    for cid, line in zip(cells, sorted(warned)):
+        assert f"cell {cid}: " in line and "smallest positive double" in line
 
 
 def test_bound_values_of_a_motionless_window_do_not_depend_on_l(tmp_path):
