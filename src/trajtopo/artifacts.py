@@ -230,7 +230,7 @@ class LossMatrix:
 @dataclass
 class RunRecord:
     """Summary of one training run: hyperparameters, generalization gap,
-    and trajectory complexity statistics."""
+    trajectory complexity statistics, and its window's empirical L and B."""
 
     run_id: str
     n: int
@@ -240,10 +240,14 @@ class RunRecord:
     gen_gap: float
     e_alpha: float
     pmag: dict[str, float]
+    lipschitz: float
+    loss_bound: float
 
     def __post_init__(self) -> None:
         if self.e_alpha < 0 or any(v < 0 for v in self.pmag.values()):
             raise InvalidInputError("complexity statistics must be nonnegative")
+        if self.lipschitz <= 0 or self.loss_bound <= 0:
+            raise InvalidInputError("lipschitz and loss_bound must be positive")
 
 
 def join_ids(ids: np.ndarray) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from .artifacts import LossMatrix, Trajectory
 from .errors import InvalidInputError, check_positive
 from .rng import stream
-from .trainer import SyntheticTask, row_sup_distances
+from .trainer import row_sup_distances
 
 EXHAUSTIVE_LIMIT = 20
 _SIGN_CHUNK = 1 << 14
@@ -25,21 +25,15 @@ _SIGN_CHUNK = 1 << 14
 
 @dataclass
 class ConstantsEstimate:
-    """Loss regularity constants: Lipschitz L, bound B, smoothness G."""
+    """A window's empirical Lipschitz constant L and loss bound B, which a
+    grid cell keeps in its `RunRecord`; G is the task's `smoothness`."""
 
     lipschitz: float
     loss_bound: float
-    smoothness: float | None = None
-    source: str = "user_supplied"
-    probes: int = 0
 
     def __post_init__(self) -> None:
         if self.lipschitz <= 0 or self.loss_bound <= 0:
             raise InvalidInputError("constants must be positive")
-        if self.smoothness is not None and self.smoothness <= 0:
-            raise InvalidInputError("smoothness must be positive when given")
-        if self.source not in ("user_supplied", "empirical"):
-            raise InvalidInputError(f"unknown source {self.source!r}")
 
 
 @dataclass
@@ -106,7 +100,8 @@ def pmag_bound(
     samples = np.asarray(pmag_samples, dtype=np.float64)
     if samples.size == 0:
         raise InvalidInputError("need at least one complexity sample")
-    _check_samples(samples, samples > 0, "magnitude samples must be finite and positive")
+    # the positive magnitude of a nonempty space is at least 1
+    _check_samples(samples, samples >= 1, "magnitude samples must be finite and >= 1")
     mean_log = float(np.mean(np.log(samples)))
     value = beta ** (1.0 / 3.0) * (
         2.0 + lam * loss_bound + (2.0 * loss_bound / lam) * mean_log
@@ -189,9 +184,7 @@ def lemma_rhs_pmag(m: int, loss_bound: float, lam: float, pmag_at_scale: float) 
     return float(lam * loss_bound**2 / (2.0 * m) + np.log(pmag_at_scale) / lam)
 
 
-def estimate_constants(
-    task: SyntheticTask, traj: Trajectory, losses: LossMatrix
-) -> ConstantsEstimate:
+def estimate_constants(traj: Trajectory, losses: LossMatrix) -> ConstantsEstimate:
     """Empirical L (difference quotients along the trajectory) and B (max loss).
 
     The Lipschitz estimate is a lower bound on the true constant; consecutive
@@ -212,10 +205,4 @@ def estimate_constants(
         warnings.warn("the window never moves or its loss is constant along it, so the "
                       f"empirical L is 0; L is set to the smallest positive double, {lipschitz!r}",
                       stacklevel=2)
-    return ConstantsEstimate(
-        lipschitz=lipschitz,
-        loss_bound=float(losses.values.max()),
-        smoothness=task.smoothness,
-        source="empirical",
-        probes=int(usable.sum()) * losses.values.shape[1],
-    )
+    return ConstantsEstimate(lipschitz=lipschitz, loss_bound=float(losses.values.max()))

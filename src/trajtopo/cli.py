@@ -118,8 +118,11 @@ def cmd_traj_gen(args: argparse.Namespace) -> int:
 
 def cmd_distmat(args: argparse.Namespace) -> int:
     traj = load_trajectory(args.trajectory)
-    if args.subsample is not None:
-        traj = geometry.subsample_uniform(traj, args.subsample, args.seed)
+    if args.subsample is None:
+        _reject_unread({"--seed": args.seed}, "without --subsample")
+    else:
+        seed = 0 if args.seed is None else args.seed
+        traj = geometry.subsample_uniform(traj, args.subsample, seed)
     dist = geometry.distance_matrix(traj, args.dedup_eps)
     save_distance_matrix(dist, args.out)
     print(json.dumps({"points": len(dist), "out": str(args.out)}, sort_keys=True))
@@ -206,6 +209,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.theorem == "ealpha":
         _reject_unread({"--lambda": args.lam}, "by --theorem ealpha")
         if args.k_const is not None:
+            _reject_unread({"--lipschitz": args.lipschitz, "--n": args.n, "--alpha": args.alpha},
+                           "with --k-const")
             k_const = args.k_const
         elif args.lipschitz is not None and args.n is not None:
             alpha = 1.0 if args.alpha is None else args.alpha
@@ -279,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trajectory", help="trajectory artifact stem")
     p.add_argument("--out", required=True, help="output artifact stem")
     p.add_argument("--subsample", type=int, help="uniform subsample size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="subsample seed (default 0); needs --subsample")
     p.add_argument("--dedup-eps", type=float, help="duplicate threshold (default: relative)")
     p.set_defaults(func=cmd_distmat)
 
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lipschitz", type=float, help="Lipschitz constant L")
     p.add_argument("--n", type=int, help="sample count (for the lifetime-sum constant)")
     p.add_argument("--alpha", type=float, help="lifetime-sum exponent (default 1.0)")
-    p.add_argument("--k-const", type=float, help="lifetime-sum constant, overrides --lipschitz/--n")
+    p.add_argument("--k-const", type=float, help="constant K in place of --lipschitz, --n, --alpha")
     p.add_argument("--lambda", dest="lam", type=float, help="magnitude-bound lambda (default 1.0)")
     samples = p.add_mutually_exclusive_group(required=True)
     samples.add_argument("--samples", help="comma-separated complexity samples")

@@ -15,20 +15,21 @@ A re-run into the same directory reuses what a config that shapes it the
 same way stored, and recomputes the rest:
 - a cell, when `cells/<id>/fingerprint` holds the SHA-256 of every config
   field that shapes the cell (all but `UNFINGERPRINTED`) with its own
-  (n, eta, batch, seed);
+  (n, eta, batch, seed) and the `CELL_LAYOUT` of its files;
 - a stability report, stored as `stability/<SHA-256 of its
   StabilityConfig>.json`;
 - a cell's PMag at the theorem scale, when `cells/<id>/theorem_pmag.json`
   holds it at the scale of the bound that is due.
 
-The cell stage writes each cell's record, constants, trajectory and
-fingerprint once; the bounds stage alone writes `theorem_pmag.json`. Each
+The cell stage writes each cell's record (its empirical L and B included),
+trajectory and fingerprint once; the bounds stage alone writes
+`theorem_pmag.json`, and reads no other cell file but a trajectory. Each
 run then writes `run.json`, from which `trajtopo report` runs the pipeline
 again with every one of these reuses required to hit. Every file goes
 through `artifacts.write_file`, which replaces it whole, so an interrupted
 run leaves no stored file cut short, and a `run` removes the `*.partial`
-files that one left where runs write. The report stage removes a report file only
-under a name that some run writes and this config does not.
+files that one left where runs write. The report stage removes a report
+file only under a name that some run writes and this config does not.
 """
 
 from __future__ import annotations
@@ -178,6 +179,9 @@ def scale_key(s: float) -> str:
 # stability and bounds stages alone; and where and how the run executes.
 UNFINGERPRINTED = ("n_grid", "eta_grid", "batch_grid", "seeds", "stability", "theorem_lambda",
                    "lipschitz", "loss_bound", "output_dir", "jobs")
+# the layout of a cell's files, in its fingerprint: a cell of an older layout
+# misses once and trains again, never half read (2: L and B in `record.json`)
+CELL_LAYOUT = 2
 THEOREM_PMAG = "theorem_pmag.json"
 RUN_MANIFEST = "run.json"
 # where a run writes, so where an interrupted one may leave `*.partial` files
@@ -262,20 +266,17 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
     that shape it.
 
     Without `trained`, the record that `compute_cells` found stored under
-    the fingerprint is loaded and returned, less any theorem-scale value
-    that an older version stored in it. Otherwise the trained cell is
-    finished: its window is subsampled, its complexity values, constants
-    and generalization gap computed, and its record, subsampled trajectory,
-    constants and fingerprint written, the fingerprint last, so that an
+    the fingerprint is loaded and returned. Otherwise the trained cell is
+    finished: its window is subsampled, its complexity values, empirical L
+    and B and generalization gap computed, and its record, subsampled
+    trajectory and fingerprint written, the fingerprint last, so that an
     interrupted write is never reused.
     """
     cid = cell_id(cfg.task, n, eta, batch, seed)
     cell_dir = Path(out_dir) / "cells" / cid
     record_path = cell_dir / "record.json"
     if trained is None:
-        record = read_record(RunRecord, record_path, "run record")
-        record.pmag.pop(THEOREM_KEY, None)
-        return CellResult(record=record, skipped=True)
+        return CellResult(record=read_record(RunRecord, record_path, "run record"), skipped=True)
     try:
         lm_train, lm_test = trained.loss_matrices()
         sub = geometry.subsample_uniform(trained.window, cfg.subsample, seed)
@@ -286,20 +287,19 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
         # cell id in the text gives each cell's warning a line of its own
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            consts = bounds.estimate_constants(trained.task, trained.window, lm_train)
+            consts = bounds.estimate_constants(trained.window, lm_train)
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"cell {cid}: {exc}") from exc
     for caught_warning in caught:
         warnings.warn(f"cell {cid}: {caught_warning.message}", caught_warning.category)
     record = RunRecord(run_id=cid, n=n, eta=eta, batch=batch, seed=seed,
                        gen_gap=analysis.worst_case_gap(lm_train, lm_test), e_alpha=e_alpha,
-                       pmag=pmag)
+                       pmag=pmag, lipschitz=consts.lipschitz, loss_bound=consts.loss_bound)
     cell_dir.mkdir(parents=True, exist_ok=True)
     fingerprint_path = cell_dir / "fingerprint"
     for stale in (fingerprint_path, cell_dir / THEOREM_PMAG):
         stale.unlink(missing_ok=True)
     save_trajectory(sub, cell_dir / "trajectory")
-    write_record(consts, cell_dir / "constants.json")
     write_record(record, record_path)
     write_file(fingerprint_path, fingerprint + "\n")
     return CellResult(record=record, skipped=False)
@@ -323,7 +323,7 @@ def compute_cells(cfg: ExperimentConfig, eta: float, batch: int, cells: list[tup
     cell_dirs = {(n, seed): Path(out_dir) / "cells" / cell_id(cfg.task, n, eta, batch, seed)
                  for n, seed in cells}
     fingerprints = {(n, seed): _fingerprint(shaping | {"n": n, "eta": eta, "batch": batch,
-                                                       "seed": seed})
+                                                       "seed": seed, "layout": CELL_LAYOUT})
                     for n, seed in cells}
     stale = [c for c in cells
              if not ((cell_dirs[c] / "record.json").exists()
@@ -425,36 +425,34 @@ def _bounds_stage(
     """One row per stability report with a positive mean β̂: both bounds at
     β̂, and as `*_analytic` at the closed-form β of `decaying` steps where
     that applies and is positive. L and B are the configured values, else
-    the largest over the sample size's cells. Each bounded record gets its
-    PMag at the theorem scale in memory, for the reports, solved from its
-    stored trajectory unless stored at that scale; a run removes the stored
-    value of every other record."""
+    the largest over the sample size's records; G is the task's. Each
+    bounded record gets its PMag at the theorem scale in memory, for the
+    reports, solved from its stored trajectory unless stored at that scale;
+    a run removes the stored value of every other record."""
     rows: list[dict] = []
+    # the closed form needs n >= 2, the task's smoothness G and a first step in (0, 1/G)
+    smoothness = trainer.make_task(cfg.task, cfg.input_dim, cfg.hidden).smoothness
+    step = cfg.eta_grid[0]
+    closed_form = (cfg.step_rule == "decaying" and smoothness is not None
+                   and 0 < step < 1.0 / smoothness)
     for report in stab_reports:
         n, beta = report.n, report.mean
         if beta <= 0:
             # the bounds need a positive stability coefficient
             continue
         group = [r for r in records if r.n == n]
-        consts = [read_record(bounds.ConstantsEstimate,
-                              out_dir / "cells" / r.run_id / "constants.json", "constants")
-                  for r in group]
         # a configured constant is positive, so `or` takes it when given
-        lipschitz = cfg.lipschitz or max(c.lipschitz for c in consts)
-        loss_bound = cfg.loss_bound or max(c.loss_bound for c in consts)
+        lipschitz = cfg.lipschitz or max(r.lipschitz for r in group)
+        loss_bound = cfg.loss_bound or max(r.loss_bound for r in group)
         k_const = bounds.kn_alpha(n, lipschitz, loss_bound, cfg.alpha)
         s_theorem = magnitude.pmag_scale(cfg.theorem_lambda, lipschitz, loss_bound, beta)
         for r in group:
             r.pmag[THEOREM_KEY] = _theorem_pmag(out_dir / "cells" / r.run_id, s_theorem, reuse_only)
 
-        # the closed form needs n >= 2, every cell's smoothness G and a first step in (0, 1/G)
         analytic = None
-        smoothness = [c.smoothness for c in consts]
-        step = cfg.eta_grid[0]
-        if (cfg.step_rule == "decaying" and n >= 2 and None not in smoothness
-                and 0 < step < 1.0 / max(smoothness)):
-            analytic = stability.analytic_sgd_stability(lipschitz, max(smoothness), cfg.radius,
-                                                        step, n, cfg.iterations)
+        if closed_form and n >= 2:
+            analytic = stability.analytic_sgd_stability(lipschitz, smoothness, cfg.radius, step,
+                                                        n, cfg.iterations)
         row = {"n": n, "beta_hat": beta, "analytic_beta": analytic, "L": lipschitz,
                "B": loss_bound, "alpha": cfg.alpha, "K": k_const, "lambda": cfg.theorem_lambda,
                "theorem_scale": s_theorem}

@@ -244,7 +244,7 @@ def _probe_set(
         return data_perturbed.take(keep)
     start = cfg.J
     if start + m > pool.n:
-        raise InvalidInputError("pool too small for validation probes")
+        raise InvalidInputError("pool too small for the validation probe set")
     return pool.take(np.arange(start, start + m))
 
 
@@ -253,7 +253,7 @@ def _twin_runs(cfg: StabilityConfig,
     """Every seed's twin runs, in seed order, and its probe set. The
     `locally_converged` warm-ups of all seeds train as one stack, and then
     all twin runs as one; the training data is not kept."""
-    datasets, probes = [], []
+    datasets, probe_sets = [], []
     for seed in cfg.seeds:
         _, data, pool = make_task_and_data(
             cfg.task, cfg.n, cfg.input_dim, seed,
@@ -261,14 +261,14 @@ def _twin_runs(cfg: StabilityConfig,
         )
         perturbed = perturb_dataset(data, pool, cfg.J, seed)
         datasets += [data, perturbed]
-        probes.append(_probe_set(cfg, seed, perturbed, pool, pool.ids[: cfg.J]))
+        probe_sets.append(_probe_set(cfg, seed, perturbed, pool, pool.ids[: cfg.J]))
 
     sgds = [cfg.sgd_config(seed) for seed in cfg.seeds]
     if cfg.init_mode == "locally_converged":
         warm = projected_sgd_stack(task, datasets[::2],
                                    [cfg.sgd_config(seed, warmup=True) for seed in cfg.seeds], keep=1)
         sgds = [replace(sgd, w0=run.points[0]) for sgd, run in zip(sgds, warm)]
-    return projected_sgd_stack(task, datasets, [sgd for sgd in sgds for _ in range(2)]), probes
+    return projected_sgd_stack(task, datasets, [sgd for sgd in sgds for _ in range(2)]), probe_sets
 
 
 def run_stability_experiment(cfg: StabilityConfig) -> StabilityReport:
@@ -280,9 +280,9 @@ def run_stability_experiment(cfg: StabilityConfig) -> StabilityReport:
     seed's probe set, seed by seed.
     """
     task = make_task(cfg.task, cfg.input_dim, cfg.hidden)
-    twins, probes = _twin_runs(cfg, task)
+    twins, probe_sets = _twin_runs(cfg, task)
     raw = []
-    for i, probe in enumerate(probes):
+    for i, probe in enumerate(probe_sets):
         losses_a = loss_matrix(task, twins[2 * i], probe, "probe")
         losses_b = loss_matrix(task, twins[2 * i + 1], probe, "probe")
         raw.append(estimate_stability(losses_a, losses_b,

@@ -46,7 +46,7 @@ from .rng import stream
 TASK_KINDS = ("quadratic", "logistic_regression", "small_mlp")
 STEP_RULES = ("constant", "decaying")
 # the most samples a probe set holds: each split of a grid cell's loss
-# matrices, and each seed's probes in a stability experiment
+# matrices, and each seed's probe set in a stability experiment
 PROBE_SIZE = 500
 
 
@@ -553,7 +553,7 @@ def make_task_and_data(
     Generator: standard normal targets for the quadratic task; Gaussian
     class-conditional features (mean +/- class_sep/sqrt(d) per coordinate,
     noise scale `noise`) with labels in {-1, +1} for the classifiers. The
-    pool holds max(n, 600) held-out samples for test risks, probes, injections.
+    pool holds max(n, 600) held-out samples for test risks, probe sets, injections.
     """
     if n < 1:
         raise InvalidInputError("need at least one training sample")

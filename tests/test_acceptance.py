@@ -271,6 +271,7 @@ def test_criterion_7_slope_growth():
                     records.append(RunRecord(
                         run_id=f"{kind}-{n}-{eta}-{seed}", n=n, eta=eta, batch=1,
                         seed=seed, gen_gap=gap, e_alpha=e1, pmag={"100.0": 1.0},
+                        lipschitz=1.0, loss_bound=1.0,
                     ))
         trend = slope_vs_n(grid_report(records, "e_alpha").per_n_stats)
         passing += trend.increasing_fraction >= 2.0 / 3.0

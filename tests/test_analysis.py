@@ -31,6 +31,7 @@ def record(n, gap, e_alpha, pmag=None, seed=0):
     return RunRecord(
         run_id=f"n{n}-s{seed}", n=n, eta=0.1, batch=1, seed=seed,
         gen_gap=gap, e_alpha=e_alpha, pmag=pmag or {"100.0": max(e_alpha, 1.0)},
+        lipschitz=1.0, loss_bound=1.0,
     )
 
 

@@ -28,7 +28,7 @@ from trajtopo.artifacts import (
     write_file,
     write_record,
 )
-from trajtopo.bounds import BoundResult, ConstantsEstimate
+from trajtopo.bounds import BoundResult
 from trajtopo.errors import InvalidInputError, UnsupportedVersionError, from_json_object
 from trajtopo.geometry import DistanceMatrix, load_distance_matrix, save_distance_matrix
 from trajtopo.pipeline import ExperimentConfig, TheoremPMag, load_config
@@ -170,7 +170,7 @@ class TestDomainTypes:
     def test_run_record_roundtrip(self):
         record = RunRecord(
             run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.25,
-            e_alpha=1.5, pmag={"100.0": 7.0},
+            e_alpha=1.5, pmag={"100.0": 7.0}, lipschitz=2.0, loss_bound=1.5,
         )
         back = from_json_object(RunRecord, json.loads(record_json(record)), "run record")
         assert back == record
@@ -178,9 +178,11 @@ class TestDomainTypes:
     def test_run_record_from_json_checks_types(self):
         good = json.loads(record_json(RunRecord(
             run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.25,
-            e_alpha=1.5, pmag={"100.0": 7.0},
+            e_alpha=1.5, pmag={"100.0": 7.0}, lipschitz=2.0, loss_bound=1.5,
         )))
-        for bad in ({"pmag": {"100.0": "x"}}, {"pmag": [7.0]}, {"n": 2.5}, {"gen_gap": None}):
+        for bad in ({"pmag": {"100.0": "x"}}, {"pmag": [7.0]}, {"n": 2.5}, {"gen_gap": None},
+                    {"lipschitz": "x"}, {"loss_bound": None}, {"lipschitz": 0.0},
+                    {"loss_bound": -1.0}):
             with pytest.raises(InvalidInputError):
                 from_json_object(RunRecord, {**good, **bad}, "run record")
         with pytest.raises(InvalidInputError, match="lacks"):
@@ -190,7 +192,7 @@ class TestDomainTypes:
         with pytest.raises(InvalidInputError):
             RunRecord(
                 run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=0.0,
-                e_alpha=-1.0, pmag={},
+                e_alpha=-1.0, pmag={}, lipschitz=1.0, loss_bound=1.0,
             )
 
 
@@ -321,14 +323,10 @@ _CONFIG = ExperimentConfig(n_grid=[8], pmag_scales=[100.0, 1.0], lipschitz=2.0,
 _STORED = {
     "run-record": (
         RunRecord(run_id="r", n=10, eta=0.1, batch=1, seed=3, gen_gap=-0.25, e_alpha=1.5,
-                  pmag={"100.0": 7.0, "1.0": 2.0, "theorem": 3.0}),
+                  pmag={"100.0": 7.0, "1.0": 2.0, "theorem": 3.0}, lipschitz=2.0, loss_bound=1.5),
         _layout({"run_id": "r", "n": 10, "eta": 0.1, "batch": 1, "seed": 3, "gen_gap": -0.25,
-                 "e_alpha": 1.5, "pmag": {"1.0": 2.0, "100.0": 7.0, "theorem": 3.0}})),
-    "constants": (
-        ConstantsEstimate(lipschitz=2.0, loss_bound=1.5, smoothness=None, source="empirical",
-                          probes=4),
-        _layout({"lipschitz": 2.0, "loss_bound": 1.5, "smoothness": None, "source": "empirical",
-                 "probes": 4})),
+                 "e_alpha": 1.5, "pmag": {"1.0": 2.0, "100.0": 7.0, "theorem": 3.0},
+                 "lipschitz": 2.0, "loss_bound": 1.5})),
     "stability-report": (_REPORT, stability_report_json(_REPORT)),
     "bound-result": (_BOUND, bound_result_json(_BOUND)),
     "theorem-pmag": (TheoremPMag(scale=2.5, pmag=1.25), _layout({"scale": 2.5, "pmag": 1.25})),

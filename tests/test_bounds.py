@@ -101,6 +101,17 @@ class TestPmagBound:
         with pytest.raises(InvalidInputError):
             pmag_bound(1.0, 1.0, 1.0, [0.0])
 
+    @pytest.mark.parametrize("below", [0.5, 1.0 - 2**-53, 0.0, -1.0])
+    def test_a_sample_below_one_is_named(self, below):
+        """The positive magnitude of a nonempty space is at least 1, as
+        `lemma_rhs_pmag` requires: a sample below 1 would pull the bound
+        under its value at PMag = 1."""
+        assert pmag_bound(1.0, 1.0, 1.0, [1.0]).value == 3.0
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"magnitude samples must be finite and >= 1, "
+                                           f"got {below}")):
+            pmag_bound(1.0, 1.0, 1.0, [2.0, below])
+
     def test_monotone_and_cube_root(self):
         base = pmag_bound(0.2, 1.5, 1.0, [2.0, 4.0]).value
         assert pmag_bound(0.3, 1.5, 1.0, [2.0, 4.0]).value > base
@@ -203,15 +214,11 @@ class TestLemmaRhs:
 
 class TestEstimateConstants:
     def test_hand_computed_quadratic(self):
-        task = make_task("quadratic", 1)
         traj = make_trajectory([[0.0], [0.5]])
         values = np.array([[0.5], [0.125]])
         lm = LossMatrix(values=values, iteration_ids=[0, 1], sample_ids=[0], split="train")
-        consts = estimate_constants(task, traj, lm)
-        assert consts.lipschitz == 0.75
-        assert consts.loss_bound == 0.5
-        assert consts.source == "empirical"
-        assert consts.smoothness == 1.0
+        consts = estimate_constants(traj, lm)
+        assert consts == ConstantsEstimate(lipschitz=0.75, loss_bound=0.5)
 
     @pytest.mark.parametrize("jump", [None, 0, 162, 163, 326, 980, 998])
     def test_lipschitz_equals_the_whole_table_formula(self, jump, rng):
@@ -234,20 +241,19 @@ class TestEstimateConstants:
         steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
         usable = steps >= 1e-12
         expected = np.abs(np.diff(values, axis=0)).max(axis=1)[usable] / steps[usable]
-        got = estimate_constants(make_task("logistic_regression", 3), traj, lm)
+        got = estimate_constants(traj, lm)
         assert got.lipschitz.hex() == float(expected.max()).hex()
         if jump is not None:
             assert expected.argmax() + (jump > 10) + (jump > 499) == jump
 
     def test_constant_losses_give_tiny_lipschitz(self):
-        task = make_task("quadratic", 1)
         traj = make_trajectory([[0.0], [1.0]])
         lm = LossMatrix(
             values=np.full((2, 3), 2.0), iteration_ids=[0, 1],
             sample_ids=[0, 1, 2], split="train",
         )
         with pytest.warns(UserWarning, match="smallest positive double"):
-            consts = estimate_constants(task, traj, lm)
+            consts = estimate_constants(traj, lm)
         assert type(consts.lipschitz) is float
         assert consts.lipschitz == np.finfo(np.float64).tiny
         assert consts.loss_bound == 2.0
@@ -255,41 +261,34 @@ class TestEstimateConstants:
     def test_motionless_window_gives_tiny_lipschitz(self):
         """A window whose iterates all coincide has no pair to take a
         quotient of: its L is the constant-loss value, with the same one
-        warning, and no probe is counted."""
-        task = make_task("quadratic", 1)
+        warning."""
         traj = make_trajectory([[0.5], [0.5], [0.5]], ids=[0, 1, 2])
         lm = LossMatrix(
             values=np.ones((3, 1)), iteration_ids=[0, 1, 2], sample_ids=[0], split="train"
         )
         with pytest.warns(UserWarning, match="smallest positive double") as caught:
-            consts = estimate_constants(task, traj, lm)
+            consts = estimate_constants(traj, lm)
         assert len(caught) == 1
         assert type(consts.lipschitz) is float
         assert consts.lipschitz == np.finfo(np.float64).tiny
-        assert consts.probes == 0
 
     @pytest.mark.parametrize("kind, smoothness", [("quadratic", 1.0),
                                                   ("logistic_regression", None),
                                                   ("small_mlp", None)])
     def test_smoothness_is_the_tasks(self, kind, smoothness):
-        task = make_task(kind, 1)
-        assert task.smoothness == smoothness
-        traj = make_trajectory([[0.0] * task.param_dim, [0.5] * task.param_dim])
-        lm = LossMatrix(values=np.array([[0.5], [0.125]]), iteration_ids=[0, 1], sample_ids=[0],
-                        split="train")
-        assert estimate_constants(task, traj, lm).smoothness == smoothness
+        """The closed-form β takes G from the task, where it is known."""
+        assert make_task(kind, 1).smoothness == smoothness
 
     def test_requires_two_iterates_and_matching_ids(self):
-        task = make_task("quadratic", 1)
         lm = LossMatrix(values=np.ones((1, 1)), iteration_ids=[0], sample_ids=[0], split="train")
         with pytest.raises(InvalidInputError):
-            estimate_constants(task, make_trajectory([[0.0]]), lm)
+            estimate_constants(make_trajectory([[0.0]]), lm)
 
     def test_constants_validation(self):
         with pytest.raises(InvalidInputError):
             ConstantsEstimate(lipschitz=0.0, loss_bound=1.0)
         with pytest.raises(InvalidInputError):
-            ConstantsEstimate(lipschitz=1.0, loss_bound=1.0, source="guessed")
+            ConstantsEstimate(lipschitz=1.0, loss_bound=0.0)
 
 
 class TestLemmaInequalitiesSmall:
@@ -364,7 +363,7 @@ _COMPLEXITY_INPUTS = {
     "ealpha_bound": (lambda v: ealpha_bound(0.1, 1.0, 1.0, [1.0, v]),
                      "lifetime sums must be finite and >= 0"),
     "pmag_bound": (lambda v: pmag_bound(0.1, 1.0, 1.0, [1.0, v]),
-                   "magnitude samples must be finite and positive"),
+                   "magnitude samples must be finite and >= 1"),
 }
 
 

@@ -1,7 +1,9 @@
 import ast
+import builtins
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -120,8 +122,8 @@ class TestPipeline:
 
     def test_rerun_with_another_lambda_rewrites_only_theorem_pmag(self, tmp_path):
         """Each file under `cells/` has one writer: a re-run that changes only
-        `theorem_lambda` leaves every record, constants file, trajectory and
-        fingerprint as the cell stage wrote it, and rewrites every
+        `theorem_lambda` leaves every record, trajectory and fingerprint as
+        the cell stage wrote it, and rewrites every
         `theorem_pmag.json` at the new scale."""
         out = tmp_path / "out"
 
@@ -132,8 +134,8 @@ class TestPipeline:
         before = cell_files()
         run_pipeline(small_config(theorem_lambda=2.0), output_dir=out)
         after = cell_files()
-        assert {p.name for p in before} == {"record.json", "constants.json", "trajectory.json",
-                                            "trajectory.bin", "fingerprint", pipeline.THEOREM_PMAG}
+        assert {p.name for p in before} == {"record.json", "trajectory.json", "trajectory.bin",
+                                            "fingerprint", pipeline.THEOREM_PMAG}
         assert after.keys() == before.keys()
         assert sorted(p for p in before if after[p] != before[p]) == sorted(
             out.glob(f"cells/*/{pipeline.THEOREM_PMAG}"))
@@ -591,11 +593,11 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["stability", "--config", "{out}/stab.json"],
          _json_file("stab.json", {"n": 5, "J": 5, **_STABILITY_REST}),
          "J = 5 must be below n = 5 with eval_split 'train'"),
-        # the validation probes are pool samples J to J + 500 of a 600-sample pool
+        # the validation probe set is pool samples J to J + 500 of a 600-sample pool
         (["stability", "--config", "{out}/stab.json"],
          _json_file("stab.json", {"n": 600, "J": 101, "eval_split": "validation",
                                   **_STABILITY_REST}),
-         "pool too small for validation probes"),
+         "pool too small for the validation probe set"),
         (["bound", "--theorem", "pmag", "--beta", "0.05", "--loss-bound", "1",
           "--samples-file", "{out}/samples.json"], _json_file("samples.json", ["a"]),
          "samples file"),
@@ -626,13 +628,15 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "lacks ['gen_gap']"),
         (_RERUN, _finished_run("cells/*/record.json", lambda d: d.pop("gen_gap")),
          "lacks ['gen_gap']"),
-        (_RERUN, _finished_run("cells/*/constants.json", lambda d: d.pop("lipschitz")),
+        (_RERUN, _finished_run("cells/*/record.json", lambda d: d.pop("lipschitz")),
          "lacks ['lipschitz']"),
         (["report", "{out}"],
          _finished_run("cells/*/record.json", lambda d: d.update(gen_gap=None)),
          "record.json 'gen_gap' must be float, got None"),
-        (_RERUN, _finished_run("cells/*/constants.json", lambda d: d.update(lipschitz="x")),
-         "constants.json 'lipschitz' must be float, got 'x'"),
+        (_RERUN, _finished_run("cells/*/record.json", lambda d: d.update(loss_bound="x")),
+         "record.json 'loss_bound' must be float, got 'x'"),
+        (["report", "{out}"], _finished_run("cells/*/record.json", lambda d: d.update(lipschitz=0)),
+         "record.json: lipschitz and loss_bound must be positive"),
         (["report", "{out}"], _finished_run("stability/*.json", lambda d: d.update(mean=None)),
          f"stability report {_TINY_STABILITY} 'mean' must be float, got None"),
         (["report", "{out}"],
@@ -759,7 +763,15 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
         (["bound", "--theorem", "pmag", "--beta", "nan", "--loss-bound", "1", "--samples", "2"],
          None, "beta must be finite and positive, got nan"),
         (["bound", "--theorem", "pmag", "--beta", "1", "--loss-bound", "1", "--samples", "nan"],
-         None, "magnitude samples must be finite and positive, got nan"),
+         None, "magnitude samples must be finite and >= 1, got nan"),
+        # PMag = 1, the least positive magnitude of a nonempty space, gives 3.0
+        (["bound", "--theorem", "pmag", "--beta", "1", "--loss-bound", "1", "--samples", "0.5"],
+         None, "magnitude samples must be finite and >= 1, got 0.5"),
+        (["bound", "--theorem", "ealpha", "--beta", "1", "--loss-bound", "1", "--samples", "1",
+          "--k-const", "2", "--lipschitz", "5", "--n", "10", "--alpha", "0.5"], None,
+         "--lipschitz and --n and --alpha not read with --k-const"),
+        (["distmat", "{out}/t", "--out", "{out}/d2", "--seed", "7"], _artifacts(),
+         "--seed not read without --subsample"),
         (["pmag", "{out}/d", "--theorem-scale", "1,1,1,inf"], _artifacts(),
          "beta must be finite and positive, got inf"),
         (["run", "--set", "seeds=[0,18446744073709551616]", "--out", "{out}/run"], None,
@@ -782,8 +794,9 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "traj-gen-iterations-0", "traj-gen-unknown-task", "report-run-json-scales-strings",
          "report-run-json-scales-empty", "report-run-json-task-int",
          "report-stability-cache-without-mean", "report-record-without-gen-gap",
-         "rerun-record-without-gen-gap", "rerun-constants-without-lipschitz",
-         "report-record-gen-gap-null", "rerun-constants-lipschitz-string",
+         "rerun-record-without-gen-gap", "rerun-record-without-lipschitz",
+         "report-record-gen-gap-null", "rerun-record-loss-bound-string",
+         "report-record-lipschitz-zero",
          "report-stability-cache-mean-null", "report-record-e-alpha-negative",
          "report-record-not-json", "report-record-not-utf8", "rerun-stability-cache-not-json",
          "rerun-stability-cache-not-utf8", "rerun-stability-cache-mean-string",
@@ -810,6 +823,8 @@ _STABILITY_REST = {"task": "quadratic", "seeds": [0], "input_dim": 2, "iteration
          "pmag-theorem-scale-three-values", "stability-three-losses", "stability-without-input",
          "bound-ealpha-n-without-lipschitz", "bound-samples-file-object", "run-without-out",
          "run-removed-flags", "traj-gen-without-out", "bound-beta-nan", "bound-samples-nan",
+         "bound-samples-below-1", "bound-k-const-with-lipschitz-n-alpha",
+         "distmat-seed-without-subsample",
          "pmag-theorem-scale-beta-inf", "run-seed-2-to-the-64", "traj-gen-seed-negative",
          "distmat-seed-negative"],
 )
@@ -886,42 +901,58 @@ def test_a_stored_file_cut_short_does_not_wedge_the_next_run(tmp_path, capsys, m
     assert tree_digest(out, ("report",)) == tree_digest(tmp_path / "fresh", ("report",))
 
 
-def _as_older_directory(out: Path) -> None:
-    """Give a finished run's cells the layout of earlier versions, which kept
-    the theorem-scale PMag in `record.json` under `THEOREM_KEY` and its scale
-    in `theorem_scale.json`."""
-    for path in out.glob(f"cells/*/{pipeline.THEOREM_PMAG}"):
-        theorem = json.loads(path.read_text())
-        record_path = path.parent / "record.json"
-        record = from_json_object(RunRecord, json.loads(record_path.read_text()), "run record")
-        record.pmag[THEOREM_KEY] = theorem["pmag"]
-        record_path.write_text(record_json(record))
-        scale = json.dumps({"scale": theorem["scale"]}) + "\n"
-        (path.parent / "theorem_scale.json").write_text(scale)
-        path.unlink()
+def _as_older_directory(out: Path, cfg: ExperimentConfig, theorem_in_record: bool) -> None:
+    """Give the cells of a finished run of `cfg` the layout of earlier
+    versions: each kept its L and B in `constants.json` (with the task's G,
+    a `source` and a `probes` count), not in `record.json`, under a
+    fingerprint without the cell layout. With `theorem_in_record`, the
+    layout before that also kept the theorem-scale PMag in `record.json`
+    under `THEOREM_KEY` and its scale in `theorem_scale.json`."""
+    shaping = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+               if f.name not in pipeline.UNFINGERPRINTED}
+    for record_path in out.glob("cells/*/record.json"):
+        record = json.loads(record_path.read_text())
+        constants = {"lipschitz": record.pop("lipschitz"), "loss_bound": record.pop("loss_bound"),
+                     "smoothness": 1.0, "source": "empirical", "probes": 60}
+        (record_path.parent / "constants.json").write_text(json.dumps(constants, indent=2) + "\n")
+        theorem_path = record_path.parent / pipeline.THEOREM_PMAG
+        if theorem_in_record and theorem_path.exists():
+            theorem = json.loads(theorem_path.read_text())
+            record["pmag"][THEOREM_KEY] = theorem["pmag"]
+            scale = json.dumps({"scale": theorem["scale"]}) + "\n"
+            (record_path.parent / "theorem_scale.json").write_text(scale)
+            theorem_path.unlink()
+        record_path.write_text(json.dumps(record, indent=2) + "\n")
+        cell = {k: record[k] for k in ("n", "eta", "batch", "seed")}
+        (record_path.parent / "fingerprint").write_text(
+            pipeline._fingerprint(shaping | cell) + "\n")
     shutil.rmtree(out / "report")
 
 
 @pytest.mark.parametrize("section", [SMALL["stability"], None],
                          ids=["with-stability", "without-stability"])
 def test_directory_of_an_older_version_migrates_on_its_next_run(tmp_path, capsys, section):
-    """An older directory misses once in `report`, which names the new file.
-    A `run` then trains nothing and writes the `report/` of a fresh run, and
-    `report` hits again. A theorem-scale value stored in a record never
-    reaches a report: without a stability section no theorem CSV appears."""
-    cfg, old = small_config(stability=section), tmp_path / "old"
+    """A directory of an older layout, whose records lack L and B, is never
+    half read: `report` misses once, naming a cell's fingerprint. A `run`
+    then trains every cell again and writes the `report/` of a fresh run,
+    and `report` hits after it. A theorem-scale value stored in an older
+    record never reaches a report: without a stability section no theorem
+    CSV appears."""
+    cfg = small_config(stability=section)
     run_pipeline(cfg, output_dir=tmp_path / "fresh")
-    run_pipeline(small_config(), output_dir=old)
-    _as_older_directory(old)
-    capsys.readouterr()
-    assert main(["report", str(old)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert f"{pipeline.THEOREM_PMAG} is missing or from another config" in err
-    assert run_pipeline(cfg, output_dir=old).computed == 0
-    assert tree_digest(old, ("report",)) == tree_digest(tmp_path / "fresh", ("report",))
-    assert main(["report", str(old), "--out", str(tmp_path / "again")]) == 0
-    assert (old / "report" / "grid_pmag_theorem_scale.csv").exists() == (section is not None)
+    for theorem_in_record in (False, True):
+        old = tmp_path / f"old-{theorem_in_record}"
+        run_pipeline(small_config(), output_dir=old)
+        _as_older_directory(old, cfg, theorem_in_record)
+        capsys.readouterr()
+        assert main(["report", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.search(r"cells/[^/]+/fingerprint is missing or from another config", err)
+        assert run_pipeline(cfg, output_dir=old).computed == 4
+        assert tree_digest(old, ("report",)) == tree_digest(tmp_path / "fresh", ("report",))
+        assert main(["report", str(old), "--out", str(tmp_path / "again")]) == 0
+        assert (old / "report" / "grid_pmag_theorem_scale.csv").exists() == (section is not None)
 
 
 # every argument the CLI reads a file through; {p} is the file, {out} holds
@@ -1136,7 +1167,7 @@ def test_a_zero_learning_rate_runs_with_one_degenerate_l_warning(tmp_path, capsy
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert len(caught) == 1 and "smallest positive double" in str(caught[0].message)
     cell = tmp_path / "out" / "cells" / "quadratic-n10-eta0p0-b1-s0"
-    assert json.loads((cell / "constants.json").read_text())["lipschitz"] == np.finfo(float).tiny
+    assert json.loads((cell / "record.json").read_text())["lipschitz"] == np.finfo(float).tiny
     rows = json.loads((tmp_path / "out" / "report" / "summary.json").read_text())["bounds"]
     assert len(rows) == bounded
     assert all(row["analytic_beta"] is None for row in rows)
@@ -1292,7 +1323,7 @@ def test_fingerprints_cover_every_config_field(tmp_path, monkeypatch):
     run_pipeline(config_from_dict(_TINY_RUN), output_dir=tmp_path / "out")
     cell_doc, stability_doc = docs
     config_fields = {f.name for f in fields(ExperimentConfig)}
-    assert set(cell_doc) == set(_SHAPING_FIELDS) | {"n", "eta", "batch", "seed"}
+    assert set(cell_doc) == set(_SHAPING_FIELDS) | {"n", "eta", "batch", "seed", "layout"}
     assert set(_SHAPING_FIELDS) | set(pipeline.UNFINGERPRINTED) == config_fields
     assert set(_SHAPING_FIELDS).isdisjoint(pipeline.UNFINGERPRINTED)
     assert set(_BOUND_FIELDS) <= set(pipeline.UNFINGERPRINTED)
@@ -1359,10 +1390,10 @@ def test_help_prints_usage_and_exits_0(capsys):
 
 
 def test_cell_and_summary_files_roundtrip_byte_identical(tmp_path):
-    """Every record, constants file, theorem-scale PMag and summary stability
-    entry that a run with stability writes reads back through its typed
-    reader and writes the same bytes again. The theorem-scale value lives
-    in its own file, not in the record."""
+    """Every record, theorem-scale PMag and summary stability entry that a
+    run with stability writes reads back through its typed reader and
+    writes the same bytes again. The theorem-scale value lives in its own
+    file, not in the record."""
     out = tmp_path / "out"
     run_pipeline(small_config(), output_dir=out)
     records = sorted(out.glob("cells/*/record.json"))
@@ -1372,9 +1403,6 @@ def test_cell_and_summary_files_roundtrip_byte_identical(tmp_path):
         record = from_json_object(RunRecord, json.loads(text), "run record")
         assert THEOREM_KEY not in record.pmag
         assert record_json(record) == text
-        constants_path = path.parent / "constants.json"
-        constants = read_record(bounds.ConstantsEstimate, constants_path, "constants")
-        assert json.dumps(asdict(constants), indent=2) + "\n" == constants_path.read_text()
         theorem_path = path.parent / pipeline.THEOREM_PMAG
         theorem = from_json_object(pipeline.TheoremPMag, json.loads(theorem_path.read_text()),
                                    "theorem PMag")
@@ -1503,22 +1531,67 @@ def test_traced_run_and_stage_chain(tmp_path, capsys):
 
 
 def test_analytic_rows_follow_cell_smoothness(tmp_path):
-    """With decaying steps the bounds stage adds closed-form rows when every
-    cell's constants carry a smoothness G and the first step is below 1/G:
-    the quadratic task's G = 1 at eta 0.05 qualifies, a stored G of 20 not."""
-    out = tmp_path / "out"
-
-    def bound_rows():
-        run_pipeline(small_config(step_rule="decaying"), output_dir=out)
+    """With decaying steps the bounds stage adds closed-form rows when the
+    task has a smoothness G and the first step is below 1/G: the quadratic
+    task's G = 1 at eta 0.05 qualifies, at eta 1.5 not, and the logistic
+    task, whose G is not known, never does."""
+    def bound_rows(**changes):
+        out = tmp_path / ("-".join(map(str, changes.values())) or "default")
+        run_pipeline(small_config(step_rule="decaying", **changes), output_dir=out)
         rows = json.loads((out / "report" / "summary.json").read_text())["bounds"]
         assert len(rows) == 2
         return rows
 
     assert all(r["analytic_beta"] > 0 and "pmag_bound_analytic" in r for r in bound_rows())
-    for path in out.glob("cells/*/constants.json"):
-        path.write_text(json.dumps({**json.loads(path.read_text()), "smoothness": 20.0}))
-    assert all(r["analytic_beta"] is None and "pmag_bound_analytic" not in r
-               for r in bound_rows())
+    for changes in ({"eta_grid": [1.5]}, {"task": "logistic_regression"}):
+        assert all(r["analytic_beta"] is None and "pmag_bound_analytic" not in r
+                   for r in bound_rows(**changes))
+
+
+def test_bound_rows_take_l_and_b_from_the_records_of_their_n(tmp_path):
+    """A row's L and B are the largest of its sample size's records, unless
+    the config sets them; either configured constant wins on its own."""
+    result = run_pipeline(small_config(), output_dir=tmp_path / "out")
+    assert len(result.bound_rows) == 2
+    for row in result.bound_rows:
+        group = [r for r in result.records if r.n == row["n"]]
+        assert len(group) == 2
+        assert row["L"] == max(r.lipschitz for r in group)
+        assert row["B"] == max(r.loss_bound for r in group)
+    for key, name in (("lipschitz", "L"), ("loss_bound", "B")):
+        rows = run_pipeline(small_config(**{key: 7.5}), output_dir=tmp_path / key).bound_rows
+        assert [row[name] for row in rows] == [7.5, 7.5]
+        other = "B" if name == "L" else "L"
+        assert [row[other] for row in rows] == [row[other] for row in result.bound_rows]
+
+
+def test_bounds_stage_opens_no_cell_file_but_theorem_pmag(tmp_path, monkeypatch):
+    """The bounds stage takes L, B and the complexity values from the
+    records and G from the task: of a cell's files it opens only
+    `theorem_pmag.json`, and the trajectory when that misses."""
+    out, opened = tmp_path / "out", []
+    real_open, real_stage = io.open, pipeline._bounds_stage
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(os.fsdecode(file)))
+        return real_open(file, *args, **kwargs)
+
+    def stage(*args, **kwargs):
+        with monkeypatch.context() as patched:
+            patched.setattr(io, "open", recording_open)
+            patched.setattr(builtins, "open", recording_open)
+            return real_stage(*args, **kwargs)
+
+    run_pipeline(small_config(), output_dir=out)
+    cells = sorted(p.parent for p in out.glob("cells/*/record.json"))
+    monkeypatch.setattr(pipeline, "_bounds_stage", stage)
+    run_pipeline(small_config(), output_dir=out)
+    assert sorted(opened) == [cell / pipeline.THEOREM_PMAG for cell in cells]
+    opened.clear()
+    run_pipeline(small_config(theorem_lambda=2.0), output_dir=out)
+    assert {p.parent for p in opened} == set(cells)
+    assert {p.name for p in opened} == {pipeline.THEOREM_PMAG, "trajectory.json",
+                                        "trajectory.bin", f"{pipeline.THEOREM_PMAG}.partial"}
 
 
 def test_alpha_outside_unit_interval_without_stability_section():

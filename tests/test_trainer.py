@@ -607,7 +607,7 @@ class TestMakeTaskAndData:
             cfg = SGDConfig(radius=2.0, step=0.2, iterations=80, seed=seed)
             traj = projected_sgd(task, data, cfg)
             lm = loss_matrix(task, traj, data, "train")
-            estimates.append(estimate_constants(task, traj, lm).lipschitz)
+            estimates.append(estimate_constants(traj, lm).lipschitz)
         assert all(np.isfinite(e) and 0 < e < 50 for e in estimates)
         assert max(estimates) <= 5.0 * min(estimates)
 
