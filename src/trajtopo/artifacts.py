@@ -145,7 +145,11 @@ def read_json_object(path: str | Path, what: str = "config") -> dict:
 
 
 def write_artifact(manifest: ArtifactManifest, matrix: np.ndarray, path: str | Path) -> None:
-    """Write ``<path>.json`` and ``<path>.bin`` for a finite 2-D matrix."""
+    """Write ``<path>.json`` and ``<path>.bin`` for a finite 2-D matrix.
+
+    Unless both already hold their bytes, the old manifest is removed
+    first and the new one written last, so that an interrupted write
+    leaves no manifest beside a payload it does not describe."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if list(matrix.shape) != manifest.shape:
         raise InvalidInputError(
@@ -153,8 +157,14 @@ def write_artifact(manifest: ArtifactManifest, matrix: np.ndarray, path: str | P
         )
     if not np.isfinite(matrix).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    write_record(manifest, f"{path}.json")
-    write_file(f"{path}.bin", memoryview(np.ascontiguousarray(matrix, dtype="<f8")))
+    manifest_path, payload_path = Path(f"{path}.json"), Path(f"{path}.bin")
+    text = record_json(manifest).encode("utf-8")
+    payload = memoryview(np.ascontiguousarray(matrix, dtype="<f8")).cast("B")
+    if _holds(manifest_path, memoryview(text)) and _holds(payload_path, payload):
+        return
+    manifest_path.unlink(missing_ok=True)
+    write_file(payload_path, payload)
+    write_file(manifest_path, text)
 
 
 def read_artifact(path: str | Path, role: str) -> tuple[ArtifactManifest, np.ndarray]:

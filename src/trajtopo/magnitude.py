@@ -6,8 +6,16 @@ positive magnitude is the sum of the positive parts of gamma, and plain
 magnitude the full sum. Z is symmetric positive definite for distinct
 Euclidean points, so gamma comes from a Cholesky factorization with one
 step of iterative refinement when its residual is above the tolerance.
-The solve holds one m x m buffer: Z is factored in place, and the
-residual rebuilds Z from the distances 64 rows at a time.
+
+The solve holds one m x m buffer. It is Z with every entry below 2^-511
+zeroed, not only those below the smallest normal double (`tiny`), as in
+`similarity_matrix`: the product of two kept entries is then a normal
+number, and the factorization multiplies no subnormals, which are slow.
+A dropped entry changes Z gamma by at most m * 2^-511 * max|gamma|, far
+below the residual tolerance. LAPACK factors the buffer in place, in its
+lower triangle and diagonal; the strict upper triangle still holds Z, and
+Z's diagonal is 1, so the residual copies Z's rows out of the buffer 64 at
+a time.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ RESIDUAL_TOL = 1e-10
 # entries below the smallest positive normal double are flushed to zero,
 # which preserves SPD structure and avoids denormal slowdowns
 _UNDERFLOW = np.finfo(np.float64).tiny
-# exp(x) < tiny / e for x below this cut, so _similarity skips exp there
-_EXP_CUT = float(np.log(_UNDERFLOW)) - 1.0
-# rows of Z rebuilt at a time for the residual of a solve
+# the entries of the factored buffer are zero below this floor, so that
+# the product of two of them is at least tiny
+_FACTOR_FLOOR = 2.0 ** -511
+# rows of Z copied at a time for the residual of a solve
 _RESIDUAL_ROWS = 64
 
 
@@ -57,44 +66,59 @@ class WeightingSolution:
         return float(np.maximum(self.gamma, 0.0).sum())
 
 
-def _similarity(values: np.ndarray, s: float) -> np.ndarray:
-    """exp(-s * values) in a new array, with the entries below tiny zero."""
-    # exp in the same buffer, skipped below the cut, where numpy's exp is
-    # slow; the flush zeroes a skipped entry as it would its exp, an
-    # overflowing -s*d (-inf) included
+def _similarity(dist: DistanceMatrix, s: float, floor: float) -> np.ndarray:
+    """exp(-s * D) in a new array, with the entries below `floor` zero."""
+    if not 0 < s < np.inf:
+        raise InvalidInputError(f"scale must be finite and > 0, got {s}")
+    # exp in the same buffer, skipped where it is below floor / e, where
+    # numpy's exp is slow; the flush zeroes a skipped entry as it would its
+    # exp, an overflowing -s*d (-inf) included
     with np.errstate(over="ignore"):
-        z = np.multiply(values, -s)
-    np.exp(z, out=z, where=z >= _EXP_CUT)
-    z[z < _UNDERFLOW] = 0.0
+        z = np.multiply(dist.values, -s)
+    np.exp(z, out=z, where=z >= float(np.log(floor)) - 1.0)
+    z[z < floor] = 0.0
     return z
 
 
 def similarity_matrix(dist: DistanceMatrix, s: float) -> np.ndarray:
-    if not 0 < s < np.inf:
-        raise InvalidInputError(f"scale must be finite and > 0, got {s}")
-    return _similarity(dist.values, s)
+    """Z at scale s, with the entries below tiny zero."""
+    return _similarity(dist, s, _UNDERFLOW)
 
 
-def _residual(dist: DistanceMatrix, s: float, gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - Z gamma, with Z rebuilt from the distances 64 rows at a time: its
-    buffer holds the factor by then, and a 64-row product gives the bits of
-    the one-thread product (see `blas`)."""
+def _residual(z: np.ndarray, gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - Z gamma, for the buffer `z` after `dpotrf`, 64 rows of Z at a
+    time: a row's entries right of the diagonal are the buffer's, those
+    left of it the buffer's column above the diagonal, and its diagonal
+    entry is 1. A 64-row product gives the bits of the one-thread product
+    (see `blas`)."""
+    m = len(b)
     r = np.empty_like(b)
-    for start in range(0, len(b), _RESIDUAL_ROWS):
-        rows = slice(start, start + _RESIDUAL_ROWS)
-        r[rows] = b[rows] - _similarity(dist.values[rows], s) @ gamma
+    block = np.empty((min(_RESIDUAL_ROWS, m), m))
+    for start in range(0, m, _RESIDUAL_ROWS):
+        stop = min(start + _RESIDUAL_ROWS, m)
+        rows = block[: stop - start]
+        rows[:, start:] = z[start:stop, start:]
+        rows[:, :start] = z[:start, start:stop].T
+        # the square on the diagonal holds the factor below its diagonal
+        square = rows[:, start:stop]
+        upper = np.triu(square, 1)
+        np.add(upper, upper.T, out=square)
+        np.fill_diagonal(square, 1.0)
+        r[start:stop] = b[start:stop] - rows @ gamma
     return r
 
 
 def _solve_direct(z: np.ndarray, dist: DistanceMatrix, s: float,
                   b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky solve of Z gamma = b, for Z = similarity_matrix(dist, s) in
-    `z`; returns gamma and its residual ||Z gamma - b||_inf.
+    """Cholesky solve of Z gamma = b, for the similarity matrix of `dist`
+    at scale `s` in `z`; returns gamma and its residual ||Z gamma - b||_inf.
+    The solve reads Z from `z` alone; `dist` and `s` define the system, so
+    that a reference solve can take this one's place.
 
     Z is finite, and exactly symmetric because its distances are, so LAPACK
     factors z.T, its Fortran-ordered view, with no finiteness checks; it is
     factored in place, so `z` holds the factor of `scipy.linalg.cho_factor`
-    afterwards, and the residual rebuilds Z's rows from `dist`."""
+    afterwards, and the residual copies Z's rows out of it."""
     from scipy.linalg.lapack import dpotrf, dpotrs
 
     factor, info = dpotrf(z.T, lower=0, clean=0, overwrite_a=1)
@@ -104,11 +128,11 @@ def _solve_direct(z: np.ndarray, dist: DistanceMatrix, s: float,
             "duplicate points survived deduplication or the distances are not Euclidean"
         )
     gamma = dpotrs(factor, b)[0]
-    r = _residual(dist, s, gamma, b)
+    r = _residual(z, gamma, b)
     if np.abs(r).max() > RESIDUAL_TOL:
         # one step of iterative refinement with the existing factorization
         gamma = gamma + dpotrs(factor, r)[0]
-        r = _residual(dist, s, gamma, b)
+        r = _residual(z, gamma, b)
     return gamma, float(np.abs(r).max())
 
 
@@ -126,7 +150,7 @@ def weighting(dist: DistanceMatrix, s: float, solver: str = "direct") -> Weighti
     # nonpositive entries means a zero off the diagonal
     if np.count_nonzero(dist.values <= 0) > m:
         raise InvalidInputError("distance matrix contains coincident points; deduplicate first")
-    z = similarity_matrix(dist, s)
+    z = _similarity(dist, s, _FACTOR_FLOOR)
     # a threaded factor changes with the thread count, so every process of
     # a command solves at its start count, and `jobs` changes no byte
     with blas.full_threads():

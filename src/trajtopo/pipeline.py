@@ -11,6 +11,17 @@ evaluate both generalization bounds. Reports are assembled
 deterministically: two runs with the same config produce byte-identical
 CSV/JSON outputs.
 
+The cell stage runs in two phases around the stability stage, so that
+each cell's distance matrix is built once per run. Phase A trains each
+stack, computes each fresh cell's loss tables, gap, L and B, writes its
+subsample and frees the tables. The stability stage then gives each
+sample size its theorem scale, which needs β and the largest L and B of
+that n's cells. Phase B reads each fresh cell's subsample back, builds
+its distances once, and computes from them E^α, the configured PMags and
+the PMag at the theorem scale; a stored cell that lacks the last at the
+new scale goes through phase B for it alone. The bounds stage is then
+arithmetic over the records.
+
 A re-run into the same directory reuses what a config that shapes it the
 same way stored, and recomputes the rest:
 - a cell, when `cells/<id>/fingerprint` holds the SHA-256 of every config
@@ -21,15 +32,18 @@ same way stored, and recomputes the rest:
 - a cell's PMag at the theorem scale, when `cells/<id>/theorem_pmag.json`
   holds it at the scale of the bound that is due.
 
-The cell stage writes each cell's record (its empirical L and B included),
-trajectory and fingerprint once; the bounds stage alone writes
-`theorem_pmag.json`, and reads no other cell file but a trajectory. Each
-run then writes `run.json`, from which `trajtopo report` runs the pipeline
-again with every one of these reuses required to hit. Every file goes
-through `artifacts.write_file`, which replaces it whole, so an interrupted
-run leaves no stored file cut short, and a `run` removes the `*.partial`
-files that one left where runs write. The report stage removes a report
-file only under a name that some run writes and this config does not.
+Phase A writes a fresh cell's trajectory, after removing its fingerprint
+and `theorem_pmag.json`. Phase B writes its record (its empirical L and B
+included), then `theorem_pmag.json`, then the fingerprint last. Of a
+stored cell's files it writes only `theorem_pmag.json`, when that lacks
+the scale due, and removes it when the cell's n has no bound row. The
+bounds stage opens no file. Each run then writes `run.json`, from which
+`trajtopo report` runs the pipeline again with every one of these reuses
+required to hit. Every file goes through `artifacts.write_file`, which
+replaces it whole, so an interrupted run leaves no stored file cut short,
+and a `run` removes the `*.partial` files that one left where runs write.
+The report stage removes a report file only under a name that some run
+writes and this config does not.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +233,20 @@ class TheoremPMag:
 
 
 @dataclass
+class CellStats:
+    """A cell trained in this run, after phase A: its sample size, its
+    generalization gap, its window's empirical L and B, and the fingerprint
+    that phase B writes once it has finished the record from the stored
+    subsample."""
+
+    n: int
+    gen_gap: float
+    lipschitz: float
+    loss_bound: float
+    fingerprint: str
+
+
+@dataclass
 class CellResult:
     record: RunRecord
     skipped: bool
@@ -260,29 +289,17 @@ def train_cells(cfg: ExperimentConfig, eta: float, batch: int,
             for (_, seed), (data, pool), window in zip(cells, datasets, windows)]
 
 
-def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int, out_dir: str,
-                 fingerprint: str, trained: TrainedCell | None = None) -> CellResult:
-    """One grid cell under `fingerprint`, the SHA-256 of the config fields
-    that shape it.
-
-    Without `trained`, the record that `compute_cells` found stored under
-    the fingerprint is loaded and returned. Otherwise the trained cell is
-    finished: its window is subsampled, its complexity values, empirical L
-    and B and generalization gap computed, and its record, subsampled
-    trajectory and fingerprint written, the fingerprint last, so that an
-    interrupted write is never reused.
-    """
+def prepare_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int, out_dir: str,
+                 fingerprint: str, trained: TrainedCell) -> CellStats:
+    """Phase A of a trained cell under `fingerprint`, the SHA-256 of the
+    config fields that shape it: its gap and empirical L and B from the loss
+    tables of its window, and its subsampled trajectory written, after its
+    stored fingerprint and `THEOREM_PMAG` are removed, so that the cell
+    stays a miss until phase B finishes it. The tables are freed on return."""
     cid = cell_id(cfg.task, n, eta, batch, seed)
     cell_dir = Path(out_dir) / "cells" / cid
-    record_path = cell_dir / "record.json"
-    if trained is None:
-        return CellResult(record=read_record(RunRecord, record_path, "run record"), skipped=True)
     try:
         lm_train, lm_test = trained.loss_matrices()
-        sub = geometry.subsample_uniform(trained.window, cfg.subsample, seed)
-        dist = geometry.distance_matrix(sub)
-        e_alpha = lifetime.alpha_weighted_lifetime_sum(dist, cfg.alpha)
-        pmag = {scale_key(s): magnitude.positive_magnitude(dist, s) for s in cfg.pmag_scales}
         # Python shows a warning once per code location and text, so the
         # cell id in the text gives each cell's warning a line of its own
         with warnings.catch_warnings(record=True) as caught:
@@ -292,36 +309,34 @@ def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: in
         raise NumericalFailureError(f"cell {cid}: {exc}") from exc
     for caught_warning in caught:
         warnings.warn(f"cell {cid}: {caught_warning.message}", caught_warning.category)
-    record = RunRecord(run_id=cid, n=n, eta=eta, batch=batch, seed=seed,
-                       gen_gap=analysis.worst_case_gap(lm_train, lm_test), e_alpha=e_alpha,
-                       pmag=pmag, lipschitz=consts.lipschitz, loss_bound=consts.loss_bound)
     cell_dir.mkdir(parents=True, exist_ok=True)
-    fingerprint_path = cell_dir / "fingerprint"
-    for stale in (fingerprint_path, cell_dir / THEOREM_PMAG):
+    for stale in (cell_dir / "fingerprint", cell_dir / THEOREM_PMAG):
         stale.unlink(missing_ok=True)
-    save_trajectory(sub, cell_dir / "trajectory")
-    write_record(record, record_path)
-    write_file(fingerprint_path, fingerprint + "\n")
-    return CellResult(record=record, skipped=False)
+    save_trajectory(geometry.subsample_uniform(trained.window, cfg.subsample, seed),
+                    cell_dir / "trajectory")
+    return CellStats(n=n, gen_gap=analysis.worst_case_gap(lm_train, lm_test),
+                     lipschitz=consts.lipschitz, loss_bound=consts.loss_bound,
+                     fingerprint=fingerprint)
 
 
-def compute_cells(cfg: ExperimentConfig, eta: float, batch: int, cells: list[tuple[int, int]],
-                  out_dir: str, reuse_only: bool = False) -> list[tuple[CellResult, float]]:
-    """The cells (n, eta, batch, seed) of the (n, seed) pairs `cells` in
-    that order, each with its seconds.
+def prepare_cells(cfg: ExperimentConfig, eta: float, batch: int, cells: list[tuple[int, int]],
+                  out_dir: str,
+                  reuse_only: bool = False) -> list[tuple[RunRecord | CellStats, float]]:
+    """Phase A of the cells (n, eta, batch, seed) of the (n, seed) pairs
+    `cells` in that order, each with its seconds.
 
     A cell whose record exists under the fingerprint of the config is read
     back, which makes re-runs cheap and idempotent. The others, whatever
-    their n, train as one stack, and `compute_cell` finishes each; with
-    `reuse_only`, such a cell is an InvalidInputError instead. A numerical
-    failure names the first failing cell in the order of `cells`, after the
-    cells before it are finished, as a run of one cell at a time would. A
-    trained cell's seconds include an equal share of the stack's training
-    time.
+    their n, train as one stack, and `prepare_cell` takes each through
+    phase A; with `reuse_only`, such a cell is an InvalidInputError
+    instead. A numerical failure names the first failing cell in the order
+    of `cells`, after the cells before it are finished without a theorem
+    scale, as a run of one cell at a time would. A trained cell's seconds
+    include an equal share of the stack's training time.
     """
-    shaping = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in UNFINGERPRINTED}
     cell_dirs = {(n, seed): Path(out_dir) / "cells" / cell_id(cfg.task, n, eta, batch, seed)
                  for n, seed in cells}
+    shaping = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in UNFINGERPRINTED}
     fingerprints = {(n, seed): _fingerprint(shaping | {"n": n, "eta": eta, "batch": batch,
                                                        "seed": seed, "layout": CELL_LAYOUT})
                     for n, seed in cells}
@@ -336,7 +351,9 @@ def compute_cells(cfg: ExperimentConfig, eta: float, batch: int, cells: list[tup
             trained = dict(zip(stale, train_cells(cfg, eta, batch, stale)))
         except NumericalFailureError as exc:
             n, seed = stale[exc.run]
-            compute_cells(cfg, eta, batch, cells[: cells.index((n, seed))], out_dir)
+            before = stale[: exc.run]
+            compute_cells(cfg, eta, batch, before, prepare_cells(cfg, eta, batch, before, out_dir),
+                          {}, out_dir)
             raise NumericalFailureError(
                 f"cell {cell_id(cfg.task, n, eta, batch, seed)}: {exc}") from exc
         share = (time.perf_counter() - started) / len(stale)
@@ -344,15 +361,101 @@ def compute_cells(cfg: ExperimentConfig, eta: float, batch: int, cells: list[tup
     results = []
     for n, seed in cells:
         started = time.perf_counter()
-        if reuse_only and (n, seed) in stale:
-            record_path = cell_dirs[n, seed] / "record.json"
+        record_path = cell_dirs[n, seed] / "record.json"
+        if (n, seed) not in stale:
+            results.append((read_record(RunRecord, record_path, "run record"),
+                            time.perf_counter() - started))
+            continue
+        if reuse_only:
             raise _cache_miss(cell_dirs[n, seed] / "fingerprint" if record_path.exists()
                               else record_path)
-        # popped, so that a finished cell's window is freed
-        result = compute_cell(cfg, n, eta, batch, seed, out_dir, fingerprints[n, seed],
-                              trained.pop((n, seed), None))
-        seconds = time.perf_counter() - started + (share if (n, seed) in stale else 0.0)
-        results.append((result, round(seconds, 3)))
+        try:
+            # popped, so that a prepared cell's window is freed
+            stats = prepare_cell(cfg, n, eta, batch, seed, out_dir, fingerprints[n, seed],
+                                 trained.pop((n, seed)))
+        except NumericalFailureError:
+            done = [(cell, r) for cell, r in zip(cells, results) if cell in stale]
+            compute_cells(cfg, eta, batch, [c for c, _ in done], [r for _, r in done], {}, out_dir)
+            raise
+        results.append((stats, time.perf_counter() - started + share))
+    return results
+
+
+def _stored_theorem_pmag(path: Path, s_theorem: float) -> float | None:
+    """The PMag that `path` stores if it was solved at the scale
+    `s_theorem`, else None."""
+    if not path.exists():
+        return None
+    stored = read_record(TheoremPMag, path, "theorem PMag")
+    return stored.pmag if scale_key(stored.scale) == scale_key(s_theorem) else None
+
+
+def compute_cell(cfg: ExperimentConfig, n: int, eta: float, batch: int, seed: int, out_dir: str,
+                 prepared: RunRecord | CellStats, s_theorem: float | None,
+                 reuse_only: bool = False) -> CellResult:
+    """Phase B of one grid cell: its record, with its PMag at the theorem
+    scale `s_theorem` (None when its n has no bound row) in memory.
+
+    `prepared` is phase A's result. A record stored under the cell's
+    fingerprint is returned, skipped, with the PMag that `THEOREM_PMAG`
+    holds at this scale; a miss there (an InvalidInputError with
+    `reuse_only`) solves it from the stored trajectory and stores it, and
+    without a scale the run removes the file. The stats of a cell trained
+    in this run are finished from its stored trajectory: its complexity
+    values and theorem-scale PMag come from one distance matrix, and its
+    record, `THEOREM_PMAG` and fingerprint are written, the fingerprint
+    last, so that an interrupted write is never reused.
+    """
+    cid = cell_id(cfg.task, n, eta, batch, seed)
+    cell_dir = Path(out_dir) / "cells" / cid
+    theorem_path = cell_dir / THEOREM_PMAG
+    skipped = isinstance(prepared, RunRecord)
+    if skipped:
+        record = prepared
+        if s_theorem is None:
+            if not reuse_only:
+                theorem_path.unlink(missing_ok=True)
+            return CellResult(record=record, skipped=True)
+        theorem = _stored_theorem_pmag(theorem_path, s_theorem)
+        if theorem is not None:
+            record.pmag[THEOREM_KEY] = theorem
+            return CellResult(record=record, skipped=True)
+        if reuse_only:
+            raise _cache_miss(theorem_path)
+    try:
+        dist = geometry.distance_matrix(load_trajectory(cell_dir / "trajectory"))
+        if not skipped:
+            pmag = {scale_key(s): magnitude.positive_magnitude(dist, s) for s in cfg.pmag_scales}
+            record = RunRecord(run_id=cid, n=n, eta=eta, batch=batch, seed=seed,
+                               gen_gap=prepared.gen_gap,
+                               e_alpha=lifetime.alpha_weighted_lifetime_sum(dist, cfg.alpha),
+                               pmag=pmag, lipschitz=prepared.lipschitz,
+                               loss_bound=prepared.loss_bound)
+        theorem = None if s_theorem is None else magnitude.positive_magnitude(dist, s_theorem)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"cell {cid}: {exc}") from exc
+    if not skipped:
+        write_record(record, cell_dir / "record.json")
+    if theorem is not None:
+        write_record(TheoremPMag(s_theorem, theorem), theorem_path)
+        record.pmag[THEOREM_KEY] = theorem
+    if not skipped:
+        write_file(cell_dir / "fingerprint", prepared.fingerprint + "\n")
+    return CellResult(record=record, skipped=skipped)
+
+
+def compute_cells(cfg: ExperimentConfig, eta: float, batch: int, cells: list[tuple[int, int]],
+                  prepared: list[tuple[RunRecord | CellStats, float]], scales: dict[int, float],
+                  out_dir: str, reuse_only: bool = False) -> list[tuple[CellResult, float]]:
+    """Phase B of the cells (n, eta, batch, seed) of the (n, seed) pairs
+    `cells` in that order, from phase A's `prepared`, at the theorem scale
+    `scales[n]` of each bounded n: each cell's result, with the seconds of
+    both phases."""
+    results = []
+    for (n, seed), (first, seconds) in zip(cells, prepared):
+        started = time.perf_counter()
+        result = compute_cell(cfg, n, eta, batch, seed, out_dir, first, scales.get(n), reuse_only)
+        results.append((result, round(seconds + time.perf_counter() - started, 3)))
     return results
 
 
@@ -398,37 +501,24 @@ def _stability_stage(cfg: ExperimentConfig, out_dir: Path, log,
     return reports
 
 
-def _theorem_pmag(cell_dir: Path, s_theorem: float, reuse_only: bool) -> float:
-    """The cell's PMag at the theorem scale `s_theorem`: the value stored in
-    its `THEOREM_PMAG` if solved at this scale, else (unless `reuse_only`)
-    solved from the stored trajectory and stored there."""
-    path = cell_dir / THEOREM_PMAG
-    if path.exists():
-        stored = read_record(TheoremPMag, path, "theorem PMag")
-        if scale_key(stored.scale) == scale_key(s_theorem):
-            return stored.pmag
-    if reuse_only:
-        raise _cache_miss(path)
-    dist = geometry.distance_matrix(load_trajectory(cell_dir / "trajectory"))
-    solved = TheoremPMag(s_theorem, magnitude.positive_magnitude(dist, s_theorem))
-    write_record(solved, path)
-    return solved.pmag
+def _row_constants(cfg: ExperimentConfig, group: list, beta: float) -> tuple[float, float, float]:
+    """L, B and the theorem scale of the bound row at β > 0 of the cells
+    `group` (records or `CellStats`) of one n: L and B are the configured
+    values, else the largest over the group."""
+    # a configured constant is positive, so `or` takes it when given
+    lipschitz = cfg.lipschitz or max(c.lipschitz for c in group)
+    loss_bound = cfg.loss_bound or max(c.loss_bound for c in group)
+    return (lipschitz, loss_bound,
+            magnitude.pmag_scale(cfg.theorem_lambda, lipschitz, loss_bound, beta))
 
 
-def _bounds_stage(
-    cfg: ExperimentConfig,
-    out_dir: Path,
-    records: list[RunRecord],
-    stab_reports: list[stability.StabilityReport],
-    reuse_only: bool,
-) -> list[dict]:
+def _bounds_stage(cfg: ExperimentConfig, records: list[RunRecord],
+                  stab_reports: list[stability.StabilityReport]) -> list[dict]:
     """One row per stability report with a positive mean β̂: both bounds at
     β̂, and as `*_analytic` at the closed-form β of `decaying` steps where
     that applies and is positive. L and B are the configured values, else
     the largest over the sample size's records; G is the task's. Each
-    bounded record gets its PMag at the theorem scale in memory, for the
-    reports, solved from its stored trajectory unless stored at that scale;
-    a run removes the stored value of every other record."""
+    bounded record holds its PMag at the theorem scale from phase B."""
     rows: list[dict] = []
     # the closed form needs n >= 2, the task's smoothness G and a first step in (0, 1/G)
     smoothness = trainer.make_task(cfg.task, cfg.input_dim, cfg.hidden).smoothness
@@ -441,13 +531,8 @@ def _bounds_stage(
             # the bounds need a positive stability coefficient
             continue
         group = [r for r in records if r.n == n]
-        # a configured constant is positive, so `or` takes it when given
-        lipschitz = cfg.lipschitz or max(r.lipschitz for r in group)
-        loss_bound = cfg.loss_bound or max(r.loss_bound for r in group)
+        lipschitz, loss_bound, s_theorem = _row_constants(cfg, group, beta)
         k_const = bounds.kn_alpha(n, lipschitz, loss_bound, cfg.alpha)
-        s_theorem = magnitude.pmag_scale(cfg.theorem_lambda, lipschitz, loss_bound, beta)
-        for r in group:
-            r.pmag[THEOREM_KEY] = _theorem_pmag(out_dir / "cells" / r.run_id, s_theorem, reuse_only)
 
         analytic = None
         if closed_form and n >= 2:
@@ -465,11 +550,6 @@ def _bounds_stage(
             row["pmag_bound" + suffix] = bounds.pmag_bound(
                 b, loss_bound, cfg.theorem_lambda, [r.pmag[THEOREM_KEY] for r in group]).value
         rows.append(row)
-
-    bounded = {row["n"] for row in rows}
-    for r in records:
-        if r.n not in bounded and not reuse_only:
-            (out_dir / "cells" / r.run_id / THEOREM_PMAG).unlink(missing_ok=True)
     return rows
 
 
@@ -522,8 +602,8 @@ def _write_reports(
 
 def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
                  report_dir: str | Path | None = None) -> PipelineResult:
-    """Run the full grid into `output_dir`, then the stability, bounds, and
-    report stages, and write `run.json`. Given `report_dir`, compute nothing
+    """Run phase A of the full grid into `output_dir`, then the stability
+    stage, phase B, and the bounds and report stages, and write `run.json`. Given `report_dir`, compute nothing
     (a miss raises InvalidInputError) and write only the reports, there."""
     out_dir = Path(output_dir)
     reuse_only = report_dir is not None
@@ -537,28 +617,33 @@ def run_pipeline(cfg: ExperimentConfig, output_dir: str | Path, *,
 
     if not reuse_only:
         for pattern in PARTIAL_FILES:
-            for partial in out_dir.glob(pattern):
-                if partial.is_file():
-                    partial.unlink()
+            for leftover in out_dir.glob(pattern):
+                if leftover.is_file():
+                    leftover.unlink()
     # the cells that share (eta, batch) train together, ordered by n, then seed
     group = [(n, seed) for n in cfg.n_grid for seed in cfg.seeds]
-    stacks = [
-        (cfg, eta, batch, cells, str(out_dir), reuse_only)
-        for eta in cfg.eta_grid
-        for batch in cfg.batch_grid
-        for cells in _split_stacks(group, cfg.jobs)
-    ]
-    results: list[CellResult] = []
+    stacks = list(zip(*[(eta, batch, cells) for eta in cfg.eta_grid for batch in cfg.batch_grid
+                        for cells in _split_stacks(group, cfg.jobs)]))
+    where = {"out_dir": str(out_dir), "reuse_only": reuse_only}
     # `report` trains nothing, so it reads the cells in this process
     with blas.worker_pool(cfg.jobs) if cfg.jobs > 1 and not reuse_only else nullcontext() as pool:
-        for stack in (map if pool is None else pool.map)(compute_cells, *zip(*stacks)):
-            for res, seconds in stack:
-                log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)
-                results.append(res)
+        run = map if pool is None else pool.map
+        prepared = list(run(partial(prepare_cells, cfg, **where), *stacks))
+        stab_reports = _stability_stage(cfg, out_dir, log, reuse_only)
+        # the theorem scale of each n with a bound row, as `_bounds_stage` takes it
+        firsts = [first for stack in prepared for first, _ in stack]
+        scales = {r.n: _row_constants(cfg, [c for c in firsts if c.n == r.n], r.mean)[2]
+                  for r in stab_reports if r.mean > 0}
+        finished = list(run(partial(compute_cells, cfg, scales=scales, **where), *stacks,
+                            prepared))
+    results: list[CellResult] = []
+    for stack in finished:
+        for res, seconds in stack:
+            log("cell", id=res.record.run_id, skipped=res.skipped, seconds=seconds)
+            results.append(res)
 
     records = sorted((r.record for r in results), key=lambda r: (r.n, r.eta, r.batch, r.seed))
-    stab_reports = _stability_stage(cfg, out_dir, log, reuse_only)
-    bound_rows = _bounds_stage(cfg, out_dir, records, stab_reports, reuse_only)
+    bound_rows = _bounds_stage(cfg, records, stab_reports)
     _write_reports(cfg, Path(report_dir or out_dir / "report"), records, stab_reports, bound_rows)
     if not reuse_only:
         write_record(cfg, out_dir / RUN_MANIFEST)

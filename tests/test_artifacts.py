@@ -500,3 +500,30 @@ def test_write_file_writes_text_as_its_utf8_bytes(tmp_path, monkeypatch):
     write_file(tmp_path / "r.txt", text)
     assert (tmp_path / "r.txt").read_bytes() == text.encode("utf-8")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt"]
+
+
+def test_an_interrupted_artifact_write_leaves_no_manifest_beside_an_old_payload(tmp_path,
+                                                                                 monkeypatch):
+    """A write interrupted in the payload, over an artifact of the same
+    shape, leaves no manifest: the read fails rather than pair the new
+    manifest's point ids with the old distances."""
+    old = DistanceMatrix(values=[[0.0, 1.0], [1.0, 0.0]], point_ids=[0, 5])
+    new = DistanceMatrix(values=[[0.0, 2.0], [2.0, 0.0]], point_ids=[3, 7])
+    save_distance_matrix(old, tmp_path / "d")
+    real = Path.write_bytes
+
+    def interrupted(self, data):
+        if self.name.endswith(".bin.partial"):
+            raise KeyboardInterrupt
+        return real(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_distance_matrix(new, tmp_path / "d")
+    monkeypatch.undo()
+    with pytest.raises(OSError):
+        load_distance_matrix(tmp_path / "d")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin"]
+    save_distance_matrix(new, tmp_path / "d")
+    got = load_distance_matrix(tmp_path / "d")
+    assert (got.values.tobytes(), got.point_ids.tolist()) == (new.values.tobytes(), [3, 7])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import distances_of
-from oracles import (conjugate_gradient_weighting, reference_similarity_matrix,
-                     reference_solve_direct)
+from oracles import (conjugate_gradient_weighting, rebuilt_rows_residual,
+                     reference_similarity_matrix, reference_solve_direct)
 from trajtopo import blas, magnitude
 from trajtopo.cli import main
 from trajtopo.errors import InvalidInputError, NumericalFailureError
@@ -359,3 +359,52 @@ def test_refinement_reuses_the_factor_left_in_the_buffer(monkeypatch, distances_
                                                 distances_1500, 1.0, b)
     assert got.tobytes() == refined.tobytes()
     assert residual == float(np.abs(b - _one_thread_product(z, refined)).max())
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 130, 600])
+def test_residual_copies_z_out_of_the_factored_buffer(m):
+    """The residual of a solve takes Z's rows from the buffer that holds
+    the factor, and gives the bits of the rows rebuilt from the distances."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    dist = distances_of(np.random.default_rng(m).standard_normal((m, 3)))
+    z = similarity_matrix(dist, 1.0)
+    assert z.min() >= 2.0 ** -511
+    factor, info = dpotrf(z.T, lower=0, clean=0, overwrite_a=1)
+    assert info == 0
+    b = np.ones(m)
+    gamma = dpotrs(factor, b)[0]
+    got = magnitude._residual(z, gamma, b)
+    assert got.tobytes() == rebuilt_rows_residual(dist, 1.0, gamma, b).tobytes()
+
+
+def test_the_factored_buffer_holds_no_entry_below_the_floor(monkeypatch):
+    """A solve zeroes Z's entries below 2^-511 before the factorization, so
+    that it multiplies no subnormals; the public Z still keeps them down to
+    tiny. On a space where over 30% of Z's entries lie between, gamma and
+    the residual are those of scipy's checked solve of the flushed Z, bit
+    for bit."""
+    import scipy.linalg.lapack
+
+    dist = _task_distances("quadratic")
+    off_diagonal = dist.values[~np.eye(len(dist), dtype=bool)]
+    s = 400.0 / float(np.quantile(off_diagonal, 0.5))
+    z = similarity_matrix(dist, s)
+    floor, tiny = 2.0 ** -511, np.finfo(np.float64).tiny
+    assert np.count_nonzero((tiny <= z) & (z < floor)) / z.size >= 0.3
+    assert np.count_nonzero((0 < z) & (z < tiny)) == 0
+
+    factored = []
+    real = scipy.linalg.lapack.dpotrf
+
+    def recording_dpotrf(a, *args, **kwargs):
+        factored.append(np.count_nonzero((0 < a) & (a < floor)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording_dpotrf)
+    sol = weighting(dist, s)
+    assert factored == [0]
+    gamma, residual = reference_solve_direct(reference_similarity_matrix(dist, s),
+                                             np.ones(len(dist)))
+    assert sol.gamma.tobytes() == gamma.tobytes()
+    assert sol.residual == residual

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajtopo import blas, bounds, magnitude, pipeline, stability, trainer
+from trajtopo import blas, bounds, geometry, magnitude, pipeline, stability, trainer
 from trajtopo.analysis import THEOREM_KEY
 from trajtopo.artifacts import (LossMatrix, RunRecord, Trajectory, read_record, record_json,
                                 save_loss_matrix, save_trajectory)
@@ -1567,31 +1567,67 @@ def test_bound_rows_take_l_and_b_from_the_records_of_their_n(tmp_path):
 
 def test_bounds_stage_opens_no_cell_file_but_theorem_pmag(tmp_path, monkeypatch):
     """The bounds stage takes L, B and the complexity values from the
-    records and G from the task: of a cell's files it opens only
-    `theorem_pmag.json`, and the trajectory when that misses."""
-    out, opened = tmp_path / "out", []
-    real_open, real_stage = io.open, pipeline._bounds_stage
+    records and G from the task, and opens no file. The theorem-scale PMag
+    of a stored cell comes from phase B, which of the cell's files opens
+    only `theorem_pmag.json`, and the trajectory when that misses."""
+    out, opened = tmp_path / "out", {"_bounds_stage": [], "compute_cell": []}
+    real_open = io.open
 
-    def recording_open(file, *args, **kwargs):
-        opened.append(Path(os.fsdecode(file)))
-        return real_open(file, *args, **kwargs)
+    def recorded(name):
+        real = getattr(pipeline, name)
 
-    def stage(*args, **kwargs):
-        with monkeypatch.context() as patched:
-            patched.setattr(io, "open", recording_open)
-            patched.setattr(builtins, "open", recording_open)
-            return real_stage(*args, **kwargs)
+        def recording_open(file, *args, **kwargs):
+            opened[name].append(Path(os.fsdecode(file)))
+            return real_open(file, *args, **kwargs)
+
+        def stage(*args, **kwargs):
+            with monkeypatch.context() as patched:
+                patched.setattr(io, "open", recording_open)
+                patched.setattr(builtins, "open", recording_open)
+                return real(*args, **kwargs)
+
+        return stage
 
     run_pipeline(small_config(), output_dir=out)
     cells = sorted(p.parent for p in out.glob("cells/*/record.json"))
-    monkeypatch.setattr(pipeline, "_bounds_stage", stage)
+    for name in opened:
+        monkeypatch.setattr(pipeline, name, recorded(name))
     run_pipeline(small_config(), output_dir=out)
-    assert sorted(opened) == [cell / pipeline.THEOREM_PMAG for cell in cells]
-    opened.clear()
+    assert opened["_bounds_stage"] == []
+    assert sorted(opened["compute_cell"]) == [cell / pipeline.THEOREM_PMAG for cell in cells]
+    opened["compute_cell"].clear()
     run_pipeline(small_config(theorem_lambda=2.0), output_dir=out)
-    assert {p.parent for p in opened} == set(cells)
-    assert {p.name for p in opened} == {pipeline.THEOREM_PMAG, "trajectory.json",
-                                        "trajectory.bin", f"{pipeline.THEOREM_PMAG}.partial"}
+    assert opened["_bounds_stage"] == []
+    assert {p.parent for p in opened["compute_cell"]} == set(cells)
+    assert {p.name for p in opened["compute_cell"]} == {
+        pipeline.THEOREM_PMAG, "trajectory.json", "trajectory.bin",
+        f"{pipeline.THEOREM_PMAG}.partial"}
+
+
+def test_a_run_builds_each_cells_distances_once(tmp_path, monkeypatch):
+    """A fresh run builds each cell's distance matrix once, for its
+    complexity values and its theorem-scale PMag together; a re-run under
+    another `theorem_lambda` once per bounded cell; a finished re-run, a
+    re-run without bound rows, and `report`, never."""
+    built = []
+    real = geometry.pairwise_distances
+    monkeypatch.setattr(geometry, "pairwise_distances",
+                        lambda traj: built.append(len(traj)) or real(traj))
+    out = tmp_path / "out"
+    cfg = small_config(eta_grid=[0.05, 0.1])
+    fresh = run_pipeline(cfg, output_dir=out)
+    assert (fresh.computed, len(built)) == (8, 8)
+    assert {row["n"] for row in fresh.bound_rows} == {20, 40}
+    built.clear()
+    rerun = run_pipeline(small_config(eta_grid=[0.05, 0.1], theorem_lambda=2.0), output_dir=out)
+    assert (rerun.computed, len(built)) == (0, 8)
+    built.clear()
+    run_pipeline(small_config(eta_grid=[0.05, 0.1], theorem_lambda=2.0), output_dir=out)
+    assert main(["report", str(out)]) == 0
+    assert built == []
+    assert run_pipeline(small_config(eta_grid=[0.05, 0.1], stability=None),
+                        output_dir=out).bound_rows == []
+    assert built == []
 
 
 def test_alpha_outside_unit_interval_without_stability_section():
